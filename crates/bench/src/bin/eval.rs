@@ -274,13 +274,16 @@ fn main() {
                     q.name
                 );
                 let summary = plan.summary();
-                // A plan with neither fused scans nor closure expands
-                // runs the identical operator pipeline through both
+                // A plan with no fused scans, closure expands or schema
+                // slices runs the identical operator pipeline through both
                 // entry points: one timing serves both columns instead
                 // of reporting loop-to-loop noise as a phantom speedup
-                // or regression. Differing pipelines are timed with
+                // or regression. Differing pipelines (the oracle runs a
+                // schema slice's retained chain) are timed with
                 // interleaved repetitions so drift cancels.
-                let (fused_t, mat_t) = if summary.fused_scan > 0 || summary.closure_expand > 0 {
+                let differs =
+                    summary.fused_scan + summary.closure_expand + summary.schema_slice > 0;
+                let (fused_t, mat_t) = if differs {
                     time_pair_us(&run_fused, run_mat)
                 } else {
                     let t = time_us(run_fused);

@@ -27,7 +27,7 @@ use crate::spec::{AccessSpec, Annotation};
 use crate::view::def::{SecurityView, ViewContent, ViewItem};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use sxv_dtd::DtdGraph;
+use sxv_dtd::{Dtd, DtdGraph};
 use sxv_xpath::Path;
 
 /// Static accessibility of element *types* under an access specification.
@@ -109,6 +109,19 @@ impl TypeAccessibility {
     }
 }
 
+/// The DTD's element-type edge graph: every type mapped to its child
+/// element types. The certifier reasons over it, and the planner's
+/// schema graph ([`crate::dtd_cost_model`]) is built from it.
+pub(crate) fn dtd_children(dtd: &Dtd) -> BTreeMap<String, BTreeSet<String>> {
+    let graph = DtdGraph::new(dtd);
+    (0..graph.len())
+        .map(|i| {
+            let kids = graph.children(i).iter().map(|&c| graph.name_of(c).to_string()).collect();
+            (graph.name_of(i).to_string(), kids)
+        })
+        .collect()
+}
+
 /// Build the plain-data context the plan certifier
 /// ([`sxv_xpath::certify`]) needs, from a specification and its view:
 /// the DTD edge graph, the §3.2 type-accessibility sets, and the
@@ -117,13 +130,7 @@ impl TypeAccessibility {
 /// machinery as [`audit_view`]).
 pub fn certify_context(spec: &AccessSpec, view: &SecurityView) -> sxv_xpath::CertifyContext {
     let dtd = spec.dtd();
-    let graph = DtdGraph::new(dtd);
-    let mut children: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    for i in 0..graph.len() {
-        let kids: BTreeSet<String> =
-            graph.children(i).iter().map(|&c| graph.name_of(c).to_string()).collect();
-        children.insert(graph.name_of(i).to_string(), kids);
-    }
+    let children = dtd_children(dtd);
     let text_types: BTreeSet<String> = dtd
         .productions()
         .iter()

@@ -23,7 +23,7 @@ use sxv_xml::{DocId, DocIndex, Document, NodeId};
 use sxv_xpath::{
     certify, compile, compile_annotate, simplify, AccessView, AxisTest, Backend, CertifyContext,
     CompiledQuery, CostModel, EvalStats, Path, PlanCertificate, PlanNode, PlanOp, PlanPolicy,
-    PlanSummary,
+    PlanSummary, SchemaSlice,
 };
 
 /// Query evaluation strategy (the three columns of Table 1, plus the
@@ -238,7 +238,11 @@ fn label_observations(ops: &[PlanNode], observed: &[u64]) -> Vec<(String, u64)> 
     for (node, &obs) in ops.iter().zip(observed) {
         let axis = match &node.op {
             PlanOp::DescendantSlice(a) => Some(a),
-            PlanOp::Fused(f) if f.filter.is_none() && f.qual.is_none() => Some(&f.axis),
+            PlanOp::Fused(f) | PlanOp::SchemaSlice(SchemaSlice { scan: f, .. })
+                if f.filter.is_none() && f.qual.is_none() =>
+            {
+                Some(&f.axis)
+            }
             _ => None,
         };
         if let Some(AxisTest::Label(l)) = axis {
@@ -1286,6 +1290,157 @@ mod tests {
         engine.answer_report_policy(&doc, None, &p, Approach::Optimize, PlanPolicy::Auto).unwrap();
         assert_eq!(engine.cache_stats().plans_compiled, 2);
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
+    }
+
+    /// The §6 Adex policy and the BOM contractor policy, as shipped.
+    fn asset_specs() -> (AccessSpec, AccessSpec) {
+        let adex = parse_dtd(include_str!("../../../assets/adex.dtd"), "adex").unwrap();
+        let bom = parse_dtd(include_str!("../../../assets/bom.dtd"), "bom").unwrap();
+        (
+            AccessSpec::parse(&adex, include_str!("../../../assets/adex_section6.spec"), &[])
+                .unwrap(),
+            AccessSpec::parse(&bom, include_str!("../../../assets/bom_contractor.spec"), &[])
+                .unwrap(),
+        )
+    }
+
+    /// An Adex document: `houses` house ads (one `r-e.warranty` each)
+    /// and one employment ad carrying `job_extra`. `whole` wraps the body
+    /// in the DTD's `adex` root; otherwise `body` is the root.
+    fn adex_doc(houses: usize, job_extra: &str, whole: bool) -> Document {
+        let ad = |content: &str| {
+            format!(
+                "<ad-instance><ad-id>1</ad-id><classification><category>c</category>\
+                 <region>r</region></classification><ad-content>{content}</ad-content>\
+                 <media/></ad-instance>"
+            )
+        };
+        let house = ad("<real-estate><house><r-e.asking-price>9</r-e.asking-price>\
+                        <r-e.warranty>w</r-e.warranty><r-e.location>l</r-e.location>\
+                        <r-e.size>s</r-e.size></house></real-estate>");
+        let job = ad(&format!(
+            "<employment><job-title>t</job-title><salary>1</salary><employer>e</employer>\
+             <job-description>d</job-description>{job_extra}</employment>"
+        ));
+        let body = format!("<body><section>{}{job}</section></body>", house.repeat(houses));
+        let src = if whole {
+            format!(
+                "<adex><head><transaction-id>1</transaction-id><buyer-account>a</buyer-account>\
+                 <buyer-info><company-id>c</company-id><contact-info><contact-name>n\
+                 </contact-name><contact-phone>p</contact-phone><contact-email>e\
+                 </contact-email></contact-info><payment-detail>d</payment-detail>\
+                 </buyer-info></head>{body}</adex>"
+            )
+        } else {
+            body
+        };
+        parse_xml(&src).unwrap()
+    }
+
+    /// A BOM document: one assembly holding a full binary part tree of
+    /// the given depth, every supplier carrying `supplier_extra`. `whole`
+    /// wraps the assembly in the DTD's `bom` root.
+    fn bom_doc(depth: usize, supplier_extra: &str, whole: bool) -> Document {
+        fn part(depth: usize, extra: &str) -> String {
+            let sub = if depth == 0 { String::new() } else { part(depth - 1, extra).repeat(2) };
+            format!(
+                "<part><partno>p{depth}</partno><cost>1</cost><supplier><name>n</name>\
+                 <price>2</price>{extra}</supplier><subpart>{sub}</subpart></part>"
+            )
+        }
+        let assembly = format!("<assembly>{}</assembly>", part(depth, supplier_extra));
+        parse_xml(&if whole { format!("<bom>{assembly}</bom>") } else { assembly }).unwrap()
+    }
+
+    #[test]
+    fn schema_slices_never_widen_answers_on_nonconforming_documents() {
+        // Each query's Auto plan lowers its whole translation to one
+        // schema slice. The conforming twin must take the slice; every
+        // document that breaks the DTD — an extra edge reaching hidden
+        // data, or a different root label — must get exactly the
+        // ForceWalk answer, which a bare slice would exceed.
+        let (adex, bom) = asset_specs();
+        let leak = "<r-e.warranty>leak</r-e.warranty>";
+        let cases = [
+            (
+                &adex,
+                "//house/r-e.warranty | //apartment/r-e.warranty",
+                "r-e.warranty",
+                [adex_doc(300, "", true), adex_doc(3, leak, true), adex_doc(3, "", false)],
+            ),
+            (
+                &bom,
+                "//partno",
+                "partno",
+                [
+                    bom_doc(8, "", true),
+                    bom_doc(2, "<partno>leak</partno>", true),
+                    bom_doc(2, "", false),
+                ],
+            ),
+        ];
+        for (spec, query, label, docs) in &cases {
+            let view = derive_view(spec).unwrap();
+            let engine = SecureEngine::new(spec, &view);
+            let p = parse(query).unwrap();
+            for (i, doc) in docs.iter().enumerate() {
+                let conforming = i == 0;
+                let index = DocIndex::new(doc).unwrap();
+                let accessible = crate::compute_accessibility(spec, doc, None);
+                for approach in [Approach::Rewrite, Approach::Optimize] {
+                    let answer = |policy| {
+                        engine
+                            .answer_report_policy(doc, Some(&index), &p, approach, policy)
+                            .unwrap()
+                    };
+                    let (walk, walk_rep) = answer(PlanPolicy::ForceWalk);
+                    let (auto, rep) = answer(PlanPolicy::Auto);
+                    let what = format!("{query} {approach:?} doc {i}");
+                    assert_eq!(rep.plan.schema_slice, 1, "{what}: {}", rep.plan);
+                    assert_eq!(auto, walk, "{what}: Auto differs from ForceWalk");
+                    assert!(auto.iter().all(|&v| accessible.contains(v)), "{what}: leaked");
+                    if conforming {
+                        assert!(auto.len() >= 300, "{what}: {} answers", auto.len());
+                        assert!(
+                            rep.eval.nodes_touched <= auto.len() as u64 + 4,
+                            "{what}: slice touched {} for {} answers",
+                            rep.eval.nodes_touched,
+                            auto.len()
+                        );
+                        assert!(walk_rep.eval.nodes_touched > 3 * auto.len() as u64, "{what}");
+                    } else {
+                        assert!(index.label_list(label).len() > walk.len(), "{what}: no trap");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn recompiled_auto_plans_keep_their_schema_slices() {
+        // 300 warranties against a DTD estimate of ~3: the profiled first
+        // execution diverges and recompiles against calibrated counts.
+        let (adex, _) = asset_specs();
+        let view = derive_view(&adex).unwrap();
+        let engine = SecureEngine::new(&adex, &view);
+        let doc = adex_doc(300, "", true);
+        let index = DocIndex::new(&doc).unwrap();
+        let p = parse("//house/r-e.warranty").unwrap();
+        let (first, _) = engine
+            .answer_report_policy(&doc, Some(&index), &p, Approach::Optimize, PlanPolicy::Auto)
+            .unwrap();
+        assert_eq!(first.len(), 300);
+        assert_eq!(engine.cache_stats().plans_recompiled, 1);
+        let (planned, hit) = engine.plan_certified(&p, Approach::Optimize, PlanPolicy::Auto);
+        let planned = planned.unwrap();
+        assert!(hit);
+        assert_eq!(planned.plan.summary().schema_slice, 1, "{}", planned.plan.explain_text());
+        assert!(planned.cert.certified());
+        let (second, rep) = engine
+            .answer_report_policy(&doc, Some(&index), &p, Approach::Optimize, PlanPolicy::Auto)
+            .unwrap();
+        assert_eq!(first, second);
+        assert!(rep.eval.nodes_touched <= 304, "{:?}", rep.eval);
     }
 
     #[test]

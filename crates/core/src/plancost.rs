@@ -10,8 +10,10 @@
 //! [`CostModel::from_estimates`], giving the planner the same shape of
 //! statistics a real index would, just approximate.
 
+use crate::analysis::dtd_children;
 use std::collections::HashMap;
 use sxv_dtd::{Dtd, NormalContent};
+use sxv_xml::LabelGraph;
 use sxv_xpath::CostModel;
 
 /// Assumed repetitions of a `B*` child — matches the small synthetic
@@ -71,9 +73,11 @@ fn reachability(adj: &[Vec<usize>]) -> Vec<Vec<bool>> {
 }
 
 /// Expected per-label element counts (and text-node total) for documents
-/// conforming to `dtd`, packaged as a planner [`CostModel`].
-/// `has_index` declares whether execution will have a structural index —
-/// the engine's serving path passes `true`.
+/// conforming to `dtd`, packaged as a planner [`CostModel`] that carries
+/// the DTD's schema graph (root plus element-type edges), so `Auto` plans
+/// lower schema-covered runs. `has_index` declares whether execution
+/// will have a structural index — the engine's serving path passes
+/// `true`.
 ///
 /// Estimates solve `est = root + est · W` by fixed-point iteration over
 /// the production list in declaration order, so the result is
@@ -143,7 +147,10 @@ pub fn dtd_cost_model(dtd: &Dtd, has_index: bool) -> CostModel {
         .map(|(i, _)| est[i])
         .sum();
     let labels = productions.iter().enumerate().map(|(i, (name, _))| (name.clone(), est[i]));
+    let children = dtd_children(dtd);
+    let edges = children.iter().flat_map(|(p, kids)| kids.iter().map(move |c| (p, c)));
     CostModel::from_estimates(labels, texts, has_index)
+        .with_schema(LabelGraph::new(dtd.root(), edges))
 }
 
 /// Patch observed per-label cardinalities (runtime feedback from a

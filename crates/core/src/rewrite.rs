@@ -501,10 +501,12 @@ pub(crate) fn kleene_reach(
     for &y in nodes {
         let walks = r.get(&(start, y)).cloned().unwrap_or(Path::EmptySet);
         // The empty walk reaches `start` itself; `R_ss` is closed under
-        // concatenation, so `(R_ss)* = ε ∪ R_ss` — the closure form is
-        // both compact and a single plan operator. Without loops this
-        // is `closure(∅) = ε`, matching the DAG accumulation.
-        let e = if y == start { Path::closure(walks) } else { walks };
+        // concatenation, so `(R_ss)* = ε ∪ R_ss`. Emitting the union, not
+        // the closure, matters: `R_ss` already contains every loop's
+        // closure, and `(R_ss)*` would re-run that inner closure from
+        // every frontier node of the outer one. Without loops this is
+        // `ε ∪ ∅ = ε`, matching the DAG accumulation.
+        let e = if y == start { Path::union(Path::Empty, walks) } else { walks };
         out.insert(y, simplify(&e));
     }
     out
@@ -1168,6 +1170,39 @@ mod tests {
         )
         .unwrap();
         assert_eq!(eval_at_root(&deep, &pt).len(), 4, "{pt}");
+    }
+
+    /// Whether a closure occurs inside a closure body anywhere in `p`.
+    fn nested_closure(p: &Path, in_closure: bool) -> bool {
+        match p {
+            Path::Closure(body) => in_closure || nested_closure(body, true),
+            Path::Step(a, b) | Path::Union(a, b) => {
+                nested_closure(a, in_closure) || nested_closure(b, in_closure)
+            }
+            Path::Descendant(inner) | Path::Filter(inner, _) => nested_closure(inner, in_closure),
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn bom_optimize_translation_has_no_closure_inside_a_closure() {
+        // `kleene_reach` once emitted `(R_ss)*` for the start node, whose
+        // body `R_ss` already holds the loop's closure: optimize's B1
+        // translation then re-ran that inner closure from every frontier
+        // node of the outer one. `R_ss` is closed under concatenation, so
+        // `ε ∪ R_ss` is the same language with one closure level.
+        let dtd = parse_dtd(include_str!("../../../assets/bom.dtd"), "bom").unwrap();
+        let spec =
+            AccessSpec::parse(&dtd, include_str!("../../../assets/bom_contractor.spec"), &[])
+                .unwrap();
+        let view = derive_view(&spec).unwrap();
+        assert!(view.is_recursive());
+        let rewritten = rewrite(&view, &parse("//partno").unwrap()).unwrap();
+        let optimized = crate::optimize::optimize(spec.dtd(), &rewritten).unwrap();
+        for (what, p) in [("rewrite", &rewritten), ("optimize", &optimized)] {
+            assert!(p.to_string().contains(")*"), "{what} still serves recursion by closure: {p}");
+            assert!(!nested_closure(p, false), "{what} nests a closure in a closure: {p}");
+        }
     }
 
     #[test]

@@ -13,8 +13,11 @@
 
 use crate::column::{Str, U32s};
 use crate::error::{Error, Result};
+use crate::label_graph::LabelGraph;
 use crate::node::{Document, LabelId, NodeId};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// The flat arrays behind a [`DocIndex`], the input of
 /// [`DocIndex::from_raw_parts`] — the owned, fully-validated load path.
@@ -101,6 +104,32 @@ pub struct DocIndex {
     /// `text_offsets[i]` = byte offset of `text_nodes[i]`'s content in
     /// `text_buf` (one trailing sentinel = `text_buf.len()`).
     text_offsets: U32s,
+    /// The document's own label graph, built on first use; `None` when
+    /// the tables do not describe one rooted tree.
+    label_graph: OnceLock<Option<Arc<LabelGraph>>>,
+    /// Memoized [`DocIndex::conforms_to`] verdicts.
+    conforms: ConformMemo,
+}
+
+/// Most schema graphs whose conformance verdicts one index remembers.
+const CONFORM_MEMO: usize = 64;
+
+/// Conformance verdicts keyed by schema graph identity: the latest one
+/// in a single atomic word (the common case is one schema per document),
+/// older ones behind a lock.
+#[derive(Debug, Default)]
+struct ConformMemo {
+    /// `id << 1 | verdict` of the latest lookup; 0 while empty (graph
+    /// ids start at 1).
+    last: AtomicU64,
+    all: Mutex<Vec<(u64, bool)>>,
+}
+
+impl Clone for ConformMemo {
+    /// A clone starts empty: the memo is a cache, not state.
+    fn clone(&self) -> ConformMemo {
+        ConformMemo::default()
+    }
 }
 
 impl DocIndex {
@@ -180,6 +209,8 @@ impl DocIndex {
             text_nodes: U32s::from_vec(text_nodes),
             text_buf: Str::from_string(text_buf),
             text_offsets: U32s::from_vec(text_offsets),
+            label_graph: OnceLock::new(),
+            conforms: ConformMemo::default(),
         })
     }
 
@@ -294,6 +325,8 @@ impl DocIndex {
             text_nodes: U32s::from_vec(text_nodes.iter().map(|v| v.index() as u32).collect()),
             text_buf: Str::from_string(text_buf),
             text_offsets: U32s::from_vec(text_offsets),
+            label_graph: OnceLock::new(),
+            conforms: ConformMemo::default(),
         })
     }
 
@@ -367,6 +400,8 @@ impl DocIndex {
             text_nodes,
             text_buf,
             text_offsets,
+            label_graph: OnceLock::new(),
+            conforms: ConformMemo::default(),
         })
     }
 
@@ -538,6 +573,99 @@ impl DocIndex {
         let offs = self.text_offsets.as_slice();
         &self.text_buf.as_str()[offs[lo] as usize..offs[hi] as usize]
     }
+
+    /// The document's own [`LabelGraph`]: its root label and every
+    /// parent→child element-label edge that occurs. Built on first use
+    /// by one O(n) pass over the depth table and occurrence lists, then
+    /// shared. `None` for an empty document, a document with more than
+    /// [`LabelGraph::MAX_LABELS`] label names, or tables that do not
+    /// describe one rooted tree (possible only for malformed packaged
+    /// columns); such an index conforms to no schema.
+    pub fn label_graph(&self) -> Option<&Arc<LabelGraph>> {
+        self.label_graph.get_or_init(|| self.build_label_graph().map(Arc::new)).as_ref()
+    }
+
+    /// Whether the document conforms to `schema`: its root label is the
+    /// schema's root and each of its parent→child label edges is a schema
+    /// edge. Memoized per schema graph (thread-safe), so after the first
+    /// call for a graph the answer costs one atomic load.
+    pub fn conforms_to(&self, schema: &LabelGraph) -> bool {
+        // `last` publishes nothing but the verdict packed into it, so
+        // relaxed ordering suffices.
+        let key = schema.id() << 1;
+        let last = self.conforms.last.load(Ordering::Relaxed);
+        if last & !1 == key {
+            return last & 1 == 1;
+        }
+        // Every entry is a complete verdict, so a list left by a thread
+        // that panicked is still valid.
+        let mut all = self.conforms.all.lock().unwrap_or_else(PoisonError::into_inner);
+        let verdict = match all.iter().find(|&&(id, _)| id == schema.id()) {
+            Some(&(_, v)) => v,
+            None => {
+                let v = self.label_graph().is_some_and(|g| g.is_subgraph_of(schema));
+                if all.len() >= CONFORM_MEMO {
+                    all.remove(0);
+                }
+                all.push((schema.id(), v));
+                v
+            }
+        };
+        self.conforms.last.store(key | verdict as u64, Ordering::Relaxed);
+        verdict
+    }
+
+    fn build_label_graph(&self) -> Option<LabelGraph> {
+        const TEXT: u32 = u32::MAX;
+        // A planner lowers against no graph this large, so such a
+        // document conforms to none it uses either way.
+        let width = self.label_names.len();
+        if width > LabelGraph::MAX_LABELS {
+            return None;
+        }
+        let depth = self.depth.as_slice();
+        let n = depth.len();
+        let mut labels = vec![TEXT; n];
+        for l in 0..width {
+            for &v in self.label_list_id(LabelId(l as u32)) {
+                *labels.get_mut(v.index())? = l as u32;
+            }
+        }
+        let root = *labels.first()?;
+        if root == TEXT {
+            return None;
+        }
+        // Ids are pre-order, so the stack of labels on the current root
+        // path, cut to a node's depth, ends with its parent's label.
+        // Edges dedup through a bitmap over label pairs, one probe per
+        // node.
+        let mut seen = vec![0u64; (width * width).div_ceil(64)];
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        let mut path: Vec<u32> = Vec::new();
+        for (v, (&d, &l)) in depth.iter().zip(&labels).enumerate() {
+            let d = d as usize;
+            if d > path.len() || (d == 0) != (v == 0) {
+                return None;
+            }
+            path.truncate(d);
+            if let Some(&p) = path.last() {
+                if p == TEXT {
+                    return None;
+                }
+                if l != TEXT {
+                    let bit = p as usize * width + l as usize;
+                    let word = &mut seen[bit / 64];
+                    if *word & (1 << (bit % 64)) == 0 {
+                        *word |= 1 << (bit % 64);
+                        edges.push((p, l));
+                    }
+                }
+            }
+            path.push(l);
+        }
+        let name = |l: u32| self.label_names[l as usize].as_str();
+        Some(LabelGraph::new(name(root), edges.into_iter().map(|(p, c)| (name(p), name(c)))))
+    }
 }
 
 /// Subslice of a sorted id list with ids in `(v, end]`.
@@ -615,6 +743,56 @@ mod tests {
         let idx = DocIndex::new(&d).unwrap();
         assert_eq!(idx.label_count("a"), 0);
         assert!(idx.element_nodes().is_empty());
+        assert!(idx.label_graph().is_none(), "no root, no graph");
+        assert!(!idx.conforms_to(&LabelGraph::new("a", Vec::<(&str, &str)>::new())));
+    }
+
+    #[test]
+    fn label_graph_collects_element_edges() {
+        let d = doc();
+        let idx = DocIndex::new(&d).unwrap();
+        let g = idx.label_graph().unwrap();
+        // Text children add no edges.
+        assert_eq!(
+            g,
+            &Arc::new(LabelGraph::new("r", [("a", "a"), ("a", "b"), ("r", "a"), ("r", "b")]))
+        );
+        assert!(Arc::ptr_eq(g, idx.label_graph().unwrap()), "built once");
+    }
+
+    #[test]
+    fn documents_with_too_many_labels_have_no_label_graph() {
+        // The root plus `kids` distinct child labels.
+        let wide = |kids: usize| {
+            let body: String = (1..=kids).map(|i| format!("<l{i}/>")).collect();
+            parse(&format!("<r>{body}</r>")).unwrap()
+        };
+        let fits = wide(LabelGraph::MAX_LABELS - 1);
+        let idx = DocIndex::new(&fits).unwrap();
+        let g = idx.label_graph().unwrap().as_ref().clone();
+        assert_eq!(g.len(), LabelGraph::MAX_LABELS);
+        assert!(idx.conforms_to(&g));
+        let over = wide(LabelGraph::MAX_LABELS);
+        let idx = DocIndex::new(&over).unwrap();
+        assert!(idx.label_graph().is_none());
+        assert!(!idx.conforms_to(&g));
+    }
+
+    #[test]
+    fn conformance_is_memoized_per_schema() {
+        let d = doc();
+        let idx = DocIndex::new(&d).unwrap();
+        let full =
+            LabelGraph::new("r", [("r", "a"), ("r", "b"), ("a", "a"), ("a", "b"), ("b", "c")]);
+        let partial = LabelGraph::new("r", [("r", "a"), ("a", "b")]);
+        let other_root = LabelGraph::new("a", [("a", "a"), ("a", "b"), ("r", "a"), ("r", "b")]);
+        for _ in 0..2 {
+            assert!(idx.conforms_to(&full));
+            assert!(!idx.conforms_to(&partial), "r/b and a/a lie outside");
+            assert!(!idx.conforms_to(&other_root));
+            assert!(idx.conforms_to(idx.label_graph().unwrap()));
+        }
+        assert!(idx.clone().conforms_to(&full), "a clone recomputes");
     }
 
     #[test]
@@ -770,6 +948,29 @@ mod tests {
             let mut parts = parts_of(&idx);
             corrupt(&mut parts);
             assert!(DocIndex::from_raw_parts(parts).is_err(), "{what} must be rejected");
+        }
+    }
+
+    #[test]
+    fn tables_that_are_not_one_tree_have_no_label_graph() {
+        // Validation accepts these tables (each array is consistent on its
+        // own), but they describe no rooted tree: such an index must
+        // conform to no schema, so schema slices fall back to their chains.
+        let d = doc();
+        let idx = DocIndex::new(&d).unwrap();
+        let schema = idx.label_graph().unwrap().as_ref().clone();
+        type Mutation = Box<dyn Fn(&mut DocIndexParts)>;
+        let cases: Vec<(&str, Mutation)> = vec![
+            ("second root", Box::new(|p| p.depth[7] = 0)),
+            ("depth jumps two levels", Box::new(|p| p.depth[2] = 3)),
+            ("element under a text node", Box::new(|p| p.depth[4] = 4)),
+        ];
+        for (what, corrupt) in cases {
+            let mut parts = parts_of(&idx);
+            corrupt(&mut parts);
+            let bad = DocIndex::from_raw_parts(parts).expect(what);
+            assert!(bad.label_graph().is_none(), "{what}");
+            assert!(!bad.conforms_to(&schema), "{what}");
         }
     }
 

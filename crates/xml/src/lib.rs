@@ -28,6 +28,7 @@ pub mod error;
 pub mod index;
 pub mod iter;
 pub mod json;
+pub mod label_graph;
 pub mod node;
 pub mod parser;
 pub mod serializer;
@@ -38,6 +39,7 @@ pub use error::{Error, Result};
 pub use index::{DocIndex, DocIndexParts, PackedDocIndexParts};
 pub use iter::{Ancestors, Children, Descendants};
 pub use json::json_escape;
+pub use label_graph::LabelGraph;
 pub use node::{
     DocId, Document, DocumentParts, LabelId, Node, NodeId, NodeKind, PackedDocumentParts,
 };

@@ -550,6 +550,28 @@ impl Interp<'_> {
                 }
                 out
             }
+            PlanOp::SchemaSlice(s) => {
+                // A schema slice is certified as the chain it retains,
+                // then its fused qualifier: on every document where the
+                // scan runs it selects exactly the chain's nodes, and the
+                // chain itself runs everywhere else. The abstract result
+                // is the defused pipeline's.
+                let mark = self.trace.len();
+                self.trace.push(TraceLine {
+                    depth: depth + 1,
+                    detail: "chain".into(),
+                    state: String::new(),
+                });
+                let mut out = self.run_pipeline(&s.chain, state, depth + 2);
+                if let Some(q) = &s.scan.qual {
+                    if !self.qual(q, &out, depth + 1) {
+                        out = AbsState::empty();
+                    }
+                }
+                self.trace
+                    .insert(mark, TraceLine { depth, detail: op_detail(op), state: out.render() });
+                return out;
+            }
             PlanOp::UnionMerge(arms) => {
                 let mark = self.trace.len();
                 let mut out = AbsState::empty();
@@ -814,6 +836,7 @@ fn has_bitmap_guard(ops: &[PlanNode]) -> bool {
     ops.iter().any(|n| match &n.op {
         PlanOp::BitmapFilter(_) => true,
         PlanOp::Fused(f) => f.filter.is_some(),
+        PlanOp::SchemaSlice(s) => has_bitmap_guard(&s.chain),
         PlanOp::UnionMerge(arms) => arms.iter().any(|arm| has_bitmap_guard(arm)),
         _ => false,
     })

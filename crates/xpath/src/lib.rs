@@ -30,6 +30,7 @@ pub mod display;
 pub mod error;
 pub mod eval;
 pub mod join;
+mod lowering;
 pub mod parser;
 pub mod plan;
 pub mod simplify;
@@ -50,7 +51,7 @@ pub use join::{eval_at_root_backend, eval_at_root_join, eval_at_root_join_with_s
 pub use parser::parse;
 pub use plan::{
     compile, compile_annotate, AccessFilter, AxisTest, CompiledQuery, CostModel, FusedScan,
-    PlanNode, PlanOp, PlanPolicy, PlanSummary, QualPlan, EQUIVALENCE_QUERIES,
+    PlanNode, PlanOp, PlanPolicy, PlanSummary, QualPlan, SchemaSlice, EQUIVALENCE_QUERIES,
 };
 pub use simplify::{factored_union, simplify};
 pub use subq::{postorder, SubExpr};

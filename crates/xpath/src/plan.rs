@@ -25,7 +25,11 @@
 //!   walk-policy lowering of `//axis` when no index will exist);
 //! * `union-merge` — run arm sub-pipelines off one context, merge-union;
 //! * `qualifier-probe` — filter by a compiled [`QualPlan`], with interval
-//!   emptiness probes for existence tests.
+//!   emptiness probes for existence tests;
+//! * `schema-slice` — a run of child steps, unions and closures that the
+//!   schema graph proves equal to one descendant slice of its final label
+//!   (`Auto` only, see [`SchemaSlice`]). It keeps the run and falls back
+//!   to it without an index or on a document outside the schema.
 //!
 //! Results are bit-identical to the walk evaluator of [`crate::eval`];
 //! the equivalence is pinned by [`EQUIVALENCE_QUERIES`] here and a random
@@ -47,10 +51,12 @@
 use crate::access::{is_dummy_label, AccessView};
 use crate::ast::{Path, Qualifier};
 use crate::eval::EvalStats;
+use crate::lowering::lower_schema_runs;
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
-use sxv_xml::{json_escape, DocIndex, Document, NodeBitmap, NodeId};
+use std::sync::Arc;
+use sxv_xml::{json_escape, DocIndex, Document, LabelGraph, NodeBitmap, NodeId};
 
 /// How the planner chooses between walk and join operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -175,6 +181,32 @@ pub struct FusedScan {
     pub from_expand: bool,
 }
 
+/// A schema-covered run lowered to one descendant scan: under
+/// [`PlanPolicy::Auto`], a qualifier-free run of child steps, unions and
+/// closures ending in label `L` is replaced by a slice of `L` when every
+/// label path `schema` allows from the run's context types to `L` is in
+/// the run's language (automaton containment, DESIGN.md §18). The slice
+/// then selects exactly the run's nodes on any document whose root label
+/// and parent→child label edges lie inside `schema`.
+///
+/// The operator keeps the run. It executes the run instead of the scan
+/// when no index is attached, when the executing document leaves
+/// `schema` ([`DocIndex::conforms_to`], memoized per index), and in the
+/// oracle executors ([`CompiledQuery::execute_materialized`],
+/// [`CompiledQuery::execute_at_document`]). [`CompiledQuery::defused`]
+/// restores the run, and the certifier interprets the run, so the
+/// lowering moves no abstract state.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SchemaSlice {
+    /// The scan: a descendant slice of the run's final label, plus the
+    /// qualifier probe the fusion pass folded into it, if any.
+    pub scan: FusedScan,
+    /// The run the scan replaced.
+    pub chain: Vec<PlanNode>,
+    /// The schema graph the containment check ran against.
+    pub schema: Arc<LabelGraph>,
+}
+
 /// One typed plan operator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanOp {
@@ -216,6 +248,9 @@ pub enum PlanOp {
     },
     /// Keep context nodes satisfying a compiled qualifier.
     QualifierProbe(QualPlan),
+    /// A [`SchemaSlice`]: a schema-covered run answered by one
+    /// descendant scan, with the run kept as its fallback.
+    SchemaSlice(SchemaSlice),
     /// Keep context nodes set in an [`AccessView`] bitmap (word-parallel
     /// on dense contexts; fused into a preceding `descendant-slice`).
     /// Annotation plans only.
@@ -278,6 +313,7 @@ impl PlanOp {
             PlanOp::UnionMerge(_) => "union-merge",
             PlanOp::ClosureExpand { .. } => "closure-expand",
             PlanOp::QualifierProbe(_) => "qualifier-probe",
+            PlanOp::SchemaSlice(_) => "schema-slice",
             PlanOp::BitmapFilter(_) => "bitmap-filter",
             PlanOp::ViewChild(_) => "view-child",
             PlanOp::ViewDescendant(_) => "view-descendant",
@@ -324,7 +360,9 @@ pub enum QualPlan {
 /// Cardinality statistics the planner reads: per-label occurrence counts,
 /// element/text totals and average fan-out — exact when built
 /// [`CostModel::from_index`], estimated when derived from a DTD, and
-/// deliberately vague when [`CostModel::uninformed`].
+/// deliberately vague when [`CostModel::uninformed`]. It may also carry
+/// a schema graph (root label plus parent→child label edges), which lets
+/// `Auto` plans lower schema-covered runs to [`SchemaSlice`]s.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     labels: HashMap<String, f64>,
@@ -333,10 +371,12 @@ pub struct CostModel {
     fanout: f64,
     default_label: f64,
     has_index: bool,
+    schema: Option<Arc<LabelGraph>>,
 }
 
 impl CostModel {
-    /// Exact statistics from a built structural index.
+    /// Exact statistics from a built structural index, with the
+    /// document's own label graph as the schema.
     pub fn from_index(idx: &DocIndex) -> CostModel {
         let elements = idx.element_nodes().len() as f64;
         let texts = idx.text_list().len() as f64;
@@ -348,6 +388,7 @@ impl CostModel {
             fanout: if elements > 0.0 { (total - 1.0).max(0.0) / elements } else { 0.0 },
             default_label: 0.0,
             has_index: true,
+            schema: idx.label_graph().cloned(),
         }
     }
 
@@ -368,6 +409,7 @@ impl CostModel {
             fanout: (total - 1.0).max(0.0) / elements,
             default_label: 0.0,
             has_index,
+            schema: None,
         }
     }
 
@@ -381,7 +423,15 @@ impl CostModel {
             fanout: 3.0,
             default_label: 8.0,
             has_index: true,
+            schema: None,
         }
+    }
+
+    /// This model with a schema graph attached (e.g. a DTD's), enabling
+    /// schema-slice lowering in `Auto` plans.
+    pub fn with_schema(mut self, schema: LabelGraph) -> CostModel {
+        self.schema = Some(Arc::new(schema));
+        self
     }
 
     /// Whether execution is expected to have a structural index.
@@ -392,7 +442,9 @@ impl CostModel {
     /// A copy of this model with observed per-label cardinalities
     /// patched in — the runtime feedback an adaptive planner feeds back
     /// before recompiling. `elements` is raised to at least the summed
-    /// label counts so derived ratios stay internally consistent.
+    /// label counts so derived ratios stay internally consistent; the
+    /// schema graph carries over, so recompiled plans keep their
+    /// schema slices.
     pub fn calibrated(&self, observed: impl IntoIterator<Item = (String, f64)>) -> CostModel {
         let mut out = self.clone();
         for (l, n) in observed {
@@ -430,10 +482,15 @@ pub struct CompiledQuery {
 }
 
 /// Lower an optimized [`Path`] into an executable plan, choosing every
-/// operator now from `cost` and `policy`.
+/// operator now from `cost` and `policy`. Under [`PlanPolicy::Auto`]
+/// with a schema graph in `cost`, schema-covered runs become
+/// [`SchemaSlice`]s before fusion.
 pub fn compile(p: &Path, policy: PlanPolicy, cost: &CostModel) -> CompiledQuery {
     let mut ops = vec![PlanNode { op: PlanOp::RootSeed, est_rows: 1 }];
     lower(p, 1.0, policy, cost, &mut ops);
+    if let (PlanPolicy::Auto, Some(schema)) = (policy, &cost.schema) {
+        ops = lower_schema_runs(ops, schema);
+    }
     CompiledQuery { translated: p.clone(), policy, ops: fuse_ops(ops) }
 }
 
@@ -707,6 +764,14 @@ fn fuse_ops(ops: Vec<PlanNode>) -> Vec<PlanNode> {
                 _ => {}
             }
         }
+        if let PlanOp::SchemaSlice(s) = &mut node.op {
+            if let Some(PlanNode { op: PlanOp::QualifierProbe(_), .. }) = it.peek() {
+                let next = it.next().expect("peeked");
+                let PlanOp::QualifierProbe(q) = next.op else { unreachable!() };
+                s.scan.qual = Some(Box::new(fuse_qual(q)));
+                node.est_rows = next.est_rows;
+            }
+        }
         if let PlanOp::DescendantSlice(axis) = &node.op {
             let mut fused = FusedScan { axis: axis.clone(), filter: None, qual: None, from_expand };
             let mut est = node.est_rows;
@@ -767,6 +832,15 @@ fn defuse_ops(ops: &[PlanNode]) -> Vec<PlanNode> {
                     });
                 }
                 if let Some(q) = &f.qual {
+                    out.push(PlanNode {
+                        op: PlanOp::QualifierProbe(defuse_qual(q)),
+                        est_rows: node.est_rows,
+                    });
+                }
+            }
+            PlanOp::SchemaSlice(s) => {
+                out.extend(defuse_ops(&s.chain));
+                if let Some(q) = &s.scan.qual {
                     out.push(PlanNode {
                         op: PlanOp::QualifierProbe(defuse_qual(q)),
                         est_rows: node.est_rows,
@@ -1154,18 +1228,27 @@ impl ExecSet {
 /// `fused` selects the streaming executor; when false, fused operators
 /// run de-composed with a materialized set between every stage and the
 /// closure worklist re-sorts per pass — the pre-fusion executor, kept
-/// as the differential-testing oracle and the bench baseline.
+/// as the differential-testing oracle and the bench baseline. `lowered`
+/// lets schema slices take their scan: false in the oracle executor and
+/// at the document node, whose context the lowering did not assume.
 #[derive(Clone, Copy)]
 struct Exec<'a> {
     doc: &'a Document,
     idx: Option<&'a DocIndex>,
     access: Option<&'a AccessView>,
     fused: bool,
+    lowered: bool,
 }
 
 impl<'a> Exec<'a> {
     fn access(&self) -> &'a AccessView {
         self.access.expect("annotation plan executed without an AccessView (engine invariant)")
+    }
+
+    /// Whether `s` may run its scan: an index is attached and the
+    /// document conforms to the schema the run was proved against.
+    fn slice_ok(&self, s: &SchemaSlice) -> bool {
+        self.lowered && self.idx.is_some_and(|idx| idx.conforms_to(&s.schema))
     }
 }
 
@@ -1187,7 +1270,7 @@ impl CompiledQuery {
         access: Option<&AccessView>,
     ) -> (Vec<NodeId>, EvalStats) {
         let mut stats = EvalStats::default();
-        let ex = Exec { doc, idx: index, access, fused: true };
+        let ex = Exec { doc, idx: index, access, fused: true, lowered: true };
         let result = match doc.root_opt() {
             Some(root) => run_ops(ex, self.body(), ExecSet::single(root), &mut stats).into_ids(),
             None => Vec::new(),
@@ -1197,8 +1280,9 @@ impl CompiledQuery {
 
     /// Execute with the pre-fusion materializing executor: fused scans
     /// run de-composed (slice, then bitmap filter, then qualifier probe,
-    /// each materializing its full result set) and `closure-expand` uses
-    /// the legacy sorted-worklist fixpoint. Answers are bit-identical to
+    /// each materializing its full result set), schema slices run the
+    /// chain they replaced, and `closure-expand` uses the legacy
+    /// sorted-worklist fixpoint. Answers are bit-identical to
     /// [`CompiledQuery::execute_with_access`]; this exists as the
     /// differential-testing oracle and the fused-vs-materialized bench
     /// baseline.
@@ -1209,7 +1293,7 @@ impl CompiledQuery {
         access: Option<&AccessView>,
     ) -> (Vec<NodeId>, EvalStats) {
         let mut stats = EvalStats::default();
-        let ex = Exec { doc, idx: index, access, fused: false };
+        let ex = Exec { doc, idx: index, access, fused: false, lowered: false };
         let result = match doc.root_opt() {
             Some(root) => run_ops(ex, self.body(), ExecSet::single(root), &mut stats).into_ids(),
             None => Vec::new(),
@@ -1218,14 +1302,16 @@ impl CompiledQuery {
     }
 
     /// Execute at the virtual document node (standard XPath document
-    /// semantics for absolute and descendant queries).
+    /// semantics for absolute and descendant queries). Schema slices run
+    /// their chains here: their lowering assumed the root-element
+    /// context.
     pub fn execute_at_document(
         &self,
         doc: &Document,
         index: Option<&DocIndex>,
     ) -> (Vec<NodeId>, EvalStats) {
         let mut stats = EvalStats::default();
-        let ex = Exec { doc, idx: index, access: None, fused: true };
+        let ex = Exec { doc, idx: index, access: None, fused: true, lowered: false };
         let result = run_ops(ex, self.body(), ExecSet::document(), &mut stats).into_ids();
         (result, stats)
     }
@@ -1243,7 +1329,7 @@ impl CompiledQuery {
         access: Option<&AccessView>,
     ) -> (Vec<NodeId>, EvalStats, Vec<u64>) {
         let mut stats = EvalStats::default();
-        let ex = Exec { doc, idx: index, access, fused: true };
+        let ex = Exec { doc, idx: index, access, fused: true, lowered: true };
         let mut observed = Vec::with_capacity(self.ops.len());
         let mut cur = match doc.root_opt() {
             Some(root) => ExecSet::single(root),
@@ -1269,11 +1355,13 @@ impl CompiledQuery {
         (cur.into_ids(), stats, observed)
     }
 
-    /// Undo the fusion pass: every fused scan splits back into its
-    /// constituent `descendant-slice` / `bitmap-filter` /
+    /// Undo the fusion and schema-slice passes: every fused scan splits
+    /// back into its constituent `descendant-slice` / `bitmap-filter` /
     /// `qualifier-probe` operators (each carrying the fused node's
-    /// `est_rows`). The defused plan certifies to the same abstract
-    /// emitted/probed states — the property the fusion proptest pins.
+    /// `est_rows`), and every schema slice back into the chain it
+    /// replaced (plus its fused qualifier probe). The defused plan
+    /// certifies to the same abstract emitted/probed states — the
+    /// property the fusion proptest pins.
     pub fn defused(&self) -> CompiledQuery {
         CompiledQuery {
             translated: self.translated.clone(),
@@ -1363,24 +1451,44 @@ fn run_op(ex: Exec, op: &PlanOp, ctx: &ExecSet, stats: &mut EvalStats) -> ExecSe
                 closure_expand_materialized(ex, body, ctx, stats)
             }
         }
-        PlanOp::QualifierProbe(q) => {
-            // The document-node probe counts as a qualifier check like
-            // every per-element probe (the existence path already did).
-            let doc_kept =
-                ctx.doc && stats.counted_check(|s| qual_probe(ex, q, &ExecSet::document(), s));
-            let nodes = ctx
-                .ids()
-                .iter()
-                .copied()
-                .filter(|&v| stats.counted_check(|s| qual_probe(ex, q, &ExecSet::single(v), s)))
-                .collect();
-            ExecSet { doc: doc_kept, rows: Rows::Sorted(nodes) }
+        PlanOp::QualifierProbe(q) => qual_filter(ex, q, ctx, stats),
+        PlanOp::SchemaSlice(s) => {
+            if ex.slice_ok(s) {
+                fused_scan(ex, ctx, &s.scan, stats)
+            } else {
+                schema_chain(ex, s, ctx, stats)
+            }
         }
         PlanOp::BitmapFilter(f) => bitmap_filter(ex.access(), ctx, *f, stats),
         PlanOp::ViewChild(axis) => view_child_step(doc, ex.access(), ctx, axis, stats),
         PlanOp::ViewDescendant(axis) => view_descendant(ex, ex.access(), ctx, axis, stats),
         PlanOp::ViewExpand { or_self } => view_expand(ex.access(), ctx, *or_self, stats),
     }
+}
+
+/// Keep the (sorted) context nodes satisfying `q`.
+fn qual_filter(ex: Exec, q: &QualPlan, ctx: &ExecSet, stats: &mut EvalStats) -> ExecSet {
+    // The document-node probe counts as a qualifier check like every
+    // per-element probe (the existence path already did).
+    let doc_kept = ctx.doc && stats.counted_check(|s| qual_probe(ex, q, &ExecSet::document(), s));
+    let nodes = ctx
+        .ids()
+        .iter()
+        .copied()
+        .filter(|&v| stats.counted_check(|s| qual_probe(ex, q, &ExecSet::single(v), s)))
+        .collect();
+    ExecSet { doc: doc_kept, rows: Rows::Sorted(nodes) }
+}
+
+/// A schema slice's fallback: the chain it replaced, then its fused
+/// qualifier.
+fn schema_chain(ex: Exec, s: &SchemaSlice, ctx: &ExecSet, stats: &mut EvalStats) -> ExecSet {
+    let mut cur = run_ops(ex, &s.chain, ctx.clone(), stats);
+    if let Some(q) = &s.scan.qual {
+        cur.make_sorted();
+        cur = qual_filter(ex, q, &cur, stats);
+    }
+    cur
 }
 
 /// AND the context against an [`AccessView`] bitmap: word-parallel on
@@ -1579,6 +1687,12 @@ fn fused_scan(ex: Exec, ctx: &ExecSet, f: &FusedScan, stats: &mut EvalStats) -> 
                 let hits = f.axis.slice(idx, r);
                 stats.interval_probes += 1;
                 stats.nodes_touched += hits.len() as u64;
+                if bm.is_none() && f.qual.is_none() {
+                    // Nothing to test per candidate (a bare schema
+                    // slice): copy the interval.
+                    out.extend_slice(hits);
+                    continue;
+                }
                 for &h in hits {
                     if fused_keep(ex, f, bm, h, stats) {
                         out.push(h);
@@ -1639,13 +1753,7 @@ fn fused_materialized(ex: Exec, ctx: &ExecSet, f: &FusedScan, stats: &mut EvalSt
     }
     if let Some(q) = &f.qual {
         cur.make_sorted();
-        let nodes = cur
-            .ids()
-            .iter()
-            .copied()
-            .filter(|&v| stats.counted_check(|s| qual_probe(ex, q, &ExecSet::single(v), s)))
-            .collect();
-        cur = ExecSet::from_sorted(nodes);
+        cur = qual_filter(ex, q, &cur, stats);
     }
     cur
 }
@@ -2096,6 +2204,15 @@ fn exists_ops(ex: Exec, ops: &[PlanNode], ctx: &ExecSet, stats: &mut EvalStats) 
             })
         }
         PlanOp::Fused(f) => fused_scan_any(ex, &mid, f, stats),
+        PlanOp::SchemaSlice(s) => {
+            if ex.slice_ok(s) {
+                fused_scan_any(ex, &mid, &s.scan, stats)
+            } else if s.scan.qual.is_none() {
+                exists_ops(ex, &s.chain, &mid, stats)
+            } else {
+                !schema_chain(ex, s, &mid, stats).is_empty()
+            }
+        }
         PlanOp::LabelFilter(axis) => mid.ids().iter().any(|&v| axis.matches(doc, v)),
         PlanOp::DescendantExpand { or_self } => {
             if *or_self {
@@ -2169,6 +2286,9 @@ pub struct PlanSummary {
     pub label_filter: u32,
     /// `fused-scan` operators (slice → bitmap → qualifier fusions).
     pub fused_scan: u32,
+    /// `schema-slice` operators (schema-covered runs; their retained
+    /// chains are not counted).
+    pub schema_slice: u32,
     /// `union-merge` operators.
     pub union_merge: u32,
     /// `closure-expand` operators (recursive-view plans).
@@ -2196,6 +2316,7 @@ impl PlanSummary {
             + self.descendant_expand
             + self.label_filter
             + self.fused_scan
+            + self.schema_slice
             + self.union_merge
             + self.closure_expand
             + self.qualifier_probe
@@ -2215,6 +2336,7 @@ impl PlanSummary {
             ("expand", self.descendant_expand),
             ("filter", self.label_filter),
             ("fused", self.fused_scan),
+            ("schema", self.schema_slice),
             ("union", self.union_merge),
             ("closure", self.closure_expand),
             ("qual", self.qualifier_probe),
@@ -2267,6 +2389,12 @@ fn count_ops(ops: &[PlanNode], s: &mut PlanSummary) {
             PlanOp::QualifierProbe(q) => {
                 s.qualifier_probe += 1;
                 count_qual(q, s);
+            }
+            PlanOp::SchemaSlice(sl) => {
+                s.schema_slice += 1;
+                if let Some(q) = &sl.scan.qual {
+                    count_qual(q, s);
+                }
             }
             PlanOp::BitmapFilter(_) => s.bitmap_filter += 1,
             PlanOp::ViewChild(_) => s.view_child += 1,
@@ -2327,6 +2455,7 @@ pub(crate) fn op_detail(op: &PlanOp) -> String {
             format!("{}({})", op.name(), if *or_self { "or-self" } else { "proper" })
         }
         PlanOp::BitmapFilter(f) => format!("{}({f})", op.name()),
+        PlanOp::SchemaSlice(s) => format!("{}({})", op.name(), s.scan.axis),
         PlanOp::Fused(f) => {
             let pre = if f.from_expand { "or-self → " } else { "" };
             match f.filter {
@@ -2358,6 +2487,13 @@ fn render_ops(ops: &[PlanNode], depth: usize, out: &mut String) {
                 if let Some(q) = &f.qual {
                     render_qual(q, depth + 1, out);
                 }
+            }
+            PlanOp::SchemaSlice(s) => {
+                if let Some(q) = &s.scan.qual {
+                    render_qual(q, depth + 1, out);
+                }
+                let _ = writeln!(out, "{pad}  chain:");
+                render_ops(&s.chain, depth + 2, out);
             }
             _ => {}
         }
@@ -2452,6 +2588,15 @@ fn render_ops_json(ops: &[PlanNode], out: &mut String) {
             PlanOp::ClosureExpand { body } => {
                 out.push_str(", \"body\": ");
                 render_ops_json(body, out);
+            }
+            PlanOp::SchemaSlice(s) => {
+                let _ = write!(out, ", \"test\": \"{}\"", json_escape(&s.scan.axis.to_string()));
+                if let Some(q) = &s.scan.qual {
+                    out.push_str(", \"qual\": ");
+                    render_qual_json(q, out);
+                }
+                out.push_str(", \"chain\": ");
+                render_ops_json(&s.chain, out);
             }
             PlanOp::QualifierProbe(q) => {
                 out.push_str(", \"qual\": ");

@@ -20,7 +20,8 @@ use secure_xml_views::dtd::{parse_dtd, Dtd};
 use secure_xml_views::gen::{GenConfig, Generator};
 use secure_xml_views::xml::{DocIndex, Document};
 use secure_xml_views::xpath::{
-    certify, certify_ops, compile_annotate, eval_at_root, CostModel, Path, PlanPolicy, Qualifier,
+    certify, certify_ops, compile, compile_annotate, eval_at_root, CostModel, Path, PlanPolicy,
+    Qualifier,
 };
 
 const HOSPITAL_DTD: &str = include_str!("../assets/hospital.dtd");
@@ -411,6 +412,10 @@ proptest! {
     /// identical answers, and fusing operators moves no abstract state —
     /// certifying the fused pipeline and certifying its defused
     /// constituents yield the same emitted/probed sets and verdict.
+    /// `Auto` plans carry schema slices (lowered against the DTD by the
+    /// engine, and against the document's own label graph as one more
+    /// input); the oracle runs their retained chains, so this also pins
+    /// the lowering.
     #[test]
     fn fused_executor_matches_legacy(
         spec in spec_strategy(),
@@ -434,38 +439,46 @@ proptest! {
             for policy in PlanPolicy::ALL {
                 let (planned, _) = engine.plan_certified(&p, approach, policy);
                 let Ok(planned) = planned else { continue };
-                let plan = &planned.plan;
-                let fused_cert = certify(plan, ctx);
-                let legacy_cert = certify_ops(&plan.defused().ops, ctx);
-                prop_assert_eq!(
-                    fused_cert.emitted.render(), legacy_cert.emitted.render(),
-                    "{:?}/{:?} emitted state moved under fusion for {}", approach, policy, &p
-                );
-                prop_assert_eq!(
-                    fused_cert.probed.render(), legacy_cert.probed.render(),
-                    "{:?}/{:?} probed state moved under fusion for {}", approach, policy, &p
-                );
-                prop_assert_eq!(
-                    fused_cert.certified(), legacy_cert.certified(),
-                    "{:?}/{:?} certification verdict changed under fusion for {}",
-                    approach, policy, &p
-                );
-                for idx in [None, index.as_ref()] {
-                    let (exec_doc, exec_idx, acc) = match approach {
-                        // The naive baseline evaluates over the annotated
-                        // copy (never indexed); annotate needs the
-                        // accessibility artifact.
-                        Approach::Naive => (&annotated, None, None),
-                        Approach::Annotate => (&doc, idx, Some(&access)),
-                        _ => (&doc, idx, None),
-                    };
-                    let (streamed, _) = plan.execute_with_access(exec_doc, exec_idx, acc);
-                    let (materialized, _) = plan.execute_materialized(exec_doc, exec_idx, acc);
+                let mut plans = vec![planned.plan.as_ref().clone()];
+                if let (PlanPolicy::Auto, false, Some(idx)) =
+                    (policy, approach == Approach::Annotate, index.as_ref())
+                {
+                    let cost = CostModel::from_index(idx);
+                    plans.push(compile(&planned.plan.translated, policy, &cost));
+                }
+                for plan in &plans {
+                    let fused_cert = certify(plan, ctx);
+                    let legacy_cert = certify_ops(&plan.defused().ops, ctx);
                     prop_assert_eq!(
-                        &streamed, &materialized,
-                        "{:?}/{:?} (indexed={}) fused answer diverged for {}",
-                        approach, policy, idx.is_some(), &p
+                        fused_cert.emitted.render(), legacy_cert.emitted.render(),
+                        "{:?}/{:?} emitted state moved under fusion for {}", approach, policy, &p
                     );
+                    prop_assert_eq!(
+                        fused_cert.probed.render(), legacy_cert.probed.render(),
+                        "{:?}/{:?} probed state moved under fusion for {}", approach, policy, &p
+                    );
+                    prop_assert_eq!(
+                        fused_cert.certified(), legacy_cert.certified(),
+                        "{:?}/{:?} certification verdict changed under fusion for {}",
+                        approach, policy, &p
+                    );
+                    for idx in [None, index.as_ref()] {
+                        let (exec_doc, exec_idx, acc) = match approach {
+                            // The naive baseline evaluates over the annotated
+                            // copy (never indexed); annotate needs the
+                            // accessibility artifact.
+                            Approach::Naive => (&annotated, None, None),
+                            Approach::Annotate => (&doc, idx, Some(&access)),
+                            _ => (&doc, idx, None),
+                        };
+                        let (streamed, _) = plan.execute_with_access(exec_doc, exec_idx, acc);
+                        let (materialized, _) = plan.execute_materialized(exec_doc, exec_idx, acc);
+                        prop_assert_eq!(
+                            &streamed, &materialized,
+                            "{:?}/{:?} (indexed={}) fused answer diverged for {}",
+                            approach, policy, idx.is_some(), &p
+                        );
+                    }
                 }
             }
         }
@@ -617,9 +630,19 @@ proptest! {
             &over_view, &eval_at_root(&doc, &unfolded),
             "unfolded {} for {}", &unfolded, &p
         );
+        // Auto plans lowered against the document's own label graph.
+        let index = DocIndex::new(&doc);
+        if let Some(idx) = index.as_ref() {
+            for translated in [&direct, &optimized] {
+                let plan = compile(translated, PlanPolicy::Auto, &CostModel::from_index(idx));
+                prop_assert_eq!(
+                    &over_view, &plan.execute(&doc, Some(idx)).0,
+                    "lowered {} for {}", plan.explain_text(), &p
+                );
+            }
+        }
         // The serving engine, across every approach × plan policy.
         let engine = SecureEngine::new(&spec, &view);
-        let index = DocIndex::new(&doc);
         for approach in [Approach::Rewrite, Approach::Optimize, Approach::Annotate] {
             for policy in PlanPolicy::ALL {
                 let (ans, _) = engine
