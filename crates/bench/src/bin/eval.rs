@@ -355,20 +355,23 @@ fn main() {
     // timer runs, so the medians measure pure plan execution.
     let engine = SecureEngine::new(&workload.spec, &workload.view);
     let (_, batch_doc, _, batch_index, _, _) = &docs[docs.len() - 1];
+    let serve = |q: &Path| {
+        engine.answer_report_policy(
+            batch_doc,
+            Some(batch_index),
+            q,
+            Approach::Rewrite,
+            PlanPolicy::ForceWalk,
+        )
+    };
     for q in &workload.queries {
-        engine
-            .answer_report(batch_doc, Some(batch_index), &q.view_query, Approach::Rewrite)
-            .expect("warmup query answers");
+        serve(&q.view_query).expect("warmup query answers");
     }
     let compiled_before = engine.cache_stats().plans_compiled;
     let mut warm: Vec<(&str, Timing)> = Vec::new();
     println!("warm plan-cache repeat latency (rewrite approach, walk policy):");
     for q in &workload.queries {
-        let timing = time_us(|| {
-            engine
-                .answer_report(batch_doc, Some(batch_index), &q.view_query, Approach::Rewrite)
-                .expect("warm query answers")
-        });
+        let timing = time_us(|| serve(&q.view_query).expect("warm query answers"));
         println!("  {}: {:>10.1} us ({} reps)", q.name, timing.median_us, timing.reps);
         warm.push((q.name, timing));
     }
@@ -465,7 +468,13 @@ fn main() {
                 "{qname} on {dname}: unfolding oracle disagrees with the closure translation"
             );
             let (served, report) = rec_engine
-                .answer_report(&doc, Some(&index), &q, Approach::Optimize)
+                .answer_report_policy(
+                    &doc,
+                    Some(&index),
+                    &q,
+                    Approach::Optimize,
+                    PlanPolicy::ForceWalk,
+                )
                 .expect("recursive query answers");
             assert_eq!(
                 reference, served,

@@ -15,7 +15,7 @@
 
 use std::time::Instant;
 use sxv_bench::HospitalWorkload;
-use sxv_core::{MaterializedBaseline, SecureEngine};
+use sxv_core::{Approach, MaterializedBaseline, PlanPolicy, SecureEngine};
 use sxv_xpath::parse;
 
 fn main() {
@@ -29,6 +29,8 @@ fn main() {
             .collect();
 
     let engine = SecureEngine::new(&w.spec, &w.view);
+    let answer =
+        |q| engine.answer_report_policy(&doc, None, q, Approach::Optimize, PlanPolicy::ForceWalk);
     const OPS: usize = 400;
     println!(
         "{:<14} {:>6} {:>14} {:>16} {:>10}",
@@ -43,7 +45,7 @@ fn main() {
                     continue; // an update: no work for the virtual engine
                 }
                 let q = &queries[i % queries.len()];
-                std::hint::black_box(engine.answer(&doc, q).expect("answers"));
+                std::hint::black_box(answer(q).expect("answers"));
             }
             let virtual_ms = start.elapsed().as_secs_f64() * 1e3;
 

@@ -22,8 +22,8 @@ use sxv_dtd::{parse_dtd, Dtd};
 use sxv_gen::{GenConfig, Generator};
 use sxv_xml::{DocIndex, Document, NodeId};
 use sxv_xpath::{
-    compile, compile_annotate, eval_at_root, eval_at_root_backend, eval_at_root_indexed_with_stats,
-    eval_at_root_with_stats, parse, AccessView, Backend, CostModel, EvalStats, Path, PlanPolicy,
+    compile, compile_annotate, eval_at_root, eval_at_root_indexed_with_stats,
+    eval_at_root_with_stats, parse, AccessView, CostModel, EvalStats, Path, PlanPolicy,
     PlanSummary,
 };
 
@@ -261,27 +261,6 @@ impl AdexWorkload {
             Some(idx) => eval_at_root_indexed_with_stats(doc, idx, translated),
             None => eval_at_root_with_stats(doc, translated),
         }
-    }
-
-    /// Evaluate one query's translated form with an explicit evaluation
-    /// backend ([`Backend::Join`] = structural joins over `index`).
-    /// [`Approach::Annotate`] has no join lowering; it maps the backend
-    /// onto the equivalent planner policy.
-    pub fn run_backend(
-        &self,
-        q: &TranslatedQuery,
-        approach: Approach,
-        doc: &Document,
-        index: Option<&DocIndex>,
-        backend: Backend,
-    ) -> (Vec<NodeId>, EvalStats) {
-        if approach == Approach::Annotate {
-            let access = self.access_view(doc, index);
-            let (ans, stats, _) =
-                self.run_annotate(q, doc, index, PlanPolicy::from(backend), &access);
-            return (ans, stats);
-        }
-        eval_at_root_backend(doc, index, q.translated(approach), backend)
     }
 
     /// Compile the translated form once under `policy` (against the

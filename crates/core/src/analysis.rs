@@ -123,7 +123,7 @@ pub(crate) fn dtd_children(dtd: &Dtd) -> BTreeMap<String, BTreeSet<String>> {
 }
 
 /// Build the plain-data context the plan certifier
-/// ([`sxv_xpath::certify`]) needs, from a specification and its view:
+/// ([`sxv_xpath::certify()`]) needs, from a specification and its view:
 /// the DTD edge graph, the §3.2 type-accessibility sets, and the
 /// dummy-label information (which document types the view deliberately
 /// serves under a renamed dummy label — σ-image propagation, the same

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use sxv_xml::{DocId, DocIndex, Document, NodeId};
 use sxv_xpath::{
-    certify, compile, compile_annotate, simplify, AccessView, AxisTest, Backend, CertifyContext,
+    certify, compile, compile_annotate, simplify, AccessView, AxisTest, CertifyContext,
     CompiledQuery, CostModel, EvalStats, Path, PlanCertificate, PlanNode, PlanOp, PlanPolicy,
     PlanSummary, SchemaSlice,
 };
@@ -93,7 +93,7 @@ impl PlanFeedback {
 }
 
 /// A compiled plan paired with the static certificate the engine
-/// produced for it at compile time (see [`sxv_xpath::certify`]). Both
+/// produced for it at compile time (see [`sxv_xpath::certify()`]). Both
 /// halves are `Arc`-shared, so cloning a `Planned` out of the cache is
 /// a few refcount bumps.
 #[derive(Debug, Clone)]
@@ -256,6 +256,36 @@ fn label_observations(ops: &[PlanNode], observed: &[u64]) -> Vec<(String, u64)> 
 /// serves more than a handful of distinct documents.
 const ACCESS_CACHE_CAPACITY: usize = 8;
 
+/// Cache `value` for document `key` in a per-document map holding at
+/// most [`ACCESS_CACHE_CAPACITY`] entries, evicting another document's
+/// entry when full. An entry already present for `key` (one a racing
+/// thread built first) wins, so concurrent callers share one copy.
+fn bounded_insert<T>(map: &RwLock<HashMap<DocId, Arc<T>>>, key: DocId, value: Arc<T>) -> Arc<T> {
+    let mut map = write_recover(map);
+    if map.len() >= ACCESS_CACHE_CAPACITY && !map.contains_key(&key) {
+        if let Some(evict) = map.keys().next().copied() {
+            map.remove(&evict);
+        }
+    }
+    Arc::clone(map.entry(key).or_insert(value))
+}
+
+/// Compile a translated query for `approach`: annotate plans filter the
+/// untranslated view query through the accessibility artifact; every
+/// other approach runs its translation as-is.
+fn compile_for(
+    approach: Approach,
+    translated: &Path,
+    policy: PlanPolicy,
+    cost: &CostModel,
+) -> Arc<CompiledQuery> {
+    Arc::new(if approach == Approach::Annotate {
+        compile_annotate(translated, policy, cost)
+    } else {
+        compile(translated, policy, cost)
+    })
+}
+
 /// Cached [`AccessView`] artifacts, one per served document, plus the
 /// counters `sxv query --stats` reports. Documents are identified by
 /// their stable [`DocId`] — a process-wide monotonic stamp that is never
@@ -348,7 +378,7 @@ pub struct QueryReport {
     /// The planner policy the executed plan was compiled under.
     pub policy: PlanPolicy,
     /// The plan's static certificate has no error findings (see
-    /// [`sxv_xpath::certify`]). Uncertified plans still serve safely —
+    /// [`sxv_xpath::certify()`]). Uncertified plans still serve safely —
     /// runtime enforcement is unchanged — unless the engine is in
     /// strict verify mode, which refuses them before execution.
     pub certified: bool,
@@ -460,15 +490,7 @@ impl<'a> SecureEngine<'a> {
         let built = Arc::new(build_access_view(self.spec, self.view, doc, index));
         self.access.builds.fetch_add(1, Ordering::Relaxed);
         self.access.build_micros.fetch_add(built.build_micros(), Ordering::Relaxed);
-        let mut map = write_recover(&self.access.map);
-        if map.len() >= ACCESS_CACHE_CAPACITY && !map.contains_key(&key) {
-            if let Some(evict) = map.keys().next().copied() {
-                map.remove(&evict);
-            }
-        }
-        // A racing builder may have inserted first; keep its artifact so
-        // all concurrent callers share one copy.
-        Arc::clone(map.entry(key).or_insert(built))
+        bounded_insert(&self.access.map, key, built)
     }
 
     /// Seed the access cache with a pre-built artifact (e.g. loaded from
@@ -476,15 +498,10 @@ impl<'a> SecureEngine<'a> {
     /// pays neither the accessibility pass nor the σ expansion. The
     /// caller asserts the artifact was built for this engine's spec over
     /// the document stamped `doc_id`; a later [`Self::access_view`] call
-    /// for that id is a cache hit.
+    /// for that id is a cache hit. An artifact already cached for that id
+    /// is kept.
     pub fn preload_access_view(&self, doc_id: DocId, view: Arc<AccessView>) {
-        let mut map = write_recover(&self.access.map);
-        if map.len() >= ACCESS_CACHE_CAPACITY && !map.contains_key(&doc_id) {
-            if let Some(evict) = map.keys().next().copied() {
-                map.remove(&evict);
-            }
-        }
-        map.insert(doc_id, view);
+        bounded_insert(&self.access.map, doc_id, view);
     }
 
     /// The cached annotated copy of `doc` for [`Approach::Naive`],
@@ -497,14 +514,7 @@ impl<'a> SecureEngine<'a> {
         if let Some(annotated) = read_recover(&self.naive).get(&key) {
             return Arc::clone(annotated);
         }
-        let built = Arc::new(NaiveBaseline::annotate(self.spec, doc));
-        let mut map = write_recover(&self.naive);
-        if map.len() >= ACCESS_CACHE_CAPACITY && !map.contains_key(&key) {
-            if let Some(evict) = map.keys().next().copied() {
-                map.remove(&evict);
-            }
-        }
-        Arc::clone(map.entry(key).or_insert(built))
+        bounded_insert(&self.naive, key, Arc::new(NaiveBaseline::annotate(self.spec, doc)))
     }
 
     /// Translate a view query to a document query.
@@ -515,25 +525,14 @@ impl<'a> SecureEngine<'a> {
     /// keyed by the normalized query, the approach, and the planner
     /// policy.
     pub fn translate(&self, p: &Path, approach: Approach) -> Result<Path> {
-        self.plan(p, approach, PlanPolicy::from(Backend::default()))
+        self.plan_certified(p, approach, PlanPolicy::ForceWalk)
             .0
             .map(|planned| planned.plan.translated.clone())
     }
 
-    /// Plan a view query end to end (translate → optimize → compile),
-    /// memoized: the bool says whether the plan came from the cache, in
-    /// which case *none* of those phases ran.
-    pub fn plan_report(
-        &self,
-        p: &Path,
-        approach: Approach,
-        policy: PlanPolicy,
-    ) -> (Result<Arc<CompiledQuery>>, bool) {
-        let (planned, hit) = self.plan(p, approach, policy);
-        (planned.map(|pl| pl.plan), hit)
-    }
-
-    /// Like [`SecureEngine::plan_report`], but returns the plan together
+    /// Plan a view query end to end (translate → optimize → compile →
+    /// certify), memoized: the bool says whether the plan came from the
+    /// cache, in which case *none* of those phases ran. The plan comes
     /// with its cached static certificate.
     pub fn plan_certified(
         &self,
@@ -541,23 +540,13 @@ impl<'a> SecureEngine<'a> {
         approach: Approach,
         policy: PlanPolicy,
     ) -> (Result<Planned>, bool) {
-        self.plan(p, approach, policy)
-    }
-
-    fn plan(&self, p: &Path, approach: Approach, policy: PlanPolicy) -> (Result<Planned>, bool) {
         let key = CacheKey { query: simplify(p), approach, policy };
         if let Some(cached) = self.cache.lookup(&key) {
             return (cached, true);
         }
         let planned = self.translate_uncached(&key.query, approach).map(|translated| {
             self.cache.plans_compiled.fetch_add(1, Ordering::Relaxed);
-            let plan = if approach == Approach::Annotate {
-                // The view query is not rewritten: compile it to a plan
-                // whose steps filter through the accessibility artifact.
-                Arc::new(compile_annotate(&translated, policy, &self.cost))
-            } else {
-                Arc::new(compile(&translated, policy, &self.cost))
-            };
+            let plan = compile_for(approach, &translated, policy, &self.cost);
             // Certify once per compile; the certificate rides in the
             // cache entry so hits pay nothing.
             let cert = self.certify_counted(&plan);
@@ -602,66 +591,6 @@ impl<'a> SecureEngine<'a> {
         }
     }
 
-    /// Answer a view query over `doc` with the default strategy
-    /// (rewrite + optimize). Returns document nodes the user may access.
-    pub fn answer(&self, doc: &Document, p: &Path) -> Result<Vec<NodeId>> {
-        self.answer_with(doc, p, Approach::Optimize)
-    }
-
-    /// Answer using a prepared structural index ([`DocIndex`]) for the
-    /// final evaluation: `//label` steps *and qualifier probes* of the
-    /// translated query become interval lookups, and `[p = c]` string
-    /// values come from the index's memoized text buffer. The index must
-    /// have been built for `doc`.
-    pub fn answer_indexed(
-        &self,
-        doc: &Document,
-        index: &DocIndex,
-        p: &Path,
-    ) -> Result<Vec<NodeId>> {
-        self.answer_report(doc, Some(index), p, Approach::Optimize).map(|(ans, _)| ans)
-    }
-
-    /// Answer with an explicit strategy. For [`Approach::Naive`], the
-    /// annotated copy is built once per document and cached (keyed by
-    /// `DocId`, like the access cache), so repeated queries measure
-    /// evaluation, not annotation.
-    pub fn answer_with(&self, doc: &Document, p: &Path, approach: Approach) -> Result<Vec<NodeId>> {
-        self.answer_report(doc, None, p, approach).map(|(ans, _)| ans)
-    }
-
-    /// Answer and report the work done: the translated query, whether the
-    /// translation was a cache hit, and evaluator counters. Passing an
-    /// index enables the structural fast path end to end (axis steps,
-    /// qualifier probes, string values). [`Approach::Naive`] evaluates
-    /// over a cached annotated copy, so the given index (built for
-    /// `doc`, not the copy) is ignored on that path.
-    pub fn answer_report(
-        &self,
-        doc: &Document,
-        index: Option<&DocIndex>,
-        p: &Path,
-        approach: Approach,
-    ) -> Result<(Vec<NodeId>, QueryReport)> {
-        self.answer_report_backend(doc, index, p, approach, Backend::Walk)
-    }
-
-    /// [`SecureEngine::answer_report`] with an explicit evaluation
-    /// backend — kept as the stable surface; backends map onto planner
-    /// policies ([`Backend::Walk`] → force-walk, [`Backend::Join`] →
-    /// force-join). Prefer [`SecureEngine::answer_report_policy`] with
-    /// [`PlanPolicy::Auto`] to let the planner choose per step.
-    pub fn answer_report_backend(
-        &self,
-        doc: &Document,
-        index: Option<&DocIndex>,
-        p: &Path,
-        approach: Approach,
-        backend: Backend,
-    ) -> Result<(Vec<NodeId>, QueryReport)> {
-        self.answer_report_policy(doc, index, p, approach, PlanPolicy::from(backend))
-    }
-
     /// Answer by compiled plan: fetch (or compile-and-cache) the plan for
     /// `(query, approach, policy)` and execute it. A cache hit skips
     /// parse-normalize, rewrite, optimize *and* planning — only the
@@ -669,7 +598,12 @@ impl<'a> SecureEngine<'a> {
     /// for indexed serving and degrade to subtree scans without one.
     /// [`Approach::Naive`] executes its plan over a per-document cached
     /// annotated copy, so the given index (built for `doc`, not the
-    /// copy) is ignored on that path.
+    /// copy) is ignored on that path. [`Approach::Annotate`] filters
+    /// through the document's cached [`AccessView`].
+    ///
+    /// Returns the answer with a [`QueryReport`] of the work done: the
+    /// translated query, whether the plan was a cache hit, the plan's
+    /// operator mix and the executor's counters.
     pub fn answer_report_policy(
         &self,
         doc: &Document,
@@ -678,7 +612,7 @@ impl<'a> SecureEngine<'a> {
         approach: Approach,
         policy: PlanPolicy,
     ) -> Result<(Vec<NodeId>, QueryReport)> {
-        let (planned, cache_hit) = self.plan(p, approach, policy);
+        let (planned, cache_hit) = self.plan_certified(p, approach, policy);
         let planned = planned?;
         let certified = planned.cert.certified();
         if self.verify && !certified {
@@ -701,32 +635,27 @@ impl<'a> SecureEngine<'a> {
         // replaced — this call still answers from the profiled run.
         let adaptive =
             policy == PlanPolicy::Auto && !planned.feedback.profiled.swap(true, Ordering::Relaxed);
+        // What the plan runs over: naive plans read the cached annotated
+        // copy (without the index, which was built for `doc`), annotate
+        // plans filter `doc` through its cached access view.
+        let (annotated, access);
+        let (doc, index, access) = match approach {
+            Approach::Naive => {
+                annotated = self.naive_annotated(doc);
+                (&*annotated, None, None)
+            }
+            Approach::Annotate => {
+                access = self.access_view(doc, index);
+                (doc, index, Some(&*access))
+            }
+            Approach::Rewrite | Approach::Optimize => (doc, index, None),
+        };
         let (answer, eval) = if adaptive {
-            let (answer, eval, observed) = match approach {
-                Approach::Naive => {
-                    let annotated = self.naive_annotated(doc);
-                    plan.execute_profiled(&annotated, None, None)
-                }
-                Approach::Annotate => {
-                    let access = self.access_view(doc, index);
-                    plan.execute_profiled(doc, index, Some(&access))
-                }
-                _ => plan.execute_profiled(doc, index, None),
-            };
+            let (answer, eval, observed) = plan.execute_profiled(doc, index, access);
             self.maybe_recompile(p, approach, policy, plan, &observed);
             (answer, eval)
         } else {
-            match approach {
-                Approach::Naive => {
-                    let annotated = self.naive_annotated(doc);
-                    plan.execute(&annotated, None)
-                }
-                Approach::Annotate => {
-                    let access = self.access_view(doc, index);
-                    plan.execute_with_access(doc, index, Some(&access))
-                }
-                _ => plan.execute(doc, index),
-            }
+            plan.execute_with_access(doc, index, access)
         };
         Ok((
             answer,
@@ -765,11 +694,7 @@ impl<'a> SecureEngine<'a> {
             return;
         }
         let calibrated = calibrate(&self.cost, label_observations(&plan.ops, observed));
-        let recompiled = if approach == Approach::Annotate {
-            Arc::new(compile_annotate(&plan.translated, policy, &calibrated))
-        } else {
-            Arc::new(compile(&plan.translated, policy, &calibrated))
-        };
+        let recompiled = compile_for(approach, &plan.translated, policy, &calibrated);
         let cert = self.certify_counted(&recompiled);
         self.cache.plans_recompiled.fetch_add(1, Ordering::Relaxed);
         let planned =
@@ -842,6 +767,16 @@ mod tests {
     use sxv_xml::parse as parse_xml;
     use sxv_xpath::parse;
 
+    /// The unindexed `ForceWalk` answer under `approach`.
+    fn answer(
+        engine: &SecureEngine<'_>,
+        doc: &Document,
+        p: &Path,
+        approach: Approach,
+    ) -> Vec<NodeId> {
+        engine.answer_report_policy(doc, None, p, approach, PlanPolicy::ForceWalk).unwrap().0
+    }
+
     fn setup() -> (AccessSpec, SecurityView, Document) {
         let dtd = parse_dtd(
             r#"
@@ -899,9 +834,9 @@ mod tests {
         let engine = SecureEngine::new(&spec, &view);
         for q in ["//patient/name", "//bill", "dept/patientInfo/patient", "//name"] {
             let p = parse(q).unwrap();
-            let rewrite_ans = engine.answer_with(&doc, &p, Approach::Rewrite).unwrap();
-            let optimize_ans = engine.answer_with(&doc, &p, Approach::Optimize).unwrap();
-            let naive_ans = engine.answer_with(&doc, &p, Approach::Naive).unwrap();
+            let rewrite_ans = answer(&engine, &doc, &p, Approach::Rewrite);
+            let optimize_ans = answer(&engine, &doc, &p, Approach::Optimize);
+            let naive_ans = answer(&engine, &doc, &p, Approach::Naive);
             assert_eq!(rewrite_ans, optimize_ans, "{q}");
             // Naive evaluates on an annotated *copy*: same arena layout, so
             // NodeIds are directly comparable.
@@ -917,7 +852,7 @@ mod tests {
         for q in ["//patient/name", "//bill", "dept/patientInfo/patient", "//name", "dept/*", "//*"]
         {
             let p = parse(q).unwrap();
-            let rewrite_ans = engine.answer_with(&doc, &p, Approach::Rewrite).unwrap();
+            let rewrite_ans = answer(&engine, &doc, &p, Approach::Rewrite);
             for index in [None, Some(&index)] {
                 for policy in PlanPolicy::ALL {
                     let (ans, report) = engine
@@ -935,11 +870,10 @@ mod tests {
         let (spec, view, doc) = setup();
         let engine = SecureEngine::new(&spec, &view);
         for q in ["//clinicalTrial", "//trial", "//test", "//regular"] {
-            let ans = engine.answer_with(&doc, &parse(q).unwrap(), Approach::Annotate).unwrap();
+            let ans = answer(&engine, &doc, &parse(q).unwrap(), Approach::Annotate);
             assert!(ans.is_empty(), "{q} leaked {} nodes", ans.len());
         }
-        let bills =
-            engine.answer_with(&doc, &parse("//bill").unwrap(), Approach::Annotate).unwrap();
+        let bills = answer(&engine, &doc, &parse("//bill").unwrap(), Approach::Annotate);
         assert_eq!(bills.len(), 2);
     }
 
@@ -949,18 +883,18 @@ mod tests {
         let engine = SecureEngine::new(&spec, &view);
         assert_eq!(engine.access_stats(), AccessCacheStats::default());
         let p = parse("//patient/name").unwrap();
-        engine.answer_with(&doc, &p, Approach::Annotate).unwrap();
+        answer(&engine, &doc, &p, Approach::Annotate);
         let first = engine.access_stats();
         assert_eq!((first.builds, first.hits, first.entries), (1, 0, 1));
         assert!(first.bytes > 0);
-        engine.answer_with(&doc, &parse("//bill").unwrap(), Approach::Annotate).unwrap();
+        answer(&engine, &doc, &parse("//bill").unwrap(), Approach::Annotate);
         let second = engine.access_stats();
         assert_eq!(second.builds, 1, "second query must not rebuild the artifact");
         assert_eq!(second.hits, 1);
         assert_eq!(second.build_micros, first.build_micros);
         // A different document gets its own artifact.
         let other = parse_xml("<hospital><dept/></hospital>").unwrap();
-        engine.answer_with(&other, &p, Approach::Annotate).unwrap();
+        answer(&engine, &other, &p, Approach::Annotate);
         assert_eq!(engine.access_stats().builds, 2);
     }
 
@@ -972,7 +906,7 @@ mod tests {
         let second = engine.naive_annotated(&doc);
         assert!(Arc::ptr_eq(&first, &second), "repeat queries must share the annotated copy");
         // Queries through the public path use (and keep) the same copy.
-        engine.answer_with(&doc, &parse("//bill").unwrap(), Approach::Naive).unwrap();
+        answer(&engine, &doc, &parse("//bill").unwrap(), Approach::Naive);
         assert!(Arc::ptr_eq(&first, &engine.naive_annotated(&doc)));
         // A different document gets its own annotated copy.
         let other = parse_xml("<hospital><dept/></hospital>").unwrap();
@@ -990,7 +924,7 @@ mod tests {
         let stats = engine.access_stats();
         assert_eq!((stats.builds, stats.hits, stats.entries), (0, 1, 1));
         // Annotate queries run off the preloaded artifact with no build.
-        engine.answer_with(&doc, &parse("//bill").unwrap(), Approach::Annotate).unwrap();
+        answer(&engine, &doc, &parse("//bill").unwrap(), Approach::Annotate);
         assert_eq!(engine.access_stats().builds, 0);
     }
 
@@ -1017,18 +951,18 @@ mod tests {
         };
         let a = Box::new(parse_xml(&xml("6")).unwrap());
         let len_a = a.len();
-        let visible = engine.answer_with(&a, &p, Approach::Annotate).unwrap();
+        let visible = answer(&engine, &a, &p, Approach::Annotate);
         assert_eq!(visible.len(), 1, "ward 6 exposes Ann");
         drop(a);
         // B is a distinct same-length document; a recycled allocation
         // must not resurrect A's accessibility bitmaps.
         let b = Box::new(parse_xml(&xml("7")).unwrap());
         assert_eq!(b.len(), len_a, "the aliasing trap needs equal lengths");
-        let hidden = engine.answer_with(&b, &p, Approach::Annotate).unwrap();
+        let hidden = answer(&engine, &b, &p, Approach::Annotate);
         let fresh = SecureEngine::new(&spec, &view);
         assert_eq!(
             hidden,
-            fresh.answer_with(&b, &p, Approach::Annotate).unwrap(),
+            answer(&fresh, &b, &p, Approach::Annotate),
             "cached engine must answer exactly like a cold engine"
         );
         assert!(hidden.is_empty(), "ward 7 dept is hidden; stale bitmaps leaked a name");
@@ -1074,7 +1008,7 @@ mod tests {
                             // evictions interleave.
                             for i in 0..docs.len() {
                                 let doc = &docs[(i * (t + 1) + r) % docs.len()];
-                                let ans = engine.answer_with(doc, p, Approach::Annotate).unwrap();
+                                let ans = answer(engine, doc, p, Approach::Annotate);
                                 assert_eq!(ans.len(), 1, "every doc exposes its one patient");
                             }
                         }
@@ -1118,10 +1052,8 @@ mod tests {
             .take(24)
             .map(|q| parse(q).unwrap())
             .collect();
-        let sequential: Vec<Vec<NodeId>> = queries
-            .iter()
-            .map(|p| engine.answer_with(&doc, p, Approach::Annotate).unwrap())
-            .collect();
+        let sequential: Vec<Vec<NodeId>> =
+            queries.iter().map(|p| answer(&engine, &doc, p, Approach::Annotate)).collect();
         let batch = engine.answer_batch(
             &doc,
             Some(&index),
@@ -1142,11 +1074,11 @@ mod tests {
         let (spec, view, doc) = setup();
         let engine = SecureEngine::new(&spec, &view);
         for q in ["//clinicalTrial", "//trial", "//test", "//regular"] {
-            let ans = engine.answer(&doc, &parse(q).unwrap()).unwrap();
+            let ans = answer(&engine, &doc, &parse(q).unwrap(), Approach::Optimize);
             assert!(ans.is_empty(), "{q} leaked {} nodes", ans.len());
         }
         // But the *content* the nurse may see under those regions flows.
-        let bills = engine.answer(&doc, &parse("//bill").unwrap()).unwrap();
+        let bills = answer(&engine, &doc, &parse("//bill").unwrap(), Approach::Optimize);
         assert_eq!(bills.len(), 2);
     }
 
@@ -1168,8 +1100,17 @@ mod tests {
         for q in ["//patient/name", "//bill", "//clinicalTrial", "dept/*"] {
             let p = parse(q).unwrap();
             assert_eq!(
-                engine.answer(&doc, &p).unwrap(),
-                engine.answer_indexed(&doc, &index, &p).unwrap(),
+                answer(&engine, &doc, &p, Approach::Optimize),
+                engine
+                    .answer_report_policy(
+                        &doc,
+                        Some(&index),
+                        &p,
+                        Approach::Optimize,
+                        PlanPolicy::ForceWalk
+                    )
+                    .unwrap()
+                    .0,
                 "{q}"
             );
         }
@@ -1180,11 +1121,11 @@ mod tests {
         let (spec, view, doc) = setup();
         let engine = SecureEngine::new(&spec, &view);
         let p = parse("//patient/name").unwrap();
-        let first = engine.answer(&doc, &p).unwrap();
+        let first = answer(&engine, &doc, &p, Approach::Optimize);
         let stats = engine.cache_stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (0, 1, 1));
 
-        let second = engine.answer(&doc, &p).unwrap();
+        let second = answer(&engine, &doc, &p, Approach::Optimize);
         assert_eq!(first, second);
         let stats = engine.cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
@@ -1192,12 +1133,12 @@ mod tests {
         // Normalization: an equivalent-after-simplification query shares
         // the entry instead of retranslating.
         let p2 = parse("//patient/name | //patient/name").unwrap();
-        engine.answer(&doc, &p2).unwrap();
+        answer(&engine, &doc, &p2, Approach::Optimize);
         let stats = engine.cache_stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (2, 1, 1));
 
         // Different approach = different entry.
-        engine.answer_with(&doc, &p, Approach::Rewrite).unwrap();
+        answer(&engine, &doc, &p, Approach::Rewrite);
         let stats = engine.cache_stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (2, 2, 2));
     }
@@ -1267,9 +1208,13 @@ mod tests {
         let (spec, view, doc) = setup();
         let engine = SecureEngine::new(&spec, &view);
         let p = parse("//bill").unwrap();
-        let (_, report) = engine.answer_report(&doc, None, &p, Approach::Optimize).unwrap();
+        let (_, report) = engine
+            .answer_report_policy(&doc, None, &p, Approach::Optimize, PlanPolicy::ForceWalk)
+            .unwrap();
         assert!(!report.cache_hit);
-        let (_, report) = engine.answer_report(&doc, None, &p, Approach::Optimize).unwrap();
+        let (_, report) = engine
+            .answer_report_policy(&doc, None, &p, Approach::Optimize, PlanPolicy::ForceWalk)
+            .unwrap();
         assert!(report.cache_hit);
         assert_eq!(report.translated, engine.translate(&p, Approach::Optimize).unwrap());
     }
@@ -1280,7 +1225,7 @@ mod tests {
         let engine = SecureEngine::new(&spec, &view);
         let p = parse("//patient/name").unwrap();
         for _ in 0..3 {
-            engine.answer(&doc, &p).unwrap();
+            answer(&engine, &doc, &p, Approach::Optimize);
         }
         let stats = engine.cache_stats();
         assert_eq!(stats.plans_compiled, 1, "repeats must not re-plan");
@@ -1477,17 +1422,21 @@ mod tests {
         .unwrap();
         assert!(deep.height() > shallow.height());
         let p = parse("//partno").unwrap();
-        let (ans, report) = engine.answer_report(&shallow, None, &p, Approach::Optimize).unwrap();
+        let (ans, report) = engine
+            .answer_report_policy(&shallow, None, &p, Approach::Optimize, PlanPolicy::ForceWalk)
+            .unwrap();
         assert_eq!(ans.len(), 1);
         assert!(!report.cache_hit, "first answer compiles the closure plan");
-        let (ans, report) = engine.answer_report(&deep, None, &p, Approach::Optimize).unwrap();
+        let (ans, report) = engine
+            .answer_report_policy(&deep, None, &p, Approach::Optimize, PlanPolicy::ForceWalk)
+            .unwrap();
         assert_eq!(ans.len(), 4, "the closure reaches every nesting level");
         assert!(report.cache_hit, "a deeper document must not miss the cache");
         assert_eq!(engine.cache_stats().plans_compiled, 1, "one plan serves both heights");
         // The cached entry is one shared Arc, not a per-document clone.
-        let (a, _) = engine.plan_report(&p, Approach::Optimize, PlanPolicy::ForceWalk);
-        let (b, _) = engine.plan_report(&p, Approach::Optimize, PlanPolicy::ForceWalk);
-        assert!(Arc::ptr_eq(&a.unwrap(), &b.unwrap()));
+        let (a, _) = engine.plan_certified(&p, Approach::Optimize, PlanPolicy::ForceWalk);
+        let (b, _) = engine.plan_certified(&p, Approach::Optimize, PlanPolicy::ForceWalk);
+        assert!(Arc::ptr_eq(&a.unwrap().plan, &b.unwrap().plan));
     }
 
     #[test]
@@ -1497,15 +1446,16 @@ mod tests {
         let index = DocIndex::new(&doc).unwrap();
         for q in ["//patient/name", "//bill", "dept/*", "//name", "//clinicalTrial"] {
             let p = parse(q).unwrap();
-            let mut answers = Vec::new();
-            for policy in PlanPolicy::ALL {
-                let (ans, report) = engine
-                    .answer_report_policy(&doc, Some(&index), &p, Approach::Optimize, policy)
-                    .unwrap();
-                assert_eq!(report.policy, policy);
-                answers.push(ans);
+            for approach in [Approach::Rewrite, Approach::Optimize] {
+                let walk = answer(&engine, &doc, &p, approach);
+                for policy in PlanPolicy::ALL {
+                    let (ans, report) = engine
+                        .answer_report_policy(&doc, Some(&index), &p, approach, policy)
+                        .unwrap();
+                    assert_eq!(report.policy, policy);
+                    assert_eq!(ans, walk, "{q} ({approach:?}, {policy}) differs from the walk");
+                }
             }
-            assert!(answers.windows(2).all(|w| w[0] == w[1]), "{q}: policies disagree");
         }
     }
 
@@ -1514,7 +1464,9 @@ mod tests {
         let (spec, view, doc) = setup();
         let engine = SecureEngine::new(&spec, &view);
         let p = parse("//patient/name").unwrap();
-        let (ans, report) = engine.answer_report(&doc, None, &p, Approach::Optimize).unwrap();
+        let (ans, report) = engine
+            .answer_report_policy(&doc, None, &p, Approach::Optimize, PlanPolicy::ForceWalk)
+            .unwrap();
         assert!(report.plan.total_ops() > 0, "plan summary must count operators");
         assert!(report.plan.est_rows > 0, "DTD estimates should expect some names");
         assert!(!ans.is_empty());
@@ -1527,17 +1479,19 @@ mod tests {
     }
 
     #[test]
-    fn plan_report_exposes_compiled_plan() {
+    fn plan_certified_exposes_compiled_plan() {
         let (spec, view, _) = setup();
         let engine = SecureEngine::new(&spec, &view);
         let p = parse("//bill").unwrap();
-        let (planned, hit) = engine.plan_report(&p, Approach::Optimize, PlanPolicy::Auto);
-        let plan = planned.unwrap();
+        let (planned, hit) = engine.plan_certified(&p, Approach::Optimize, PlanPolicy::Auto);
+        let planned = planned.unwrap();
         assert!(!hit);
-        assert_eq!(plan.translated, engine.translate(&p, Approach::Optimize).unwrap());
-        let (again, hit2) = engine.plan_report(&p, Approach::Optimize, PlanPolicy::Auto);
+        assert_eq!(planned.plan.translated, engine.translate(&p, Approach::Optimize).unwrap());
+        let (again, hit2) = engine.plan_certified(&p, Approach::Optimize, PlanPolicy::Auto);
+        let again = again.unwrap();
         assert!(hit2);
-        assert!(Arc::ptr_eq(&plan, &again.unwrap()), "hits share the cached Arc");
+        assert!(Arc::ptr_eq(&planned.plan, &again.plan), "hits share the cached Arc");
+        assert!(Arc::ptr_eq(&planned.cert, &again.cert), "and the cached certificate");
     }
 
     #[test]
@@ -1601,8 +1555,8 @@ mod tests {
         let (spec, view, doc) = setup();
         let engine = SecureEngine::new(&spec, &view);
         let p = parse("//bill").unwrap();
-        engine.answer(&doc, &p).unwrap();
-        engine.answer(&doc, &p).unwrap(); // hit: no re-certification
+        answer(&engine, &doc, &p, Approach::Optimize);
+        answer(&engine, &doc, &p, Approach::Optimize); // hit: no re-certification
         let stats = engine.cache_stats();
         assert_eq!(stats.plans_certified, 1, "one certificate per compile");
         assert_eq!(stats.certify_failures, 0);
@@ -1668,9 +1622,18 @@ mod tests {
         // index to accelerate).
         for q in ["//patient[name='Bob']/name", "//patient/name", "//bill"] {
             let p = parse(q).unwrap();
-            let (scan_ans, scan) = engine.answer_report(&doc, None, &p, Approach::Rewrite).unwrap();
-            let (idx_ans, idx) =
-                engine.answer_report(&doc, Some(&index), &p, Approach::Rewrite).unwrap();
+            let (scan_ans, scan) = engine
+                .answer_report_policy(&doc, None, &p, Approach::Rewrite, PlanPolicy::ForceWalk)
+                .unwrap();
+            let (idx_ans, idx) = engine
+                .answer_report_policy(
+                    &doc,
+                    Some(&index),
+                    &p,
+                    Approach::Rewrite,
+                    PlanPolicy::ForceWalk,
+                )
+                .unwrap();
             assert_eq!(scan_ans, idx_ans, "{q}");
             assert!(!scan_ans.is_empty(), "{q} should select something");
             assert_eq!(scan.eval.index_lookups, 0, "{q}");
@@ -1685,35 +1648,6 @@ mod tests {
     }
 
     #[test]
-    fn default_answer_uses_optimize() {
-        let (spec, view, doc) = setup();
-        let engine = SecureEngine::new(&spec, &view);
-        let p = parse("//patient").unwrap();
-        assert_eq!(
-            engine.answer(&doc, &p).unwrap(),
-            engine.answer_with(&doc, &p, Approach::Optimize).unwrap()
-        );
-    }
-
-    #[test]
-    fn join_backend_answers_match_walk() {
-        let (spec, view, doc) = setup();
-        let engine = SecureEngine::new(&spec, &view);
-        let index = DocIndex::new(&doc).unwrap();
-        for q in ["//patient/name", "//bill", "//clinicalTrial", "dept/*", "//name"] {
-            let p = parse(q).unwrap();
-            for approach in [Approach::Rewrite, Approach::Optimize] {
-                let (walk, _) =
-                    engine.answer_report_backend(&doc, None, &p, approach, Backend::Walk).unwrap();
-                let (join, _) = engine
-                    .answer_report_backend(&doc, Some(&index), &p, approach, Backend::Join)
-                    .unwrap();
-                assert_eq!(walk, join, "{q}");
-            }
-        }
-    }
-
-    #[test]
     fn answer_batch_matches_sequential_and_keeps_order() {
         let (spec, view, doc) = setup();
         let engine = SecureEngine::new(&spec, &view);
@@ -1724,8 +1658,21 @@ mod tests {
             .take(40)
             .map(|q| parse(q).unwrap())
             .collect();
-        let sequential: Vec<Vec<NodeId>> =
-            queries.iter().map(|p| engine.answer_indexed(&doc, &index, p).unwrap()).collect();
+        let sequential: Vec<Vec<NodeId>> = queries
+            .iter()
+            .map(|p| {
+                engine
+                    .answer_report_policy(
+                        &doc,
+                        Some(&index),
+                        p,
+                        Approach::Optimize,
+                        PlanPolicy::ForceWalk,
+                    )
+                    .unwrap()
+                    .0
+            })
+            .collect();
         for threads in [1, 2, 4] {
             let batch = engine.answer_batch(
                 &doc,

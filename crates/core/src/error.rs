@@ -60,7 +60,7 @@ pub enum Error {
     /// (the surviving workers' answers are unaffected).
     WorkerLost,
     /// Strict verification mode refused to execute a plan whose static
-    /// certificate (see [`sxv_xpath::certify`]) reported errors.
+    /// certificate (see [`sxv_xpath::certify()`]) reported errors.
     Uncertified {
         /// The user query whose plan failed certification.
         query: String,

@@ -74,7 +74,6 @@ pub use registry::PolicyRegistry;
 pub use rewrite::{rewrite, rewrite_paper_merge, rewrite_with_height, ViewGraph};
 pub use spec::{parse_spec_rules, RawRule, RawValue};
 pub use spec::{AccessSpec, AccessSpecBuilder, Annotation};
-pub use sxv_xpath::Backend;
 pub use sxv_xpath::{certify, CertFinding, CertifyContext, PlanCertificate, TraceLine};
 pub use sxv_xpath::{is_dummy_label, AccessView};
 pub use sxv_xpath::{CompiledQuery, CostModel, PlanPolicy, PlanSummary};

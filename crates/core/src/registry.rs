@@ -3,21 +3,18 @@
 //! The paper's motivating setting is *multiple* user groups querying the
 //! same document under different access policies, each with its own
 //! automatically derived security view. [`PolicyRegistry`] packages that:
-//! register one [`AccessSpec`] per user group, and the registry derives
-//! and caches the view, exposes the per-group view DTD, and answers
-//! queries — all against a single shared document, with no view ever
-//! materialized.
+//! register one [`AccessSpec`] per user group, and the registry derives,
+//! audits and stores the view and exposes the per-group view DTD.
+//! Queries are answered by a [`crate::SecureEngine`] built over a group's
+//! [`PolicyRegistry::spec`] and [`PolicyRegistry::view`], all against a
+//! single shared document, with no view ever materialized.
 
 use crate::analysis::audit_view;
 use crate::error::{Error, Result};
-use crate::optimize::optimize;
-use crate::rewrite::rewrite;
 use crate::spec::AccessSpec;
 use crate::view::def::SecurityView;
 use crate::view::derive::derive_view;
 use std::collections::BTreeMap;
-use sxv_xml::{Document, NodeId};
-use sxv_xpath::{eval_at_root, Path};
 
 /// One registered user-group policy.
 struct Policy {
@@ -83,26 +80,11 @@ impl PolicyRegistry {
     }
 
     /// The registered access specification of a group. Together with
-    /// [`PolicyRegistry::view`], this lets long-lived callers (the
-    /// `sxv serve` daemon) build one [`crate::SecureEngine`] per group
-    /// borrowing from the registry.
+    /// [`PolicyRegistry::view`], this is how callers answer a group's
+    /// queries: build one [`crate::SecureEngine`] per group borrowing
+    /// from the registry.
     pub fn spec(&self, group: &str) -> Result<&AccessSpec> {
         Ok(&self.policy(group)?.spec)
-    }
-
-    /// Translate a group's view query into a document query
-    /// (rewrite + optimize; recursive views rewrite to Kleene-closure
-    /// expressions directly, so no document height is needed).
-    pub fn translate(&self, group: &str, p: &Path) -> Result<Path> {
-        let policy = self.policy(group)?;
-        let rewritten = rewrite(&policy.view, p)?;
-        optimize(policy.spec.dtd(), &rewritten)
-    }
-
-    /// Answer a group's query over the shared document.
-    pub fn answer(&self, group: &str, doc: &Document, p: &Path) -> Result<Vec<NodeId>> {
-        let translated = self.translate(group, p)?;
-        Ok(eval_at_root(doc, &translated))
     }
 
     fn policy(&self, group: &str) -> Result<&Policy> {
@@ -121,9 +103,19 @@ impl Default for PolicyRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Approach, SecureEngine};
     use sxv_dtd::parse_dtd;
-    use sxv_xml::parse as parse_xml;
-    use sxv_xpath::parse;
+    use sxv_xml::{parse as parse_xml, Document, NodeId};
+    use sxv_xpath::{parse, Path, PlanPolicy};
+
+    /// Answer a group's query through an engine over its registered
+    /// spec and view.
+    fn answer(reg: &PolicyRegistry, group: &str, doc: &Document, p: &Path) -> Result<Vec<NodeId>> {
+        let engine = SecureEngine::new(reg.spec(group)?, reg.view(group)?);
+        let (answer, _) =
+            engine.answer_report_policy(doc, None, p, Approach::Optimize, PlanPolicy::ForceWalk)?;
+        Ok(answer)
+    }
 
     fn dtd() -> sxv_dtd::Dtd {
         parse_dtd(
@@ -149,8 +141,8 @@ mod tests {
         assert_eq!(reg.groups().collect::<Vec<_>>(), ["finance", "public"]);
 
         let q = parse("*").unwrap();
-        let public = reg.answer("public", &doc, &q).unwrap();
-        let finance = reg.answer("finance", &doc, &q).unwrap();
+        let public = answer(&reg, "public", &doc, &q).unwrap();
+        let finance = answer(&reg, "finance", &doc, &q).unwrap();
         assert_eq!(public.len(), 1);
         assert_eq!(finance.len(), 2);
         // View DTDs differ per group.
@@ -163,7 +155,7 @@ mod tests {
         let reg = PolicyRegistry::new();
         assert!(reg.exposed_view_dtd("ghost").is_err());
         let doc = parse_xml("<r/>").unwrap();
-        assert!(reg.answer("ghost", &doc, &Path::Wildcard).is_err());
+        assert!(answer(&reg, "ghost", &doc, &Path::Wildcard).is_err());
     }
 
     #[test]
@@ -208,8 +200,8 @@ mod tests {
         let doc = parse_xml("<r><pub>p</pub><sec>s</sec><fin>f</fin></r>").unwrap();
         let mut reg = PolicyRegistry::new();
         reg.register("g", AccessSpec::builder(&dtd).deny("r", "sec").build().unwrap()).unwrap();
-        assert_eq!(reg.answer("g", &doc, &parse("*").unwrap()).unwrap().len(), 2);
+        assert_eq!(answer(&reg, "g", &doc, &parse("*").unwrap()).unwrap().len(), 2);
         reg.register("g", AccessSpec::builder(&dtd).build().unwrap()).unwrap();
-        assert_eq!(reg.answer("g", &doc, &parse("*").unwrap()).unwrap().len(), 3);
+        assert_eq!(answer(&reg, "g", &doc, &parse("*").unwrap()).unwrap().len(), 3);
     }
 }

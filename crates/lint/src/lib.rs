@@ -19,7 +19,7 @@
 //!   queries provably empty on every conforming document, and union arms
 //!   subsumed by their siblings (Prop. 5.1 containment);
 //! * **compiled plans** (`SXV3xx`, `sxv lint --plans`) — runs the static
-//!   plan certifier ([`sxv_xpath::certify`]) over every compiled plan:
+//!   plan certifier ([`sxv_xpath::certify()`]) over every compiled plan:
 //!   uncertified plans, emitted types that are not provably accessible,
 //!   unguarded probes into hidden regions (the Example 1.1 channel at
 //!   plan level), dead operators, and cache/certificate mismatches.

@@ -1,5 +1,5 @@
 //! `SXV3xx` — plan-level rules: run the static certifier
-//! ([`sxv_xpath::certify`]) over a compiled plan and turn its findings
+//! ([`sxv_xpath::certify()`]) over a compiled plan and turn its findings
 //! into diagnostics. Unlike the `SXV0xx`–`SXV2xx` families, these rules
 //! audit the *output of the compiler*, so they catch bugs anywhere in
 //! the translate → optimize → plan pipeline (a rewrite that forgets a σ

@@ -13,7 +13,7 @@
 //! and a σ-expansion pass — milliseconds instead of seconds on large
 //! documents.
 //!
-//! See [`format`] for the byte layout, [`writer`] for packing, and
+//! See [`format`](mod@format) for the byte layout, [`writer`] for packing, and
 //! [`loader`] for the validating load path and its error taxonomy
 //! ([`Error`]).
 

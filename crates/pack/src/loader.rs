@@ -14,7 +14,7 @@
 //! Trust model: the checksum pass rejects accidental corruption, and
 //! every structural way the bytes can be wrong (truncation, bad magic,
 //! version skew, overlapping sections, arity mismatches) maps to a
-//! typed [`Error`](crate::Error), never a panic or UB. A file that
+//! typed [`Error`], never a panic or UB. A file that
 //! *checksums correctly* but encodes inconsistent column contents
 //! (e.g. a child id pointing at the wrong parent) is trusted the way
 //! any database trusts its own pages: answers may be wrong, slice

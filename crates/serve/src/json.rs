@@ -6,6 +6,11 @@
 
 use std::collections::BTreeMap;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Request bodies
+/// are flat objects; the bound keeps the recursive parser, and the drop
+/// of the value it builds, within a connection thread's stack.
+pub const MAX_NESTING: usize = 64;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -24,9 +29,10 @@ pub enum Json {
 }
 
 impl Json {
-    /// Parse one JSON document; trailing non-whitespace is an error.
+    /// Parse one JSON document; trailing non-whitespace and nesting
+    /// deeper than [`MAX_NESTING`] are errors.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -64,8 +70,11 @@ impl Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -99,8 +108,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_NESTING {
+                    return Err(format!("nesting deeper than {MAX_NESTING} at byte {}", self.pos));
+                }
+                self.depth += 1;
+                let nested = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                nested
+            }
             Some(b'"') => Ok(Json::String(self.string()?)),
             Some(b't') => self.eat_word("true").map(|()| Json::Bool(true)),
             Some(b'f') => self.eat_word("false").map(|()| Json::Bool(false)),
@@ -203,11 +219,10 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe: we track a
-                    // byte cursor into a str, so slice at char boundaries).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8")?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
+                    // Consume one UTF-8 scalar: the cursor only ever moves
+                    // past whole scalars, so it sits on a char boundary.
+                    let rest = self.text.get(self.pos..).ok_or("invalid utf-8")?;
+                    let c = rest.chars().next().ok_or("unterminated string")?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -279,6 +294,27 @@ mod tests {
         let raw = "line\n\"quoted\"\tand \\ backslash";
         let parsed = Json::parse(&format!("\"{}\"", json_escape(raw))).unwrap();
         assert_eq!(parsed, Json::String(raw.into()));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_NESTING)).is_ok());
+        let objects = format!("{}1{}", "{\"a\": ".repeat(MAX_NESTING), "}".repeat(MAX_NESTING));
+        assert!(Json::parse(&objects).is_ok());
+        for deep in [nested(MAX_NESTING + 1), "[".repeat(200_000), format!("{{\"a\": {objects}}}")]
+        {
+            let err = Json::parse(&deep).unwrap_err();
+            assert!(err.contains("nesting deeper than 64"), "{err}");
+        }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // One megabyte of multi-byte text: a quadratic rescan of the rest
+        // of the input per character would take minutes.
+        let text = "é".repeat(500_000);
+        assert_eq!(Json::parse(&format!("\"{text}\"")).unwrap(), Json::String(text));
     }
 
     #[test]

@@ -245,7 +245,7 @@ pub struct DocumentParts {
 }
 
 /// Fully-derived document columns for [`Document::from_packed`] — the
-/// zero-copy package load path. Field meanings match [`CompactNodes`]
+/// zero-copy package load path. Field meanings match `CompactNodes`
 /// and the child CSR; every column may be a buffer-borrowed view
 /// ([`U32s::Packed`]/[`Str::Packed`]), which is the point: assembling a
 /// document from these is O(1) per column, with no per-node work at

@@ -12,6 +12,11 @@ pub enum Error {
         /// Human-readable description of what was expected.
         message: String,
     },
+    /// Query text nests deeper than [`crate::parser::MAX_DEPTH`].
+    TooDeep {
+        /// Byte offset into the query where the limit was crossed.
+        offset: usize,
+    },
     /// Raw-parts construction (e.g. loading a persisted package) was
     /// handed structurally inconsistent arrays.
     MalformedParts(String),
@@ -23,6 +28,11 @@ impl fmt::Display for Error {
             Error::Parse { offset, message } => {
                 write!(f, "XPath parse error at byte {offset}: {message}")
             }
+            Error::TooDeep { offset } => write!(
+                f,
+                "XPath query nests deeper than {} levels (at byte {offset})",
+                crate::parser::MAX_DEPTH
+            ),
             Error::MalformedParts(msg) => write!(f, "malformed access view parts: {msg}"),
         }
     }
@@ -41,5 +51,7 @@ mod tests {
     fn display() {
         let e = Error::Parse { offset: 4, message: "expected ']'".into() };
         assert_eq!(e.to_string(), "XPath parse error at byte 4: expected ']'");
+        let e = Error::TooDeep { offset: 7 };
+        assert_eq!(e.to_string(), "XPath query nests deeper than 128 levels (at byte 7)");
     }
 }

@@ -65,12 +65,12 @@ pub struct EvalStats {
     /// Structural-index probes (interval lookups and memoized
     /// string-value reads) that replaced subtree scans.
     pub index_lookups: u64,
-    /// Candidates examined during sorted-list merges (structural-join
-    /// backend only: child-step merges, staircase pruning, union merges).
+    /// Candidates examined during sorted-list merges (compiled plans
+    /// only: child-step merges, staircase pruning, union merges).
     pub merge_steps: u64,
     /// Interval-containment probes — binary searches slicing a label /
     /// text / element occurrence list to one subtree's id range
-    /// (structural-join backend only).
+    /// (compiled plans only; the tree-walk evaluator records none).
     pub interval_probes: u64,
 }
 

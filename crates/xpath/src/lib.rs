@@ -29,7 +29,6 @@ pub mod certify;
 pub mod display;
 pub mod error;
 pub mod eval;
-pub mod join;
 mod lowering;
 pub mod parser;
 pub mod plan;
@@ -47,7 +46,6 @@ pub use eval::{
     eval_at_root_with_stats, eval_qualifier, eval_qualifier_indexed, eval_set_counting,
     eval_set_counting_indexed, EvalStats,
 };
-pub use join::{eval_at_root_backend, eval_at_root_join, eval_at_root_join_with_stats, Backend};
 pub use parser::parse;
 pub use plan::{
     compile, compile_annotate, AccessFilter, AxisTest, CompiledQuery, CostModel, FusedScan,

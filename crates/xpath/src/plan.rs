@@ -6,9 +6,9 @@
 //! operator **once at plan time** from a [`CostModel`] (occurrence-list
 //! cardinalities of a [`DocIndex`], or DTD fan-out estimates when no
 //! document is at hand) instead of re-running per-evaluation heuristics.
-//! A single executor ([`CompiledQuery::execute`]) interprets plans; the
-//! historical `Backend::{Walk,Join}` split becomes a [`PlanPolicy`]
-//! (force-walk / force-join / auto) fed to the planner.
+//! A single executor ([`CompiledQuery::execute`]) interprets plans; a
+//! [`PlanPolicy`] (force-walk / force-join / auto) fed to the planner
+//! chooses between tree-walk and structural-join operators.
 //!
 //! The operator set mirrors the two evaluators it replaces:
 //!
@@ -31,7 +31,7 @@
 //!   (`Auto` only, see [`SchemaSlice`]). It keeps the run and falls back
 //!   to it without an index or on a document outside the schema.
 //!
-//! Results are bit-identical to the walk evaluator of [`crate::eval`];
+//! Results are bit-identical to the walk evaluator of [`crate::eval`](mod@crate::eval);
 //! the equivalence is pinned by [`EQUIVALENCE_QUERIES`] here and a random
 //! document × query property test in the workspace suite.
 //!
@@ -95,15 +95,6 @@ impl std::str::FromStr for PlanPolicy {
             "join" | "force-join" => Ok(PlanPolicy::ForceJoin),
             "auto" => Ok(PlanPolicy::Auto),
             other => Err(format!("unknown plan policy {other:?} (valid values: walk, join, auto)")),
-        }
-    }
-}
-
-impl From<crate::join::Backend> for PlanPolicy {
-    fn from(b: crate::join::Backend) -> PlanPolicy {
-        match b {
-            crate::join::Backend::Walk => PlanPolicy::ForceWalk,
-            crate::join::Backend::Join => PlanPolicy::ForceJoin,
         }
     }
 }
@@ -2681,7 +2672,7 @@ pub const EQUIVALENCE_QUERIES: &[&str] = &[
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{eval_at_document, eval_at_root};
+    use crate::eval::{eval_at_document, eval_at_root, eval_at_root_with_stats};
     use crate::parser::parse;
     use sxv_xml::parse as parse_xml;
 
@@ -2713,28 +2704,36 @@ mod tests {
         assert!(err.contains("valid values: walk, join, auto"), "{err}");
         assert_eq!(PlanPolicy::Auto.to_string(), "auto");
         assert_eq!(PlanPolicy::default(), PlanPolicy::Auto);
-        assert_eq!(PlanPolicy::from(crate::join::Backend::Join), PlanPolicy::ForceJoin);
     }
 
     #[test]
     fn all_policies_match_walk_on_equivalence_suite() {
-        let d = hospital();
-        let idx = DocIndex::new(&d).unwrap();
-        let costs = [
-            ("index", CostModel::from_index(&idx)),
-            ("uninformed", CostModel::uninformed()),
-            ("no-index", CostModel::from_estimates([("patient".to_string(), 3.0)], 6.0, false)),
-        ];
-        for q in EQUIVALENCE_QUERIES {
-            let p = parse(q).unwrap();
-            let reference = eval_at_root(&d, &p);
-            for policy in PlanPolicy::ALL {
-                for (cname, cost) in &costs {
-                    let cq = compile(&p, policy, cost);
-                    let (with_idx, _) = cq.execute(&d, Some(&idx));
-                    let (without, _) = cq.execute(&d, None);
-                    assert_eq!(reference, with_idx, "{q} ({policy}, {cname}, indexed)");
-                    assert_eq!(reference, without, "{q} ({policy}, {cname}, no index)");
+        // The naive baseline's attribute qualifiers, over a document
+        // where only the first `a` carries the attribute.
+        let mut attributed = parse_xml("<r><a/><a/></r>").unwrap();
+        let first = attributed.children(attributed.root().unwrap())[0];
+        attributed.set_attribute(first, "accessibility", "1").unwrap();
+        let attribute_queries =
+            ["a[@accessibility='1']", "a[@accessibility]", "a[@accessibility='0']"];
+        let suites = [(hospital(), EQUIVALENCE_QUERIES), (attributed, &attribute_queries[..])];
+        for (d, queries) in &suites {
+            let idx = DocIndex::new(d).unwrap();
+            let costs = [
+                ("index", CostModel::from_index(&idx)),
+                ("uninformed", CostModel::uninformed()),
+                ("no-index", CostModel::from_estimates([("patient".to_string(), 3.0)], 6.0, false)),
+            ];
+            for q in *queries {
+                let p = parse(q).unwrap();
+                let reference = eval_at_root(d, &p);
+                for policy in PlanPolicy::ALL {
+                    for (cname, cost) in &costs {
+                        let cq = compile(&p, policy, cost);
+                        let (with_idx, _) = cq.execute(d, Some(&idx));
+                        let (without, _) = cq.execute(d, None);
+                        assert_eq!(reference, with_idx, "{q} ({policy}, {cname}, indexed)");
+                        assert_eq!(reference, without, "{q} ({policy}, {cname}, no index)");
+                    }
                 }
             }
         }
@@ -2783,6 +2782,33 @@ mod tests {
         assert_eq!((s.descendant_expand, s.label_filter, s.descendant_slice), (0, 0, 1));
         let s2 = compile(&p, PlanPolicy::ForceWalk, &CostModel::uninformed()).summary();
         assert_eq!((s2.descendant_expand, s2.label_filter, s2.descendant_slice), (0, 0, 1));
+    }
+
+    #[test]
+    fn join_touches_fewer_nodes_on_descendant_queries() {
+        let d = hospital();
+        let idx = DocIndex::new(&d).unwrap();
+        let cost = CostModel::from_index(&idx);
+        for q in
+            ["//name", "//patient[wardNo='6']", "//wardNo | //name", "//patient[wardNo='6']/name"]
+        {
+            let p = parse(q).unwrap();
+            let (walk_r, walk) = eval_at_root_with_stats(&d, &p);
+            let (join_r, join) = compile(&p, PlanPolicy::ForceJoin, &cost).execute(&d, Some(&idx));
+            assert_eq!(walk_r, join_r, "{q}");
+            assert!(
+                join.nodes_touched < walk.nodes_touched,
+                "{q}: join {} vs walk {}",
+                join.nodes_touched,
+                walk.nodes_touched
+            );
+            assert!(join.interval_probes > 0, "{q}: descendant steps must probe intervals");
+            if q.contains('[') {
+                assert!(join.qualifier_checks >= 3, "{q}: one check per patient");
+            }
+            // The walk evaluator records none of the join counters.
+            assert_eq!((walk.merge_steps, walk.interval_probes), (0, 0), "{q}");
+        }
     }
 
     #[test]
@@ -3106,10 +3132,13 @@ mod tests {
         let d = Document::new();
         let idx = DocIndex::new(&d).unwrap();
         let p = parse("//a[b]").unwrap();
-        let cq = compile(&p, PlanPolicy::Auto, &CostModel::from_index(&idx));
-        assert!(cq.execute(&d, Some(&idx)).0.is_empty());
-        let empty = compile(&parse("∅").unwrap(), PlanPolicy::Auto, &CostModel::uninformed());
-        assert_eq!(empty.summary().est_rows, 0);
-        assert!(empty.execute(&hospital(), None).0.is_empty());
+        for policy in PlanPolicy::ALL {
+            let cq = compile(&p, policy, &CostModel::from_index(&idx));
+            assert!(cq.execute(&d, Some(&idx)).0.is_empty(), "{policy}");
+            assert!(cq.execute_at_document(&d, Some(&idx)).0.is_empty(), "{policy}");
+            let empty = compile(&parse("∅").unwrap(), policy, &CostModel::uninformed());
+            assert_eq!(empty.summary().est_rows, 0, "{policy}");
+            assert!(empty.execute(&hospital(), None).0.is_empty(), "{policy}");
+        }
     }
 }

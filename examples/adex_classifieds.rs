@@ -8,7 +8,6 @@
 //!
 //! For the full Table 1 sweep use `cargo run -p sxv-bench --bin table1`.
 
-use secure_xml_views::core::{Approach, NaiveBaseline};
 use secure_xml_views::gen::{GenConfig, Generator};
 use secure_xml_views::prelude::*;
 use std::time::Instant;
@@ -62,7 +61,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Sensitive regions are unreachable no matter how the user phrases it.
     for probe in ["//employment", "//salary", "//transaction-id", "//automotive/make"] {
-        let answer = engine.answer(&doc, &parse_xpath(probe)?)?;
+        let p = parse_xpath(probe)?;
+        let (answer, _) = engine.answer_report_policy(
+            &doc,
+            None,
+            &p,
+            Approach::Optimize,
+            PlanPolicy::ForceWalk,
+        )?;
         assert!(answer.is_empty(), "{probe} leaked");
     }
     println!("probe queries for hidden regions all returned 0 nodes.");

@@ -6,7 +6,6 @@
 //! cargo run --example auction_site --release
 //! ```
 
-use secure_xml_views::core::Approach;
 use secure_xml_views::gen::{GenConfig, Generator};
 use secure_xml_views::prelude::*;
 
@@ -40,7 +39,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("site document: {} nodes", doc.len());
 
     // A bidder browses bid histories.
-    let amounts = engine.answer(&doc, &parse_xpath("//open-auction/bids/bid/amount")?)?;
+    let answer = |q: &str, approach| -> Result<Vec<NodeId>, Box<dyn std::error::Error>> {
+        let p = parse_xpath(q)?;
+        Ok(engine.answer_report_policy(&doc, None, &p, approach, PlanPolicy::ForceWalk)?.0)
+    };
+    let amounts = answer("//open-auction/bids/bid/amount", Approach::Optimize)?;
     println!(
         "\nvisible bid amounts: {:?}",
         amounts.iter().take(8).map(|&n| doc.string_value(n)).collect::<Vec<_>>()
@@ -48,8 +51,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The current price is visible, the reserve is not — so the classic
     // probe "which auctions have current ≥ reserve" cannot be asked.
-    let with_current = engine.answer(&doc, &parse_xpath("//open-auction[current]")?)?;
-    let with_reserve = engine.answer(&doc, &parse_xpath("//open-auction[reserve]")?)?;
+    let with_current = answer("//open-auction[current]", Approach::Optimize)?;
+    let with_reserve = answer("//open-auction[reserve]", Approach::Optimize)?;
     println!(
         "auctions with visible current price: {}; with visible reserve: {}",
         with_current.len(),
@@ -60,8 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // All hidden regions are unreachable under any approach.
     for probe in ["//reserve", "//seller", "//bidder", "//buyer", "//creditcard", "//person"] {
         for approach in [Approach::Naive, Approach::Rewrite, Approach::Optimize] {
-            let answer = engine.answer_with(&doc, &parse_xpath(probe)?, approach)?;
-            assert!(answer.is_empty(), "{probe} leaked under {approach:?}");
+            assert!(answer(probe, approach)?.is_empty(), "{probe} leaked under {approach:?}");
         }
     }
     println!("\nhidden-region probes returned 0 nodes under all three approaches.");

@@ -67,8 +67,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Against the security view, both queries rewrite to the same flat
     // patient set: the difference is empty and the inference fails.
     let engine = SecureEngine::new(&spec, &view);
-    let r1 = engine.answer(&doc, &p1)?;
-    let r2 = engine.answer(&doc, &p2)?;
+    let answer = |p: &Path| {
+        engine.answer_report_policy(&doc, None, p, Approach::Optimize, PlanPolicy::ForceWalk)
+    };
+    let (r1, _) = answer(&p1)?;
+    let (r2, _) = answer(&p2)?;
     println!("\n=== the same attack against the security view ===");
     println!("p1 over view: {:?}", r1.iter().map(|&n| doc.string_value(n)).collect::<Vec<_>>());
     println!("p2 over view: {:?}", r2.iter().map(|&n| doc.string_value(n)).collect::<Vec<_>>());
@@ -77,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The nurse still sees everything she is entitled to, including
     // Ann's bill, without learning Ann is in a trial.
-    let bills = engine.answer(&doc, &parse_xpath("//patient//bill")?)?;
+    let (bills, _) = answer(&parse_xpath("//patient//bill")?)?;
     println!(
         "\nbills visible to the nurse: {:?}",
         bills.iter().map(|&n| doc.string_value(n)).collect::<Vec<_>>()

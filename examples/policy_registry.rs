@@ -1,13 +1,14 @@
 //! The full Fig. 3 framework: several user groups, one document, one
-//! registry. Each group gets its own automatically derived view DTD and
-//! its queries are rewritten against its own hidden σ — no view is ever
-//! materialized.
+//! registry. Each group gets its own automatically derived view DTD, and
+//! an engine over the group's registered spec and view rewrites its
+//! queries against its own hidden σ — no view is ever materialized.
 //!
 //! ```text
 //! cargo run --example policy_registry
 //! ```
 
 use secure_xml_views::prelude::*;
+use std::collections::BTreeMap;
 
 const HOSPITAL_DTD: &str = include_str!("../assets/hospital.dtd");
 const NURSE_SPEC: &str = include_str!("../assets/hospital_nurse.spec");
@@ -54,15 +55,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     println!("registered groups: {:?}\n", registry.groups().collect::<Vec<_>>());
+    // One engine per group, borrowing the group's audited spec and view
+    // (as `sxv serve` does for its roles).
+    let mut engines = BTreeMap::new();
+    for group in registry.groups() {
+        engines.insert(group, SecureEngine::new(registry.spec(group)?, registry.view(group)?));
+    }
+    let answer = |group: &str, q: &str| {
+        let p = parse_xpath(q).expect("query parses");
+        engines[group]
+            .answer_report_policy(&doc, None, &p, Approach::Optimize, PlanPolicy::ForceWalk)
+            .expect("query answers")
+    };
     for group in ["nurse-ward6", "nurse-ward7", "researcher", "admin"] {
         println!("=== {group} ===");
         print!("{}", registry.exposed_view_dtd(group)?);
         for q in ["//patient/name", "//test", "//bill"] {
-            let p = parse_xpath(q)?;
-            let translated = registry.translate(group, &p)?;
-            let answer = registry.answer(group, &doc, &p)?;
-            let values: Vec<String> = answer.iter().map(|&n| doc.string_value(n)).collect();
-            println!("  {q}  →  {translated}");
+            let (nodes, report) = answer(group, q);
+            let values: Vec<String> = nodes.iter().map(|&n| doc.string_value(n)).collect();
+            println!("  {q}  →  {}", report.translated);
             println!("      = {values:?}");
         }
         println!();
@@ -70,20 +81,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Spot checks on the separation.
     let names = |g: &str| -> Vec<String> {
-        registry
-            .answer(g, &doc, &parse_xpath("//patient/name").unwrap())
-            .unwrap()
-            .iter()
-            .map(|&n| doc.string_value(n))
-            .collect()
+        answer(g, "//patient/name").0.iter().map(|&n| doc.string_value(n)).collect()
     };
     assert_eq!(names("nurse-ward6"), ["Ann", "Bob"]);
     assert_eq!(names("nurse-ward7"), ["Cat"]);
     assert!(names("researcher").is_empty(), "researchers never see names");
     assert_eq!(names("admin"), ["Ann", "Bob", "Cat"]);
     // Only researchers and admins see test results.
-    assert!(registry.answer("nurse-ward6", &doc, &parse_xpath("//test")?)?.is_empty());
-    assert_eq!(registry.answer("researcher", &doc, &parse_xpath("//test")?)?.len(), 2);
+    assert!(answer("nurse-ward6", "//test").0.is_empty());
+    assert_eq!(answer("researcher", "//test").0.len(), 2);
     println!("separation checks passed.");
     Ok(())
 }

@@ -39,17 +39,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    materialization, just query rewriting (Fig. 6) + DTD-aware
     //    optimization (Fig. 10).
     let engine = SecureEngine::new(&spec, &view);
+    let answer = |p: &Path| {
+        engine.answer_report_policy(&doc, None, p, Approach::Optimize, PlanPolicy::ForceWalk)
+    };
 
-    let names = engine.answer(&doc, &parse_xpath("//employee/name")?)?;
+    let (names, _) = answer(&parse_xpath("//employee/name")?)?;
     println!("names visible: {:?}", names.iter().map(|&n| doc.string_value(n)).collect::<Vec<_>>());
     assert_eq!(names.len(), 2);
 
-    let salaries = engine.answer(&doc, &parse_xpath("//salary")?)?;
+    let (salaries, _) = answer(&parse_xpath("//salary")?)?;
     println!("salaries visible: {}", salaries.len());
     assert!(salaries.is_empty(), "the view hides salaries entirely");
 
     // Even a wildcard sweep cannot reach hidden content.
-    let everything = engine.answer(&doc, &parse_xpath("//*")?)?;
+    let (everything, _) = answer(&parse_xpath("//*")?)?;
     for &node in &everything {
         let label = doc.label_opt(node).unwrap_or("#text");
         assert!(label != "salary" && label != "review");

@@ -7,7 +7,7 @@
 //! cargo run --example recursive_views
 //! ```
 
-use secure_xml_views::core::{materialize, rewrite, rewrite_with_height, SecureEngine};
+use secure_xml_views::core::rewrite_with_height;
 use secure_xml_views::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -59,7 +59,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The serving engine compiles the closure into one cached plan; the
     // same entry would serve a thread nested a thousand replies deep.
     let engine = SecureEngine::new(&spec, &view);
-    assert_eq!(engine.answer(&doc, &p)?, authors);
+    let (served, _) =
+        engine.answer_report_policy(&doc, None, &p, Approach::Optimize, PlanPolicy::ForceWalk)?;
+    assert_eq!(served, authors);
 
     // Cross-check 1: the §4.2 unfolding oracle, given a sufficient
     // height, must agree with the direct closure translation.

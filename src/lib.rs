@@ -39,13 +39,16 @@
 //! // Deny access to `b`.
 //! let spec = AccessSpec::builder(&dtd).deny("r", "b").build().unwrap();
 //!
-//! // Derive the security view and query it without materialization.
+//! // Derive the security view and query it without materialization:
+//! // rewrite + optimize the view query, then run its plan over `doc`.
 //! let view = derive_view(&spec).unwrap();
 //! let engine = SecureEngine::new(&spec, &view);
-//! let answer = engine.answer(&doc, &parse_xpath("//a").unwrap()).unwrap();
-//! assert_eq!(answer.len(), 1);
-//! let none = engine.answer(&doc, &parse_xpath("//b").unwrap()).unwrap();
-//! assert!(none.is_empty()); // `b` is invisible in the view
+//! let answer = |q| {
+//!     let p = parse_xpath(q).unwrap();
+//!     engine.answer_report_policy(&doc, None, &p, Approach::Optimize, PlanPolicy::ForceWalk).unwrap().0
+//! };
+//! assert_eq!(answer("//a").len(), 1);
+//! assert!(answer("//b").is_empty()); // `b` is invisible in the view
 //! ```
 
 pub use sxv_core as core;
@@ -60,8 +63,8 @@ pub use sxv_xpath as xpath;
 /// Convenient re-exports of the most used items.
 pub mod prelude {
     pub use sxv_core::{
-        derive_view, materialize, optimize, rewrite, AccessSpec, Annotation, NaiveBaseline,
-        PolicyRegistry, SecureEngine, SecurityView,
+        derive_view, materialize, optimize, rewrite, AccessSpec, Annotation, Approach,
+        NaiveBaseline, PlanPolicy, PolicyRegistry, SecureEngine, SecurityView,
     };
     pub use sxv_dtd::{parse_dtd, Dtd};
     pub use sxv_gen::{GenConfig, Generator};

@@ -2,13 +2,21 @@
 //! equivalence on generated documents, hidden-region probes, and the
 //! attribute behaviour of the pruned regions.
 
-use secure_xml_views::core::{derive_view, materialize, rewrite, AccessSpec, SecureEngine};
+use secure_xml_views::core::{
+    derive_view, materialize, rewrite, AccessSpec, Approach, PlanPolicy, SecureEngine,
+};
 use secure_xml_views::dtd::parse_dtd;
 use secure_xml_views::gen::{GenConfig, Generator};
-use secure_xml_views::xpath::{eval_at_root, parse as parse_xpath};
+use secure_xml_views::xml::{Document, NodeId};
+use secure_xml_views::xpath::{eval_at_root, parse as parse_xpath, Path};
 
 const AUCTION_DTD: &str = include_str!("../assets/auction.dtd");
 const BIDDER_SPEC: &str = include_str!("../assets/auction_bidder.spec");
+
+/// The engine's unindexed `ForceWalk` answer under `approach`.
+fn answer(engine: &SecureEngine<'_>, doc: &Document, p: &Path, approach: Approach) -> Vec<NodeId> {
+    engine.answer_report_policy(doc, None, p, approach, PlanPolicy::ForceWalk).unwrap().0
+}
 
 fn setup() -> (secure_xml_views::dtd::Dtd, AccessSpec) {
     let dtd = parse_dtd(AUCTION_DTD, "site").unwrap();
@@ -98,19 +106,19 @@ fn hidden_regions_and_inference_probes() {
         "//open-auction[reserve='200']",
         "//open-auction[seller/person-ref='p1']",
     ] {
-        let ans = engine.answer(&doc, &parse_xpath(probe).unwrap()).unwrap();
+        let ans = answer(&engine, &doc, &parse_xpath(probe).unwrap(), Approach::Optimize);
         assert!(ans.is_empty(), "{probe} leaked {} nodes", ans.len());
     }
     // Negated hidden qualifiers must not discriminate either: every
     // visible bid satisfies not([bidder]) — the qualifier is vacuous.
-    let all_bids = engine.answer(&doc, &parse_xpath("//bid").unwrap()).unwrap();
-    let not_bidder = engine.answer(&doc, &parse_xpath("//bid[not(bidder)]").unwrap()).unwrap();
+    let all_bids = answer(&engine, &doc, &parse_xpath("//bid").unwrap(), Approach::Optimize);
+    let not_bidder =
+        answer(&engine, &doc, &parse_xpath("//bid[not(bidder)]").unwrap(), Approach::Optimize);
     assert_eq!(all_bids, not_bidder, "negation over a hidden label must be vacuous");
 }
 
 #[test]
 fn indexed_and_unindexed_agree_on_auction_documents() {
-    use secure_xml_views::core::Approach;
     use secure_xml_views::xml::DocIndex;
     let (_, spec) = setup();
     let view = derive_view(&spec).unwrap();
@@ -129,8 +137,12 @@ fn indexed_and_unindexed_agree_on_auction_documents() {
         ] {
             let p = parse_xpath(q).unwrap();
             for approach in [Approach::Rewrite, Approach::Optimize] {
-                let (plain, plain_report) = engine.answer_report(&doc, None, &p, approach).unwrap();
-                let (indexed, _) = engine.answer_report(&doc, Some(&index), &p, approach).unwrap();
+                let (plain, plain_report) = engine
+                    .answer_report_policy(&doc, None, &p, approach, PlanPolicy::ForceWalk)
+                    .unwrap();
+                let (indexed, _) = engine
+                    .answer_report_policy(&doc, Some(&index), &p, approach, PlanPolicy::ForceWalk)
+                    .unwrap();
                 assert_eq!(plain, indexed, "seed {seed}: {q} ({approach:?})");
                 assert_eq!(plain_report.eval.index_lookups, 0, "{q}");
             }
@@ -146,16 +158,15 @@ fn indexed_and_unindexed_agree_on_auction_documents() {
 
 #[test]
 fn naive_rewrite_optimize_agree_on_auction_queries() {
-    use secure_xml_views::core::Approach;
     let (_, spec) = setup();
     let view = derive_view(&spec).unwrap();
     let doc = document(11, 5);
     let engine = SecureEngine::new(&spec, &view);
     for q in ["//bid/amount", "//final-price", "//category/cat-name", "//item-ref"] {
         let p = parse_xpath(q).unwrap();
-        let naive = engine.answer_with(&doc, &p, Approach::Naive).unwrap();
-        let rewritten = engine.answer_with(&doc, &p, Approach::Rewrite).unwrap();
-        let optimized = engine.answer_with(&doc, &p, Approach::Optimize).unwrap();
+        let naive = answer(&engine, &doc, &p, Approach::Naive);
+        let rewritten = answer(&engine, &doc, &p, Approach::Rewrite);
+        let optimized = answer(&engine, &doc, &p, Approach::Optimize);
         assert_eq!(naive, rewritten, "{q}");
         assert_eq!(rewritten, optimized, "{q}");
     }

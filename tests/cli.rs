@@ -274,6 +274,19 @@ fn query_backend_join_and_threaded_batch_agree_with_walk() {
 }
 
 #[test]
+fn explain_refuses_deeply_nested_queries() {
+    // 50 000 nested parentheses used to overflow the parser's stack.
+    let deep = format!("{}dept{}", "(".repeat(50_000), ")".repeat(50_000));
+    let mut args = vec!["explain"];
+    args.extend(DTD_ARGS);
+    args.extend(["--spec", "assets/hospital_nurse.spec", "--bind", "wardNo=6", "--query", &deep]);
+    let (stdout, stderr, code) = run_code(&args);
+    assert_eq!(code, 1, "{stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(stderr.contains("XPath query nests deeper than 128 levels"), "{stderr}");
+}
+
+#[test]
 fn explain_renders_plans_text_and_json() {
     let mut args = vec!["explain"];
     args.extend(DTD_ARGS);

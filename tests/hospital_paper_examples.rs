@@ -5,16 +5,21 @@
 //! the hospital DTD), and the §6 rewrite narratives for Q1–Q4.
 
 use secure_xml_views::core::{
-    derive_view, materialize, optimize, rewrite, AccessSpec, Annotation, NaiveBaseline,
-    SecureEngine, SecurityView, ViewContent, ViewItem,
+    derive_view, materialize, optimize, rewrite, AccessSpec, Annotation, Approach, NaiveBaseline,
+    PlanPolicy, SecureEngine, SecurityView, ViewContent, ViewItem,
 };
 use secure_xml_views::dtd::parse_dtd;
-use secure_xml_views::xml::{parse as parse_xml, Document};
-use secure_xml_views::xpath::{eval_at_root, parse as parse_xpath};
+use secure_xml_views::xml::{parse as parse_xml, Document, NodeId};
+use secure_xml_views::xpath::{eval_at_root, parse as parse_xpath, Path};
 
 const HOSPITAL_DTD: &str = include_str!("../assets/hospital.dtd");
 const NURSE_SPEC: &str = include_str!("../assets/hospital_nurse.spec");
 const ADEX_DTD: &str = include_str!("../assets/adex.dtd");
+
+/// The engine's unindexed `ForceWalk` answer under `approach`.
+fn answer(engine: &SecureEngine<'_>, doc: &Document, p: &Path, approach: Approach) -> Vec<NodeId> {
+    engine.answer_report_policy(doc, None, p, approach, PlanPolicy::ForceWalk).unwrap().0
+}
 
 fn hospital_setup() -> (AccessSpec, SecurityView) {
     let dtd = parse_dtd(HOSPITAL_DTD, "hospital").unwrap();
@@ -76,9 +81,18 @@ fn example_1_1_attack_fails_through_view() {
     let (spec, view) = hospital_setup();
     let doc = hospital_doc();
     let engine = SecureEngine::new(&spec, &view);
-    let r1 =
-        engine.answer(&doc, &parse_xpath("//dept//patientInfo/patient/name").unwrap()).unwrap();
-    let r2 = engine.answer(&doc, &parse_xpath("//dept/patientInfo/patient/name").unwrap()).unwrap();
+    let r1 = answer(
+        &engine,
+        &doc,
+        &parse_xpath("//dept//patientInfo/patient/name").unwrap(),
+        Approach::Optimize,
+    );
+    let r2 = answer(
+        &engine,
+        &doc,
+        &parse_xpath("//dept/patientInfo/patient/name").unwrap(),
+        Approach::Optimize,
+    );
     assert_eq!(r1, r2, "no query distinguishes trial from non-trial patients");
 }
 
@@ -288,7 +302,6 @@ fn section_6_naive_rules() {
 /// and repeated queries hit the engine's translation cache.
 #[test]
 fn indexed_and_unindexed_agree_on_hospital_document() {
-    use secure_xml_views::core::Approach;
     use secure_xml_views::xml::DocIndex;
     let (spec, view) = hospital_setup();
     let doc = hospital_doc();
@@ -304,8 +317,12 @@ fn indexed_and_unindexed_agree_on_hospital_document() {
     ] {
         let p = parse_xpath(q).unwrap();
         for approach in [Approach::Rewrite, Approach::Optimize] {
-            let (plain, _) = engine.answer_report(&doc, None, &p, approach).unwrap();
-            let (indexed, _) = engine.answer_report(&doc, Some(&index), &p, approach).unwrap();
+            let (plain, _) = engine
+                .answer_report_policy(&doc, None, &p, approach, PlanPolicy::ForceWalk)
+                .unwrap();
+            let (indexed, _) = engine
+                .answer_report_policy(&doc, Some(&index), &p, approach, PlanPolicy::ForceWalk)
+                .unwrap();
             assert_eq!(plain, indexed, "{q} ({approach:?})");
         }
     }

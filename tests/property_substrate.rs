@@ -304,20 +304,6 @@ proptest! {
     }
 
     #[test]
-    fn join_backend_matches_walk(spec in tree_strategy(), p in xpath_strategy()) {
-        use secure_xml_views::xml::DocIndex;
-        use secure_xml_views::xpath::{eval_at_root, eval_at_root_join};
-        let mut doc = Document::new();
-        build(&mut doc, None, &root_element(spec));
-        let idx = DocIndex::new(&doc).expect("builder order is document order");
-        prop_assert_eq!(
-            eval_at_root(&doc, &p),
-            eval_at_root_join(&doc, &idx, &p),
-            "query {}", p
-        );
-    }
-
-    #[test]
     fn compiled_plan_matches_walk(spec in tree_strategy(), p in xpath_strategy()) {
         use secure_xml_views::xml::DocIndex;
         use secure_xml_views::xpath::{compile, eval_at_root, CostModel, PlanPolicy};

@@ -7,9 +7,11 @@
 use secure_xml_views::core::{derive_view, AccessSpec, Approach, PlanPolicy, SecureEngine};
 use secure_xml_views::dtd::{parse_dtd, Dtd};
 use secure_xml_views::serve::http::Client;
+use secure_xml_views::serve::json::MAX_NESTING;
 use secure_xml_views::serve::{parse_answers, query_body, run, ServeConfig};
 use secure_xml_views::xml::{parse as parse_xml, Document};
 use secure_xml_views::xpath::parse as parse_xpath;
+use secure_xml_views::xpath::parser::MAX_DEPTH;
 use std::net::SocketAddr;
 use std::sync::mpsc;
 use std::thread::JoinHandle;
@@ -339,4 +341,98 @@ fn boot_rejects_empty_or_invalid_configs() {
     config.workers = 0;
     let err = run(config, tx).unwrap_err();
     assert!(err.contains("--workers"), "{err}");
+}
+
+/// Deep query shapes: how to build one of size `n`, the largest size the
+/// XPath parser's depth bound admits, and a size that overflowed a daemon
+/// worker's stack before the bound existed.
+type DeepQuery = (&'static str, fn(usize) -> String, usize, usize);
+
+const DEEP_QUERIES: [DeepQuery; 6] = [
+    ("nested qualifiers", |n| format!("{}a{}", "a[".repeat(n), "]".repeat(n)), 63, 1_500),
+    ("step chain", |n| vec!["dept"; n].join("/"), MAX_DEPTH, 5_000),
+    ("stacked qualifiers", |n| format!("dept{}", "[dept]".repeat(n)), MAX_DEPTH - 2, 5_000),
+    ("postfix stars", |n| format!("dept{}", "*".repeat(n)), MAX_DEPTH - 1, 20_000),
+    (
+        "union arms",
+        |n| (0..n).map(|i| format!("l{i}")).collect::<Vec<_>>().join(" | "),
+        MAX_DEPTH,
+        20_000,
+    ),
+    (
+        "nested parentheses",
+        |n| format!("{}dept{}", "(".repeat(n), ")".repeat(n)),
+        MAX_DEPTH,
+        50_000,
+    ),
+];
+
+#[test]
+fn deep_queries_and_bodies_are_refused_without_harming_other_tenants() {
+    let dtd = parse_dtd(include_str!("../assets/hospital.dtd"), "hospital").unwrap();
+    let spec = |text, bind: &[(&str, &str)]| AccessSpec::parse(&dtd, text, bind).unwrap();
+    let roles = vec![
+        ("nurse".into(), spec(include_str!("../assets/hospital_nurse.spec"), &[("wardNo", "6")])),
+        ("doctor".into(), spec(include_str!("../assets/hospital_doctor.spec"), &[])),
+    ];
+    let ward = "<hospital><dept><clinicalTrial><patientInfo/><test>t</test></clinicalTrial>\
+                <patientInfo><patient><name>Ann</name><wardNo>6</wardNo><treatment><trial>\
+                <bill>9</bill></trial></treatment></patient></patientInfo><staffInfo/></dept>\
+                </hospital>";
+    let docs = ["w1", "w2"].map(|name| (name.to_string(), parse_xml(ward).unwrap())).to_vec();
+    let mut config = ServeConfig::new(roles, docs);
+    config.stats_interval_secs = 0;
+    let (addr, handle) = boot(config);
+    let mut c = client(addr);
+    // Every deep request goes to the doctor's w1 tenant; the nurse's w2
+    // tenant must keep answering in between.
+    let other_tenant = |c: &mut Client| {
+        let (status, body) = c.post("/query", &query_body("nurse", "w2", "//name")).unwrap();
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(parse_answers(&body).unwrap(), ["<name> Ann"]);
+    };
+    other_tenant(&mut c);
+
+    for (shape, build, limit, crashed_at) in DEEP_QUERIES {
+        for approach in ["naive", "rewrite", "optimize", "annotate"] {
+            for (n, want) in [(limit, 200), (limit + 1, 400), (crashed_at, 400)] {
+                let body = format!(
+                    "{{\"role\": \"doctor\", \"doc\": \"w1\", \"query\": \"{}\", \
+                     \"approach\": \"{approach}\"}}",
+                    build(n)
+                );
+                let (status, reply) = c.post("/query", &body).unwrap();
+                assert_eq!(status, want, "{shape} × {n} ({approach}): {reply}");
+                if want == 400 {
+                    assert!(
+                        reply.contains(&format!("nests deeper than {MAX_DEPTH}")),
+                        "{shape}: {reply}"
+                    );
+                }
+                other_tenant(&mut c);
+            }
+        }
+    }
+
+    // JSON nesting: a request padded to the nesting bound still answers;
+    // one level deeper, or the 200 000 `[` that overflowed a connection
+    // thread, is not valid JSON.
+    let padded = |depth: usize| {
+        let arrays = depth - 1; // the request object is the first level
+        format!(
+            "{{\"role\": \"doctor\", \"doc\": \"w1\", \"query\": \"//test\", \"pad\": {}{}}}",
+            "[".repeat(arrays),
+            "]".repeat(arrays)
+        )
+    };
+    let (status, reply) = c.post("/query", &padded(MAX_NESTING)).unwrap();
+    assert_eq!(status, 200, "{reply}");
+    assert_eq!(parse_answers(&reply).unwrap(), ["<test> t"]);
+    for body in [padded(MAX_NESTING + 1), "[".repeat(200_000)] {
+        let (status, reply) = c.post("/query", &body).unwrap();
+        assert_eq!(status, 400, "{reply}");
+        assert!(reply.contains("body is not valid JSON"), "{reply}");
+        other_tenant(&mut c);
+    }
+    shutdown(addr, handle);
 }
