@@ -10,13 +10,14 @@
 //!   combination;
 //! * `optimize` translation cost, and end-to-end query answering with and
 //!   without optimization on the hospital workload;
-//! * structural-index evaluation (`DocIndex`) vs. the plain subtree scan.
+//! * compiled `Auto` plans over the structural index (`DocIndex`) vs. the
+//!   unindexed reference interpreter's subtree scan.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use sxv_bench::{diamond_dtd, HospitalWorkload};
 use sxv_core::{derive_view, optimize, rewrite, rewrite_paper_merge, AccessSpec};
-use sxv_xpath::{eval_at_root, parse};
+use sxv_xpath::{compile, eval_at_root, parse, CostModel, PlanPolicy};
 
 fn bench_derive(c: &mut Criterion) {
     let mut group = c.benchmark_group("derive");
@@ -106,6 +107,7 @@ fn bench_indexed_eval(c: &mut Criterion) {
     let hospital = HospitalWorkload::new();
     let doc = hospital.document(22, 13);
     let index = sxv_xml::DocIndex::new(&doc).expect("generated docs are in document order");
+    let cost = CostModel::from_index(&index);
     for (name, q) in [
         ("selective", "//medication"),
         ("mid", "//patient[wardNo='6']/name"),
@@ -113,10 +115,13 @@ fn bench_indexed_eval(c: &mut Criterion) {
     ] {
         let p = parse(q).unwrap();
         group.bench_function(format!("scan/{name}"), |b| {
-            b.iter(|| black_box(sxv_xpath::eval_at_root(&doc, &p)))
+            b.iter(|| black_box(eval_at_root(&doc, &p)))
         });
+        // Compiled once, as the engine's plan cache would: only
+        // execution is timed.
+        let plan = compile(&p, PlanPolicy::Auto, &cost);
         group.bench_function(format!("indexed/{name}"), |b| {
-            b.iter(|| black_box(sxv_xpath::eval_at_root_indexed(&doc, &index, &p)))
+            b.iter(|| black_box(plan.execute(&doc, Some(&index))))
         });
     }
     group.finish();

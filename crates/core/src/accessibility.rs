@@ -16,7 +16,7 @@
 
 use crate::spec::{AccessSpec, Annotation};
 use sxv_xml::{DocIndex, Document, NodeBitmap, NodeId};
-use sxv_xpath::eval_qualifier_indexed;
+use sxv_xpath::{compile, eval_qualifier, CostModel, Path, PlanPolicy, Qualifier};
 
 /// Per-node accessibility, indexed by [`NodeId::index`].
 #[derive(Debug, Clone)]
@@ -47,19 +47,48 @@ impl Accessibility {
 }
 
 /// Compute the accessibility of every node of `doc` w.r.t. `spec`
-/// (Prop. 3.1: uniquely defined for every node).
+/// (Prop. 3.1: uniquely defined for every node). Each conditional
+/// annotation is decided per node by the reference interpreter, so this
+/// is the oracle the §3.3 materialization builds on.
 pub fn compute(spec: &AccessSpec, doc: &Document) -> Accessibility {
-    Accessibility { flags: compute_accessibility(spec, doc, None) }
+    Accessibility { flags: propagate(spec, doc, |q, v| eval_qualifier(doc, q, v)) }
 }
 
 /// Compute the §3.2 accessibility of every node as a dense [`NodeBitmap`]
-/// in one pre-order pass: each edge annotation is evaluated once per
-/// node, inheritance and overriding propagate down the traversal stack,
-/// and qualifier probes use the structural index when one is given.
+/// — the serving pass. Each conditional annotation `ann(A, B) = [q]` is
+/// answered set-at-a-time: one compiled plan for `//B[q]`, executed over
+/// `index` when one is given, and each `B` child of an `A` reads its
+/// bit from the result. One pre-order pass then propagates inheritance
+/// and overriding down the traversal stack.
 pub fn compute_accessibility(
     spec: &AccessSpec,
     doc: &Document,
     index: Option<&DocIndex>,
+) -> NodeBitmap {
+    let mut holds = NodeBitmap::new(doc.len());
+    // Built at the first conditional edge: most specs have none.
+    let mut cost = None;
+    for (parent, child, ann) in spec.annotations() {
+        let Annotation::Cond(q) = ann else { continue };
+        let cost = cost
+            .get_or_insert_with(|| index.map_or_else(CostModel::uninformed, CostModel::from_index));
+        let p = Path::descendant(Path::filter(Path::label(child), q.clone()));
+        // A `B` under another parent answers to that parent's annotation.
+        for v in compile(&p, PlanPolicy::Auto, cost).execute(doc, index).0 {
+            if doc.parent(v).and_then(|u| doc.label_opt(u)) == Some(parent) {
+                holds.set(v);
+            }
+        }
+    }
+    propagate(spec, doc, |_, v| holds.contains(v))
+}
+
+/// The pre-order pass shared by both entry points; `holds(q, v)` decides
+/// a conditional annotation `[q]` at node `v`.
+fn propagate(
+    spec: &AccessSpec,
+    doc: &Document,
+    holds: impl Fn(&Qualifier, NodeId) -> bool,
 ) -> NodeBitmap {
     let mut flags = NodeBitmap::new(doc.len());
     let Some(root) = doc.root_opt() else {
@@ -69,7 +98,7 @@ pub fn compute_accessibility(
     let mut stack: Vec<(NodeId, bool, bool)> = vec![(root, true, true)];
     // The root itself: annotated Y by default, no ancestors.
     while let Some((v, parent_accessible, anc_ok)) = stack.pop() {
-        let (accessible, own_qual_ok) = classify(spec, doc, index, v, parent_accessible, anc_ok);
+        let (accessible, own_qual_ok) = classify(spec, doc, &holds, v, parent_accessible, anc_ok);
         if accessible {
             flags.set(v);
         }
@@ -85,7 +114,7 @@ pub fn compute_accessibility(
 fn classify(
     spec: &AccessSpec,
     doc: &Document,
-    index: Option<&DocIndex>,
+    holds: &impl Fn(&Qualifier, NodeId) -> bool,
     v: NodeId,
     parent_accessible: bool,
     anc_ok: bool,
@@ -105,7 +134,7 @@ fn classify(
         Some(Annotation::Allow) => (anc_ok, true),
         Some(Annotation::Deny) => (false, true),
         Some(Annotation::Cond(q)) => {
-            let holds = eval_qualifier_indexed(doc, index, q, v);
+            let holds = holds(q, v);
             (anc_ok && holds, holds)
         }
     }
@@ -303,13 +332,52 @@ mod tests {
 
     #[test]
     fn indexed_bitmap_matches_unindexed() {
+        // The serving pass (one compiled `//B[q]` plan per conditional
+        // edge, with and without an index) must equal the oracle, which
+        // decides every `[q]` per node with the walk evaluator.
         let d = doc();
         let idx = sxv_xml::DocIndex::new(&d).unwrap();
-        for spec in [nurse_spec("6"), nurse_spec("7")] {
-            let plain = compute_accessibility(&spec, &d, None);
-            let indexed = compute_accessibility(&spec, &d, Some(&idx));
-            assert_eq!(plain.to_ids(), indexed.to_ids());
-            assert_eq!(plain.count_ones(), compute(&spec, &d).count());
+        let dtd = hospital_dtd();
+        let cond = |rules: &[(&str, &str, &str)]| {
+            let b = rules.iter().fold(AccessSpec::builder(&dtd), |b, &(parent, child, q)| {
+                b.cond_str(parent, child, q).unwrap()
+            });
+            b.build().unwrap()
+        };
+        let specs = [
+            ("nurse 6", nurse_spec("6")),
+            ("nurse 7", nurse_spec("7")),
+            ("descendant", cond(&[("hospital", "dept", "//wardNo='6'")])),
+            (
+                "string value",
+                cond(&[("patient", "wardNo", ".='6'"), ("patientInfo", "patient", "name='Bob'")]),
+            ),
+            // `bill` also sits under `regular`: each edge's `//bill[q]`
+            // may only decide the bills of its own parent type (the
+            // `30` bill satisfies the trial qualifier, not its own).
+            (
+                "shared child label",
+                cond(&[("trial", "bill", ".='100' or .='30'"), ("regular", "bill", ".='70'")]),
+            ),
+        ];
+        for (name, spec) in &specs {
+            // Every spec reaches the conditional path with both outcomes.
+            let outcomes: std::collections::BTreeSet<bool> = d
+                .all_ids()
+                .filter_map(|v| {
+                    let parent = d.label_opt(d.parent(v)?)?;
+                    match spec.annotation(parent, d.label_opt(v)?)? {
+                        Annotation::Cond(q) => Some(eval_qualifier(&d, q, v)),
+                        _ => None,
+                    }
+                })
+                .collect();
+            assert_eq!(outcomes.len(), 2, "{name}");
+            let oracle: Vec<NodeId> = compute(spec, &d).accessible_ids().collect();
+            for index in [None, Some(&idx)] {
+                let serving = compute_accessibility(spec, &d, index);
+                assert_eq!(serving.to_ids(), oracle, "{name}, index: {}", index.is_some());
+            }
         }
     }
 

@@ -8,7 +8,10 @@
 //!   edges with `Y` / `N` / `[q]` ([`Annotation`]), with inheritance,
 //!   overriding, content-based XPath qualifiers and `$parameters`.
 //! * **Node accessibility** (§3.2, Prop. 3.1): [`accessibility::compute`]
-//!   labels every document node accessible/inaccessible.
+//!   labels every document node accessible/inaccessible (the oracle,
+//!   qualifiers decided per node); [`compute_accessibility`] is the
+//!   serving pass, answering each conditional annotation with one
+//!   compiled plan.
 //! * **Security views** (§3.3): [`SecurityView`] = view DTD + hidden XPath
 //!   annotations `σ`; [`materialize`] implements the §3.3 semantics (used
 //!   for testing only — the query path never materializes).

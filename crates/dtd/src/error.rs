@@ -33,6 +33,12 @@ pub enum Error {
     /// Content model uses a feature outside the supported subset
     /// (mixed content, `ANY`).
     Unsupported(String),
+    /// A content model nests groups deeper than
+    /// [`MAX_DEPTH`](crate::parser::MAX_DEPTH).
+    TooDeep {
+        /// Byte offset into the input where the limit was crossed.
+        offset: usize,
+    },
 }
 
 impl fmt::Display for Error {
@@ -52,6 +58,11 @@ impl fmt::Display for Error {
                 write!(f, "document does not conform to DTD at {node}: {message}")
             }
             Error::Unsupported(what) => write!(f, "unsupported DTD feature: {what}"),
+            Error::TooDeep { offset } => write!(
+                f,
+                "DTD content model nests deeper than {} groups (at byte {offset})",
+                crate::parser::MAX_DEPTH
+            ),
         }
     }
 }
@@ -71,5 +82,9 @@ mod tests {
         assert!(Error::MissingRoot("r".into()).to_string().contains("\"r\""));
         assert!(Error::DuplicateDeclaration("a".into()).to_string().contains("more than once"));
         assert!(Error::Unsupported("ANY".into()).to_string().contains("ANY"));
+        assert_eq!(
+            Error::TooDeep { offset: 7 }.to_string(),
+            "DTD content model nests deeper than 128 groups (at byte 7)"
+        );
     }
 }

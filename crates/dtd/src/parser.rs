@@ -12,7 +12,8 @@
 //! types; `<!ENTITY>`/`<!NOTATION>` declarations and comments are
 //! skipped. Mixed content other than pure `(#PCDATA)` and the `ANY`
 //! keyword are rejected ([`crate::Error::Unsupported`]) — the paper's
-//! model has no mixed content.
+//! model has no mixed content. Groups nested deeper than [`MAX_DEPTH`]
+//! are refused with [`crate::Error::TooDeep`].
 
 use crate::attributes::AttDef;
 use crate::content::Content;
@@ -20,9 +21,14 @@ use crate::error::{Error, Result};
 use crate::model::GeneralDtd;
 use crate::normal::Dtd;
 
+/// Deepest nesting of parenthesized groups a content model may use. The
+/// parser recurses once per group, so deeper input is refused instead of
+/// overflowing the stack; hand-written DTDs nest a few levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse DTD text into a [`GeneralDtd`] with the given root type.
 pub fn parse_general_dtd(input: &str, root: &str) -> Result<GeneralDtd> {
-    let mut p = Parser { input: input.as_bytes(), pos: 0 };
+    let mut p = Parser { input: input.as_bytes(), pos: 0, depth: 0 };
     let mut declarations = Vec::new();
     let mut attlists: Vec<(String, Vec<AttDef>)> = Vec::new();
     loop {
@@ -57,7 +63,7 @@ pub fn parse_dtd(input: &str, root: &str) -> Result<Dtd> {
 
 /// Parse a standalone content-model expression, e.g. `(a, (b | c)*)`.
 pub fn parse_content_model(input: &str) -> Result<Content> {
-    let mut p = Parser { input: input.as_bytes(), pos: 0 };
+    let mut p = Parser { input: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let c = p.parse_content_spec()?;
     p.skip_ws();
@@ -70,6 +76,8 @@ pub fn parse_content_model(input: &str) -> Result<Content> {
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
+    /// Groups currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -264,8 +272,19 @@ impl<'a> Parser<'a> {
         self.parse_group()
     }
 
-    /// Parse a parenthesized group with an optional postfix operator.
+    /// Parse a parenthesized group with an optional postfix operator,
+    /// refusing nesting past [`MAX_DEPTH`].
     fn parse_group(&mut self) -> Result<Content> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::TooDeep { offset: self.pos });
+        }
+        self.depth += 1;
+        let group = self.parse_group_body();
+        self.depth -= 1;
+        group
+    }
+
+    fn parse_group_body(&mut self) -> Result<Content> {
         self.expect("(")?;
         self.skip_ws();
         if self.starts_with("#PCDATA") {
@@ -392,6 +411,25 @@ mod tests {
     fn pcdata_star_accepted() {
         let c = parse_content_model("(#PCDATA)*").unwrap();
         assert_eq!(c, Content::PcData);
+    }
+
+    #[test]
+    fn group_nesting_is_bounded() {
+        let nested = |n: usize| format!("{}b{}", "(".repeat(n), ")".repeat(n));
+        assert_eq!(parse_content_model(&nested(MAX_DEPTH)).unwrap(), Content::Name("b".into()));
+        let dtd = format!("<!ELEMENT a {}><!ELEMENT b EMPTY>", nested(MAX_DEPTH));
+        assert!(parse_dtd(&dtd, "a").is_ok());
+        // One past the bound, and far past it (100 000 levels used to
+        // overflow the stack), are refused where the limit is crossed.
+        for n in [MAX_DEPTH + 1, 100_000] {
+            let dtd = format!("<!ELEMENT a {}><!ELEMENT b EMPTY>", nested(n));
+            let offset = "<!ELEMENT a ".len() + MAX_DEPTH;
+            assert_eq!(parse_general_dtd(&dtd, "a").unwrap_err(), Error::TooDeep { offset });
+            assert_eq!(
+                parse_content_model(&nested(n)).unwrap_err(),
+                Error::TooDeep { offset: MAX_DEPTH }
+            );
+        }
     }
 
     #[test]

@@ -462,23 +462,6 @@ impl Interp<'_> {
                 }
                 out
             }
-            PlanOp::LabelFilter(test) => match test {
-                AxisTest::Label(l) => AbsState {
-                    doc: false,
-                    text: false,
-                    types: state.types.iter().filter(|t| *t == l).cloned().collect(),
-                    dummies: state.dummies.iter().filter(|t| *t == l).cloned().collect(),
-                },
-                AxisTest::AnyElement => {
-                    AbsState { doc: false, text: false, types: state.types, dummies: state.dummies }
-                }
-                AxisTest::Text => AbsState {
-                    doc: false,
-                    text: state.text,
-                    types: BTreeSet::new(),
-                    dummies: BTreeSet::new(),
-                },
-            },
             PlanOp::BitmapFilter(f) => {
                 let types: BTreeSet<String> =
                     state.types.intersection(&self.ctx.accessible).cloned().collect();
@@ -924,13 +907,13 @@ mod tests {
     }
 
     #[test]
-    fn hand_built_label_filter_over_hidden_type_is_rejected() {
-        // The ISSUE's canonical leaky plan: expand everything, then
-        // keep only the inaccessible label.
+    fn hand_built_expand_then_child_walk_over_hidden_type_is_rejected() {
+        // A hand-built leaky plan no lowering emits: expand every
+        // descendant, then step to their hidden `clinicalTrial` children.
         let ops = vec![
             node(PlanOp::RootSeed),
             node(PlanOp::DescendantExpand { or_self: false }),
-            node(PlanOp::LabelFilter(AxisTest::Label("clinicalTrial".into()))),
+            node(PlanOp::ChildWalk(AxisTest::Label("clinicalTrial".into()))),
         ];
         let cert = certify_ops(&ops, &ctx());
         assert!(!cert.certified());

@@ -11,46 +11,56 @@
 //! polynomial (the same complexity class as the Gottlob–Koch–Pichler
 //! evaluator the paper benchmarks with, which is what keeps the relative
 //! timings of §6 meaningful).
+//!
+//! This is the unindexed reference interpreter the differential oracles
+//! and property tests compare against. Indexed evaluation is the plan
+//! executor's job ([`crate::plan::CompiledQuery::execute`]).
 
 use crate::ast::{Path, Qualifier};
-use std::collections::BTreeSet;
-use sxv_xml::{DocIndex, Document, NodeId};
+use sxv_xml::{Document, NodeId};
 
-/// A context/result set: document-order-sorted node ids, plus a flag for
-/// the virtual *document node* (the parent of the root element, used for
-/// absolute paths).
+/// A context/result set: strictly increasing (document-order) node ids,
+/// plus a flag for the virtual *document node* (the parent of the root
+/// element, used for absolute paths).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct NodeSet {
-    /// The virtual document node is in the set.
-    pub doc: bool,
-    /// Element/text nodes in the set.
-    pub nodes: BTreeSet<NodeId>,
+struct NodeSet {
+    doc: bool,
+    nodes: Vec<NodeId>,
 }
 
 impl NodeSet {
-    /// The empty set.
-    pub fn empty() -> Self {
+    fn empty() -> Self {
         NodeSet::default()
     }
 
-    /// A singleton set of one tree node.
-    pub fn single(id: NodeId) -> Self {
-        NodeSet { doc: false, nodes: BTreeSet::from([id]) }
+    fn single(id: NodeId) -> Self {
+        NodeSet { doc: false, nodes: vec![id] }
     }
 
-    /// The singleton set of the virtual document node.
-    pub fn document() -> Self {
-        NodeSet { doc: true, nodes: BTreeSet::new() }
+    fn document() -> Self {
+        NodeSet { doc: true, nodes: Vec::new() }
     }
 
-    /// True iff nothing (not even the document node) is in the set.
-    pub fn is_empty(&self) -> bool {
+    /// The set of `nodes`, given in any order and possibly repeated.
+    fn collect(doc: bool, mut nodes: Vec<NodeId>) -> Self {
+        // Stable sort: linear on sorted input and merges presorted runs.
+        nodes.sort();
+        nodes.dedup();
+        NodeSet { doc, nodes }
+    }
+
+    fn is_empty(&self) -> bool {
         !self.doc && self.nodes.is_empty()
     }
 
+    fn contains(&self, id: NodeId) -> bool {
+        self.nodes.binary_search(&id).is_ok()
+    }
+
     fn union_with(&mut self, other: NodeSet) {
-        self.doc |= other.doc;
-        self.nodes.extend(other.nodes);
+        let mut nodes = std::mem::take(&mut self.nodes);
+        nodes.extend(other.nodes);
+        *self = NodeSet::collect(self.doc | other.doc, nodes);
     }
 }
 
@@ -62,8 +72,9 @@ pub struct EvalStats {
     pub nodes_touched: u64,
     /// Qualifier evaluations performed.
     pub qualifier_checks: u64,
-    /// Structural-index probes (interval lookups and memoized
-    /// string-value reads) that replaced subtree scans.
+    /// Memoized string-value reads from the structural index that
+    /// replaced subtree concatenations in `[p = c]` probes (compiled
+    /// plans executed with an index only).
     pub index_lookups: u64,
     /// Candidates examined during sorted-list merges (compiled plans
     /// only: child-step merges, staircase pruning, union merges).
@@ -101,52 +112,16 @@ impl EvalStats {
 /// Evaluate `p` with an explicit context node list. Returns the result in
 /// document order (the virtual document node, if reached, is dropped).
 pub fn eval(doc: &Document, p: &Path, context: &[NodeId]) -> Vec<NodeId> {
-    let ctx = NodeSet { doc: false, nodes: context.iter().copied().collect() };
+    let ctx = NodeSet::collect(false, context.to_vec());
     let mut stats = EvalStats::default();
-    eval_impl(doc, None, p, &ctx, &mut stats).nodes.into_iter().collect()
-}
-
-/// Evaluate at the root element using a structural index: `//label`,
-/// `//text()` and `//*` steps become interval lookups instead of full
-/// subtree scans (the structural-join technique of XML query engines).
-pub fn eval_at_root_indexed(doc: &Document, index: &DocIndex, p: &Path) -> Vec<NodeId> {
-    let mut stats = EvalStats::default();
-    match doc.root_opt() {
-        Some(root) => {
-            let ctx = NodeSet::single(root);
-            eval_impl(doc, Some(index), p, &ctx, &mut stats).nodes.into_iter().collect()
-        }
-        None => Vec::new(),
-    }
+    eval_impl(doc, p, &ctx, &mut stats).nodes
 }
 
 /// Evaluate at the root element, also returning work counters.
 pub fn eval_at_root_with_stats(doc: &Document, p: &Path) -> (Vec<NodeId>, EvalStats) {
-    eval_at_root_counting(doc, None, p)
-}
-
-/// Indexed evaluation at the root element with work counters — the
-/// serving-path entry point: axis steps *and* qualifier probes use the
-/// structural index.
-pub fn eval_at_root_indexed_with_stats(
-    doc: &Document,
-    index: &DocIndex,
-    p: &Path,
-) -> (Vec<NodeId>, EvalStats) {
-    eval_at_root_counting(doc, Some(index), p)
-}
-
-fn eval_at_root_counting(
-    doc: &Document,
-    index: Option<&DocIndex>,
-    p: &Path,
-) -> (Vec<NodeId>, EvalStats) {
     let mut stats = EvalStats::default();
     let result = match doc.root_opt() {
-        Some(root) => {
-            let ctx = NodeSet::single(root);
-            eval_impl(doc, index, p, &ctx, &mut stats).nodes.into_iter().collect()
-        }
+        Some(root) => eval_impl(doc, p, &NodeSet::single(root), &mut stats).nodes,
         None => Vec::new(),
     };
     (result, stats)
@@ -166,61 +141,17 @@ pub fn eval_at_root(doc: &Document, p: &Path) -> Vec<NodeId> {
 /// queries alike.
 pub fn eval_at_document(doc: &Document, p: &Path) -> Vec<NodeId> {
     let mut stats = EvalStats::default();
-    eval_set_counting(doc, p, &NodeSet::document(), &mut stats).nodes.into_iter().collect()
+    eval_impl(doc, p, &NodeSet::document(), &mut stats).nodes
 }
 
 /// Evaluate a qualifier at a single context node.
 pub fn eval_qualifier(doc: &Document, q: &Qualifier, v: NodeId) -> bool {
-    eval_qualifier_indexed(doc, None, q, v)
-}
-
-/// Evaluate a qualifier at a single context node, using the structural
-/// index (when given) for its path probes and `[p = c]` string values.
-pub fn eval_qualifier_indexed(
-    doc: &Document,
-    index: Option<&DocIndex>,
-    q: &Qualifier,
-    v: NodeId,
-) -> bool {
     let mut stats = EvalStats::default();
-    qual_holds(doc, index, q, &NodeSet::single(v), &mut stats)
+    qual_holds(doc, q, &NodeSet::single(v), &mut stats)
 }
 
 /// Core evaluator: context set → result set.
-pub fn eval_set(doc: &Document, p: &Path, ctx: &NodeSet) -> NodeSet {
-    let mut stats = EvalStats::default();
-    eval_impl(doc, None, p, ctx, &mut stats)
-}
-
-/// Core evaluator with work counters.
-pub fn eval_set_counting(
-    doc: &Document,
-    p: &Path,
-    ctx: &NodeSet,
-    stats: &mut EvalStats,
-) -> NodeSet {
-    eval_impl(doc, None, p, ctx, stats)
-}
-
-/// Core evaluator with work counters and an optional structural index.
-pub fn eval_set_counting_indexed(
-    doc: &Document,
-    index: Option<&DocIndex>,
-    p: &Path,
-    ctx: &NodeSet,
-    stats: &mut EvalStats,
-) -> NodeSet {
-    eval_impl(doc, index, p, ctx, stats)
-}
-
-/// Shared evaluator body; `index` enables the structural fast path.
-fn eval_impl(
-    doc: &Document,
-    index: Option<&DocIndex>,
-    p: &Path,
-    ctx: &NodeSet,
-    stats: &mut EvalStats,
-) -> NodeSet {
+fn eval_impl(doc: &Document, p: &Path, ctx: &NodeSet, stats: &mut EvalStats) -> NodeSet {
     if ctx.is_empty() {
         return NodeSet::empty();
     }
@@ -231,43 +162,31 @@ fn eval_impl(
         Path::Label(l) => child_step(doc, ctx, Some(l), stats),
         Path::Wildcard => child_step(doc, ctx, None, stats),
         Path::Text => {
-            let mut out = NodeSet::empty();
             stats.nodes_touched += ctx.nodes.len() as u64;
-            for &v in &ctx.nodes {
-                for &c in doc.children(v) {
-                    if doc.is_text(c) {
-                        out.nodes.insert(c);
-                    }
-                }
-            }
-            out
+            let texts = ctx.nodes.iter().flat_map(|&v| doc.children(v)).copied();
+            NodeSet::collect(false, texts.filter(|&c| doc.is_text(c)).collect())
         }
         Path::Step(p1, p2) => {
-            let mid = eval_impl(doc, index, p1, ctx, stats);
-            eval_impl(doc, index, p2, &mid, stats)
+            let mid = eval_impl(doc, p1, ctx, stats);
+            eval_impl(doc, p2, &mid, stats)
         }
         Path::Descendant(p1) => {
-            if let Some(idx) = index {
-                if let Some(out) = indexed_descendant(doc, idx, p1, ctx, stats) {
-                    return out;
-                }
-            }
-            let mut expanded = NodeSet::empty();
-            expanded.doc = ctx.doc;
+            let mut nodes = Vec::new();
             if ctx.doc {
                 if let Some(root) = doc.root_opt() {
-                    expanded.nodes.extend(doc.descendants_or_self(root));
+                    nodes.extend(doc.descendants_or_self(root));
                 }
             }
             for &v in &ctx.nodes {
-                expanded.nodes.extend(doc.descendants_or_self(v));
+                nodes.extend(doc.descendants_or_self(v));
             }
+            let expanded = NodeSet::collect(ctx.doc, nodes);
             stats.nodes_touched += expanded.nodes.len() as u64;
-            eval_impl(doc, index, p1, &expanded, stats)
+            eval_impl(doc, p1, &expanded, stats)
         }
         Path::Union(p1, p2) => {
-            let mut out = eval_impl(doc, index, p1, ctx, stats);
-            out.union_with(eval_impl(doc, index, p2, ctx, stats));
+            let mut out = eval_impl(doc, p1, ctx, stats);
+            out.union_with(eval_impl(doc, p2, ctx, stats));
             out
         }
         Path::Closure(p1) => {
@@ -277,14 +196,11 @@ fn eval_impl(
             let mut acc = ctx.clone();
             let mut frontier = ctx.clone();
             loop {
-                let step = eval_impl(doc, index, p1, &frontier, stats);
-                let mut new = NodeSet::empty();
-                new.doc = step.doc && !acc.doc;
-                for &n in &step.nodes {
-                    if !acc.nodes.contains(&n) {
-                        new.nodes.insert(n);
-                    }
-                }
+                let step = eval_impl(doc, p1, &frontier, stats);
+                let new = NodeSet {
+                    doc: step.doc && !acc.doc,
+                    nodes: step.nodes.into_iter().filter(|&n| !acc.contains(n)).collect(),
+                };
                 if new.is_empty() {
                     break;
                 }
@@ -294,15 +210,13 @@ fn eval_impl(
             acc
         }
         Path::Filter(p1, q) => {
-            let base = eval_impl(doc, index, p1, ctx, stats);
+            let base = eval_impl(doc, p1, ctx, stats);
             let nodes = base
                 .nodes
                 .into_iter()
-                .filter(|&v| {
-                    stats.counted_check(|s| qual_holds(doc, index, q, &NodeSet::single(v), s))
-                })
+                .filter(|&v| stats.counted_check(|s| qual_holds(doc, q, &NodeSet::single(v), s)))
                 .collect();
-            let doc_kept = base.doc && qual_holds(doc, index, q, &NodeSet::document(), stats);
+            let doc_kept = base.doc && qual_holds(doc, q, &NodeSet::document(), stats);
             NodeSet { doc: doc_kept, nodes }
         }
     }
@@ -315,7 +229,6 @@ fn child_step(
     label: Option<&str>,
     stats: &mut EvalStats,
 ) -> NodeSet {
-    let mut out = NodeSet::empty();
     stats.nodes_touched += ctx.nodes.len() as u64;
     // Resolve the label to its interned id once; per-child tests below
     // are then integer compares. A label absent from the document's
@@ -324,161 +237,34 @@ fn child_step(
         None => None,
         Some(l) => match doc.label_id(l) {
             Some(id) => Some(id),
-            None => return out,
+            None => return NodeSet::empty(),
         },
     };
-    if ctx.doc {
-        if let Some(root) = doc.root_opt() {
-            if want.is_none_or(|l| doc.label_id_of(root) == Some(l)) {
-                out.nodes.insert(root);
-            }
-        }
-    }
-    for &v in &ctx.nodes {
-        for &c in doc.children(v) {
-            match (want, doc.label_id_of(c)) {
-                (None, Some(_)) => {
-                    out.nodes.insert(c);
-                }
-                (Some(l), Some(cl)) if l == cl => {
-                    out.nodes.insert(c);
-                }
-                _ => {}
-            }
-        }
-    }
-    out
+    let matches = |c: NodeId| doc.label_id_of(c).is_some_and(|cl| want.is_none_or(|l| l == cl));
+    let root = doc.root_opt().filter(|_| ctx.doc);
+    let kids = ctx.nodes.iter().flat_map(|&v| doc.children(v)).copied();
+    NodeSet::collect(false, root.into_iter().chain(kids).filter(|&c| matches(c)).collect())
 }
 
-/// Structural fast path for `//p1`: handles the shapes where the first
-/// step can be answered by interval lookup (`//l…`, `//*…`, `//text()`,
-/// filters and unions thereof). Returns `None` to fall back to the scan.
-fn indexed_descendant(
-    doc: &Document,
-    idx: &DocIndex,
-    p1: &Path,
-    ctx: &NodeSet,
-    stats: &mut EvalStats,
-) -> Option<NodeSet> {
-    // Resolve the effective context roots (the document node expands to
-    // the root element's subtree plus the root itself as a `//` child).
-    let mut roots: Vec<NodeId> = ctx.nodes.iter().copied().collect();
-    if ctx.doc {
-        // descendant-or-self of the doc node = every tree node; a child
-        // step from those = everything including the root element. The
-        // interval of the root element covers all but the root itself, so
-        // handle the root separately below via `include_self_of_doc`.
-        roots.clear();
-        roots.push(doc.root_opt()?);
-    }
-    let include_root_match = ctx.doc;
-    match p1 {
-        Path::Label(l) => {
-            let mut out = NodeSet::empty();
-            for &v in &roots {
-                let hits = idx.labelled_descendants(l, v);
-                stats.index_lookups += 1;
-                stats.nodes_touched += hits.len() as u64;
-                out.nodes.extend(hits.iter().copied());
-                if include_root_match && doc.label_opt(v) == Some(l) {
-                    out.nodes.insert(v);
-                }
-            }
-            Some(out)
-        }
-        Path::Wildcard => {
-            let mut out = NodeSet::empty();
-            for &v in &roots {
-                let end = idx.subtree_end(v);
-                stats.index_lookups += 1;
-                for i in v.index() + 1..=end.index() {
-                    let id = NodeId::from_index(i);
-                    if doc.is_element(id) {
-                        out.nodes.insert(id);
-                    }
-                }
-                stats.nodes_touched += (end.index() - v.index()) as u64;
-                if include_root_match {
-                    out.nodes.insert(v);
-                }
-            }
-            Some(out)
-        }
-        Path::Text => {
-            let mut out = NodeSet::empty();
-            for &v in &roots {
-                let hits = idx.text_descendants(v);
-                stats.index_lookups += 1;
-                stats.nodes_touched += hits.len() as u64;
-                out.nodes.extend(hits.iter().copied());
-            }
-            Some(out)
-        }
-        Path::Step(a, b) => {
-            let first = indexed_descendant(doc, idx, a, ctx, stats)?;
-            Some(eval_impl(doc, Some(idx), b, &first, stats))
-        }
-        Path::Union(a, b) => {
-            let mut out = indexed_descendant(doc, idx, a, ctx, stats)?;
-            out.union_with(indexed_descendant(doc, idx, b, ctx, stats)?);
-            Some(out)
-        }
-        Path::Filter(base, q) => {
-            let base_set = indexed_descendant(doc, idx, base, ctx, stats)?;
-            let nodes = base_set
-                .nodes
-                .into_iter()
-                .filter(|&v| {
-                    stats.counted_check(|s| qual_holds(doc, Some(idx), q, &NodeSet::single(v), s))
-                })
-                .collect();
-            Some(NodeSet { doc: false, nodes })
-        }
-        // ε / nested // / ∅ / Doc: fall back to the generic scan.
-        _ => None,
-    }
-}
-
-fn qual_holds(
-    doc: &Document,
-    index: Option<&DocIndex>,
-    q: &Qualifier,
-    ctx: &NodeSet,
-    stats: &mut EvalStats,
-) -> bool {
+fn qual_holds(doc: &Document, q: &Qualifier, ctx: &NodeSet, stats: &mut EvalStats) -> bool {
     match q {
         Qualifier::True => true,
         Qualifier::False => false,
-        Qualifier::Path(p) => !eval_impl(doc, index, p, ctx, stats).is_empty(),
+        Qualifier::Path(p) => !eval_impl(doc, p, ctx, stats).is_empty(),
         Qualifier::Eq(p, c) => {
-            let result = eval_impl(doc, index, p, ctx, stats);
-            match index {
-                // Memoized string values: one O(log n) slice of the
-                // index's text buffer per candidate instead of an
-                // O(|subtree|) walk-and-concatenate.
-                Some(idx) => result.nodes.iter().any(|&n| {
-                    stats.index_lookups += 1;
-                    idx.string_value(n) == *c
-                }),
-                None => result.nodes.iter().any(|&n| doc.string_value(n) == *c),
-            }
+            eval_impl(doc, p, ctx, stats).nodes.iter().any(|&n| doc.string_value(n) == *c)
         }
         Qualifier::Attr(name) => {
-            ctx.nodes.iter().next().map(|&v| doc.attribute(v, name).is_some()).unwrap_or(false)
+            ctx.nodes.first().map(|&v| doc.attribute(v, name).is_some()).unwrap_or(false)
         }
         Qualifier::AttrEq(name, value) => ctx
             .nodes
-            .iter()
-            .next()
+            .first()
             .map(|&v| doc.attribute(v, name) == Some(value.as_str()))
             .unwrap_or(false),
-        Qualifier::And(a, b) => {
-            qual_holds(doc, index, a, ctx, stats) && qual_holds(doc, index, b, ctx, stats)
-        }
-        Qualifier::Or(a, b) => {
-            qual_holds(doc, index, a, ctx, stats) || qual_holds(doc, index, b, ctx, stats)
-        }
-        Qualifier::Not(inner) => !qual_holds(doc, index, inner, ctx, stats),
+        Qualifier::And(a, b) => qual_holds(doc, a, ctx, stats) && qual_holds(doc, b, ctx, stats),
+        Qualifier::Or(a, b) => qual_holds(doc, a, ctx, stats) || qual_holds(doc, b, ctx, stats),
+        Qualifier::Not(inner) => !qual_holds(doc, inner, ctx, stats),
     }
 }
 
@@ -714,46 +500,6 @@ mod tests {
         // Eq on the text itself.
         let x = eval_at_root(&d, &parse("//text()[.='y']").unwrap());
         assert_eq!(x.len(), 1);
-    }
-
-    #[test]
-    fn indexed_evaluation_matches_scan() {
-        let d = hospital();
-        let idx = DocIndex::new(&d).unwrap();
-        for q in [
-            "//patient",
-            "//patient/name",
-            "//dept//patientInfo/patient/name",
-            "//patient[wardNo='6']",
-            "//name | //wardNo",
-            "//text()",
-            "//*",
-            "dept//patient",
-            "//patientInfo//name",
-            "//.",
-            "//dept/*",
-        ] {
-            let p = parse(q).unwrap();
-            assert_eq!(eval_at_root(&d, &p), eval_at_root_indexed(&d, &idx, &p), "{q}");
-        }
-    }
-
-    #[test]
-    fn indexed_evaluation_touches_fewer_nodes() {
-        let d = hospital();
-        let idx = DocIndex::new(&d).unwrap();
-        let p = parse("//wardNo").unwrap();
-        let (r1, scan) = eval_at_root_with_stats(&d, &p);
-        let mut stats = EvalStats::default();
-        let ctx = NodeSet::single(d.root().unwrap());
-        let r2 = eval_impl(&d, Some(&idx), &p, &ctx, &mut stats);
-        assert_eq!(r1, r2.nodes.into_iter().collect::<Vec<_>>());
-        assert!(
-            stats.nodes_touched < scan.nodes_touched,
-            "indexed {} vs scan {}",
-            stats.nodes_touched,
-            scan.nodes_touched
-        );
     }
 
     #[test]

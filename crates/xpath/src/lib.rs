@@ -11,9 +11,16 @@
 //! plus the special query `∅` returning the empty set. This crate provides
 //! the AST ([`Path`], [`Qualifier`]) with simplifying smart constructors
 //! (`∅ ∪ p ≡ p`, `p/∅ ≡ ∅`, …), a parser for a concrete text syntax
-//! ([`parse()`](parser::parse)), a pretty-printer (`Display`), and a
-//! set-at-a-time evaluator ([`eval()`](eval::eval), [`eval_at_root`],
-//! [`eval_at_document`]).
+//! ([`parse()`](parser::parse)), a pretty-printer (`Display`), and two
+//! evaluators:
+//!
+//! * the unindexed set-at-a-time reference interpreter
+//!   ([`eval()`](eval::eval), [`eval_at_root`], [`eval_at_document`],
+//!   [`eval_qualifier`]) that the differential oracles and property tests
+//!   compare against;
+//! * compiled plans ([`compile`], [`compile_annotate`],
+//!   [`CompiledQuery::execute`]), the one executor that serving and
+//!   every indexed evaluation run.
 //!
 //! Two small extensions beyond the paper's grammar, both needed by the
 //! paper itself:
@@ -42,9 +49,7 @@ pub use certify::{
 };
 pub use error::{Error, Result};
 pub use eval::{
-    eval, eval_at_document, eval_at_root, eval_at_root_indexed, eval_at_root_indexed_with_stats,
-    eval_at_root_with_stats, eval_qualifier, eval_qualifier_indexed, eval_set_counting,
-    eval_set_counting_indexed, EvalStats,
+    eval, eval_at_document, eval_at_root, eval_at_root_with_stats, eval_qualifier, EvalStats,
 };
 pub use parser::parse;
 pub use plan::{

@@ -384,7 +384,6 @@ impl Pass<'_> {
                 }
                 out
             }
-            PlanOp::LabelFilter(axis) => labels(self.pick(ts.labels.clone(), axis)),
             PlanOp::UnionMerge(arms) => {
                 let mut out = Types { doc: false, labels: Bits::new(self.width) };
                 for arm in arms {

@@ -21,8 +21,6 @@
 //!   indexed serving still answers index-less calls correctly;
 //! * `descendant-expand` — materialize descendants(-or-self) for the
 //!   generic `//p` fall-back shapes;
-//! * `label-filter` — keep context nodes matching an axis test (the
-//!   walk-policy lowering of `//axis` when no index will exist);
 //! * `union-merge` — run arm sub-pipelines off one context, merge-union;
 //! * `qualifier-probe` — filter by a compiled [`QualPlan`], with interval
 //!   emptiness probes for existence tests;
@@ -224,8 +222,6 @@ pub enum PlanOp {
         /// Include each context node itself (descendant-or-self).
         or_self: bool,
     },
-    /// Keep context nodes matching the axis test (drops the doc node).
-    LabelFilter(AxisTest),
     /// Run each arm's sub-pipeline off the same context and merge-union.
     UnionMerge(Vec<Vec<PlanNode>>),
     /// `(p)*` — reflexive-transitive closure of the body pipeline,
@@ -300,7 +296,6 @@ impl PlanOp {
             PlanOp::DescendantSlice(_) => "descendant-slice",
             PlanOp::Fused(_) => "fused-scan",
             PlanOp::DescendantExpand { .. } => "descendant-expand",
-            PlanOp::LabelFilter(_) => "label-filter",
             PlanOp::UnionMerge(_) => "union-merge",
             PlanOp::ClosureExpand { .. } => "closure-expand",
             PlanOp::QualifierProbe(_) => "qualifier-probe",
@@ -1422,12 +1417,6 @@ fn run_op(ex: Exec, op: &PlanOp, ctx: &ExecSet, stats: &mut EvalStats) -> ExecSe
             }
         }
         PlanOp::DescendantExpand { or_self } => descendant_expand(doc, idx, ctx, *or_self, stats),
-        PlanOp::LabelFilter(axis) => {
-            stats.nodes_touched += ctx.ids().len() as u64;
-            ExecSet::from_sorted(
-                ctx.ids().iter().copied().filter(|&v| axis.matches(doc, v)).collect(),
-            )
-        }
         PlanOp::UnionMerge(arms) => {
             let mut out = ExecSet::empty();
             for arm in arms {
@@ -2204,7 +2193,6 @@ fn exists_ops(ex: Exec, ops: &[PlanNode], ctx: &ExecSet, stats: &mut EvalStats) 
                 !schema_chain(ex, s, &mid, stats).is_empty()
             }
         }
-        PlanOp::LabelFilter(axis) => mid.ids().iter().any(|&v| axis.matches(doc, v)),
         PlanOp::DescendantExpand { or_self } => {
             if *or_self {
                 true // mid is non-empty and expansion keeps each node
@@ -2273,8 +2261,6 @@ pub struct PlanSummary {
     pub descendant_slice: u32,
     /// `descendant-expand` operators.
     pub descendant_expand: u32,
-    /// `label-filter` operators.
-    pub label_filter: u32,
     /// `fused-scan` operators (slice → bitmap → qualifier fusions).
     pub fused_scan: u32,
     /// `schema-slice` operators (schema-covered runs; their retained
@@ -2305,7 +2291,6 @@ impl PlanSummary {
             + self.child_merge_join
             + self.descendant_slice
             + self.descendant_expand
-            + self.label_filter
             + self.fused_scan
             + self.schema_slice
             + self.union_merge
@@ -2325,7 +2310,6 @@ impl PlanSummary {
             ("merge", self.child_merge_join),
             ("slice", self.descendant_slice),
             ("expand", self.descendant_expand),
-            ("filter", self.label_filter),
             ("fused", self.fused_scan),
             ("schema", self.schema_slice),
             ("union", self.union_merge),
@@ -2360,7 +2344,6 @@ fn count_ops(ops: &[PlanNode], s: &mut PlanSummary) {
             PlanOp::ChildMergeJoin(_) => s.child_merge_join += 1,
             PlanOp::DescendantSlice(_) => s.descendant_slice += 1,
             PlanOp::DescendantExpand { .. } => s.descendant_expand += 1,
-            PlanOp::LabelFilter(_) => s.label_filter += 1,
             PlanOp::Fused(f) => {
                 s.fused_scan += 1;
                 if let Some(q) = &f.qual {
@@ -2439,7 +2422,6 @@ pub(crate) fn op_detail(op: &PlanOp) -> String {
         PlanOp::ChildWalk(a)
         | PlanOp::ChildMergeJoin(a)
         | PlanOp::DescendantSlice(a)
-        | PlanOp::LabelFilter(a)
         | PlanOp::ViewChild(a)
         | PlanOp::ViewDescendant(a) => format!("{}({a})", op.name()),
         PlanOp::DescendantExpand { or_self } | PlanOp::ViewExpand { or_self } => {
@@ -2542,7 +2524,6 @@ fn render_ops_json(ops: &[PlanNode], out: &mut String) {
             PlanOp::ChildWalk(a)
             | PlanOp::ChildMergeJoin(a)
             | PlanOp::DescendantSlice(a)
-            | PlanOp::LabelFilter(a)
             | PlanOp::ViewChild(a)
             | PlanOp::ViewDescendant(a) => {
                 let _ = write!(out, ", \"test\": \"{}\"", json_escape(&a.to_string()));
@@ -2657,6 +2638,7 @@ pub const EQUIVALENCE_QUERIES: &[&str] = &[
     "//.",
     "dept//patient",
     "dept/*",
+    "//dept/*",
     "dept/patientInfo/patient",
     "dept[//wardNo='7']",
     "//patientInfo[patient/wardNo='7']//name",
@@ -2779,9 +2761,9 @@ mod tests {
         let cost = CostModel::from_estimates([("patient".to_string(), 3.0)], 6.0, false);
         let p = parse("//patient").unwrap();
         let s = compile(&p, PlanPolicy::ForceWalk, &cost).summary();
-        assert_eq!((s.descendant_expand, s.label_filter, s.descendant_slice), (0, 0, 1));
+        assert_eq!((s.descendant_expand, s.descendant_slice, s.total_ops()), (0, 1, 1));
         let s2 = compile(&p, PlanPolicy::ForceWalk, &CostModel::uninformed()).summary();
-        assert_eq!((s2.descendant_expand, s2.label_filter, s2.descendant_slice), (0, 0, 1));
+        assert_eq!((s2.descendant_expand, s2.descendant_slice, s2.total_ops()), (0, 1, 1));
     }
 
     #[test]

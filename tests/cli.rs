@@ -48,6 +48,26 @@ fn derive_prints_view_dtd_without_sigma() {
 }
 
 #[test]
+fn derive_refuses_deeply_nested_dtd_groups() {
+    // A 100 000-deep content model (~200 KB) used to overflow the DTD
+    // parser's stack and abort the process.
+    let dir = std::env::temp_dir().join(format!("sxv-cli-deep-dtd-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let n = 100_000;
+    let dtd = format!("<!ELEMENT a {}b{}>\n<!ELEMENT b EMPTY>\n", "(".repeat(n), ")".repeat(n));
+    let (dtd_path, spec_path) = (dir.join("deep.dtd"), dir.join("a.spec"));
+    std::fs::write(&dtd_path, dtd).unwrap();
+    std::fs::write(&spec_path, "ann(a, b) = Y\n").unwrap();
+    let (dtd_str, spec_str) = (dtd_path.to_str().unwrap(), spec_path.to_str().unwrap());
+    let (stdout, stderr, code) =
+        run_code(&["derive", "--dtd", dtd_str, "--root", "a", "--spec", spec_str]);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(code, 1, "{stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(stderr.contains("DTD content model nests deeper than 128 groups"), "{stderr}");
+}
+
+#[test]
 fn rewrite_translates_and_optimizes() {
     let mut args = vec!["rewrite"];
     args.extend(DTD_ARGS);

@@ -290,20 +290,6 @@ proptest! {
     }
 
     #[test]
-    fn indexed_eval_matches_scan(spec in tree_strategy(), p in xpath_strategy()) {
-        use secure_xml_views::xml::DocIndex;
-        use secure_xml_views::xpath::{eval_at_root, eval_at_root_indexed};
-        let mut doc = Document::new();
-        build(&mut doc, None, &root_element(spec));
-        let idx = DocIndex::new(&doc).expect("builder order is document order");
-        prop_assert_eq!(
-            eval_at_root(&doc, &p),
-            eval_at_root_indexed(&doc, &idx, &p),
-            "query {}", p
-        );
-    }
-
-    #[test]
     fn compiled_plan_matches_walk(spec in tree_strategy(), p in xpath_strategy()) {
         use secure_xml_views::xml::DocIndex;
         use secure_xml_views::xpath::{compile, eval_at_root, CostModel, PlanPolicy};
