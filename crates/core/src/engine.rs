@@ -10,9 +10,9 @@ use crate::analysis::certify_context;
 use crate::annotate::build_access_view;
 use crate::error::{Error, Result};
 use crate::naive::NaiveBaseline;
-use crate::optimize::optimize;
+use crate::optimize::optimize_over;
 use crate::plancost::{calibrate, dtd_cost_model};
-use crate::rewrite::rewrite;
+use crate::rewrite::ViewGraph;
 use crate::spec::AccessSpec;
 use crate::view::def::SecurityView;
 use std::collections::HashMap;
@@ -393,6 +393,13 @@ pub struct QueryReport {
 pub struct SecureEngine<'a> {
     spec: &'a AccessSpec,
     view: &'a SecurityView,
+    /// The view-DTD graph rewriting runs on, built once; its `recProc`
+    /// tables fill as queries need them and are shared by all of them.
+    /// A malformed view keeps its error here, so only rewrite and
+    /// optimize queries fail, each with this same error.
+    view_graph: Result<ViewGraph>,
+    /// The document-DTD graph the §5 optimizer runs on, built once.
+    dtd_graph: ViewGraph,
     cache: PlanCache,
     /// Planner statistics derived once from the document DTD (expected
     /// per-label counts and fan-out); serving is assumed indexed, and
@@ -428,6 +435,8 @@ impl<'a> SecureEngine<'a> {
         SecureEngine {
             spec,
             view,
+            view_graph: ViewGraph::from_view(view),
+            dtd_graph: ViewGraph::from_dtd(spec.dtd()),
             cache: PlanCache::new(capacity),
             cost: dtd_cost_model(spec.dtd(), true),
             access: AccessCache::default(),
@@ -581,9 +590,9 @@ impl<'a> SecureEngine<'a> {
                 // Recursive views rewrite (and optimize) directly into
                 // Kleene-closure expressions — the §4.2 unfolding oracle
                 // (`rewrite_with_height`) stays out of the serving path.
-                let rewritten = rewrite(self.view, p)?;
+                let rewritten = self.view_graph.as_ref().map_err(Error::clone)?.rewrite(p)?;
                 if approach == Approach::Optimize {
-                    optimize(self.spec.dtd(), &rewritten)
+                    optimize_over(self.spec.dtd(), &self.dtd_graph, &rewritten)
                 } else {
                     Ok(rewritten)
                 }
@@ -1753,6 +1762,93 @@ mod tests {
         off.translate(&p, Approach::Optimize).unwrap();
         off.translate(&p, Approach::Optimize).unwrap();
         assert_eq!(off.cache_stats().entries, 0, "capacity 0 disables caching");
+    }
+
+    #[test]
+    fn shared_graphs_translate_like_fresh_ones_in_any_order() {
+        // One engine per policy translates every query through the same
+        // two graphs and their shared recProc tables. Each translation
+        // must print exactly as the free functions print it on graphs
+        // built fresh for that query, whichever queries came before.
+        let policy = |dtd: &str, root: &str, spec: &str, binds: &[(&str, &str)]| {
+            AccessSpec::parse(&parse_dtd(dtd, root).unwrap(), spec, binds).unwrap()
+        };
+        let policies = [
+            (
+                policy(
+                    include_str!("../../../assets/adex.dtd"),
+                    "adex",
+                    include_str!("../../../assets/adex_section6.spec"),
+                    &[],
+                ),
+                vec![
+                    "//buyer-info/contact-info",
+                    "//house/r-e.warranty | //apartment/r-e.warranty",
+                    "//buyer-info[//company-id and //contact-info]",
+                    "//real-estate[//r-e.asking-price and //r-e.unit-type]",
+                    "//*",
+                    "//real-estate[.//r-e.warranty]/*",
+                    "(real-estate | *)*/r-e.warranty",
+                ],
+            ),
+            (
+                policy(
+                    include_str!("../../../assets/hospital.dtd"),
+                    "hospital",
+                    include_str!("../../../assets/hospital_nurse.spec"),
+                    &[("wardNo", "6")],
+                ),
+                vec![
+                    "//patient//bill",
+                    "//dept//patientInfo/patient/name",
+                    "//dept/patientInfo/patient/name",
+                    "//patient[wardNo='6']/name",
+                    "//treatment/*",
+                    "//name/text()",
+                    "//*",
+                    "//dept[.//bill]/staffInfo",
+                    "(dept | patientInfo | patient)*/name",
+                ],
+            ),
+            (
+                policy(
+                    include_str!("../../../assets/bom.dtd"),
+                    "bom",
+                    include_str!("../../../assets/bom_contractor.spec"),
+                    &[],
+                ),
+                vec![
+                    "//partno",
+                    "//part/name",
+                    "assembly/part/subpart//partno",
+                    "//*",
+                    "//part[.//name]/partno",
+                    "assembly/(part/subpart)*/part/partno",
+                ],
+            ),
+        ];
+        for (spec, queries) in &policies {
+            let view = derive_view(spec).unwrap();
+            // Capacity 0: every call takes the miss path.
+            let engine = SecureEngine::with_cache_capacity(spec, &view, 0);
+            let queries: Vec<Path> = queries.iter().map(|q| parse(q).unwrap()).collect();
+            let fresh: Vec<[String; 2]> = queries
+                .iter()
+                .map(|p| {
+                    let rewritten = crate::rewrite::rewrite(&view, &simplify(p)).unwrap();
+                    let optimized = crate::optimize::optimize(spec.dtd(), &rewritten).unwrap();
+                    [rewritten.to_string(), optimized.to_string()]
+                })
+                .collect();
+            let forward: Vec<usize> = (0..queries.len()).collect();
+            for i in forward.iter().copied().chain(forward.iter().rev().copied()) {
+                for (k, approach) in [Approach::Rewrite, Approach::Optimize].into_iter().enumerate()
+                {
+                    let shared = engine.translate(&queries[i], approach).unwrap();
+                    assert_eq!(shared.to_string(), fresh[i][k], "{approach:?} {}", queries[i]);
+                }
+            }
+        }
     }
 
     #[test]

@@ -44,9 +44,6 @@ pub enum Error {
         /// What failed to parse.
         message: String,
     },
-    /// The operation requires a non-recursive view DTD; call the
-    /// `*_with_height` variant for recursive views (§4.2).
-    RecursiveView,
     /// The view DTD cannot produce an instance within the given height,
     /// so unfolding (§4.2) is impossible.
     UnfoldImpossible {
@@ -92,9 +89,6 @@ impl fmt::Display for Error {
             }
             Error::ViewParse { line, message } => {
                 write!(f, "view definition parse error on line {line}: {message}")
-            }
-            Error::RecursiveView => {
-                write!(f, "operation requires a non-recursive view DTD (use the unfolding variant)")
             }
             Error::UnfoldImpossible { height } => {
                 write!(f, "view DTD has no instance of height ≤ {height}; cannot unfold")
@@ -147,7 +141,6 @@ mod tests {
             .to_string()
             .contains("(a, b)"));
         assert!(Error::UnboundParameter("wardNo".into()).to_string().contains("$wardNo"));
-        assert!(Error::RecursiveView.to_string().contains("non-recursive"));
         assert!(Error::UnfoldImpossible { height: 3 }.to_string().contains("≤ 3"));
         assert!(Error::Uncertified { query: "//salary".into(), findings: "emits salary".into() }
             .to_string()

@@ -34,7 +34,9 @@
 //!   with `accessibility` attributes and rewrites queries by widening `/`
 //!   to `//` and appending `[@accessibility='1']`.
 //! * [`SecureEngine`] ties it together: answer view queries over the
-//!   original document via naive / rewrite / rewrite+optimize strategies;
+//!   original document via naive / rewrite / rewrite+optimize strategies,
+//!   translating through view and DTD graphs it builds once (each node's
+//!   `recProc` table is filled once and shared by every query);
 //!   [`PolicyRegistry`] manages multiple user-group policies over one
 //!   document (the full Fig. 3 framework).
 //!

@@ -73,14 +73,12 @@ pub fn approx_contained(dtd: &Dtd, p1: &Path, p2: &Path) -> bool {
     eval.contained_in(p1, p2, graph.root_node())
 }
 
-fn optimize_over(dtd: &Dtd, graph: &ViewGraph, p: &Path) -> Result<Path> {
+/// Optimize `p` over `graph`, the document-DTD graph of `dtd`. The engine
+/// passes the graph it built once, so `recProc` tables carry over from
+/// one query to the next; [`optimize`] passes a fresh one.
+pub(crate) fn optimize_over(dtd: &Dtd, graph: &ViewGraph, p: &Path) -> Result<Path> {
     let normalized = normalize_filters(p);
-    let mut o = Optimizer {
-        eval: QualEval { graph, dtd },
-        graph,
-        memo: HashMap::new(),
-        rec: HashMap::new(),
-    };
+    let mut o = Optimizer { eval: QualEval { graph, dtd }, graph, memo: HashMap::new() };
     let table = o.opt(&normalized, graph.root_node());
     Ok(Path::union_all(table.into_values()))
 }
@@ -125,8 +123,9 @@ type Table = BTreeMap<Target, Path>;
 struct Optimizer<'a> {
     eval: QualEval<'a>,
     graph: &'a ViewGraph,
+    /// Memo for the DP: (sub-query address, node) → table. Per call:
+    /// addresses are reused from one query to the next.
     memo: HashMap<(usize, usize), Table>,
-    rec: HashMap<usize, HashMap<usize, Path>>,
 }
 
 impl<'a> Optimizer<'a> {
@@ -188,25 +187,23 @@ impl<'a> Optimizer<'a> {
             }
             // Case (5): expand `//` through the precomputed recrw paths.
             Path::Descendant(p1) => {
-                let recrw = self.rec_info(node).clone();
-                let reach: Vec<usize> = recrw.keys().copied().collect();
+                let graph = self.graph;
                 // descendant-or-self includes text nodes: a nullable `p1`
                 // keeps them, so str-production nodes contribute their text
                 // children too (mirrors the rewrite module's `//` case).
                 let text_cont = continue_from_text(p1);
-                for b in reach {
-                    let prefix = recrw[&b].clone();
+                for &(b, ref prefix) in graph.rec_proc(node) {
                     if prefix.is_empty_set() {
                         continue;
                     }
                     for (w, q) in self.opt(p1, b) {
                         merge(&mut out, w, Path::step(prefix.clone(), q));
                     }
-                    if self.graph.has_text(b) && !text_cont.is_empty_set() {
+                    if graph.has_text(b) && !text_cont.is_empty_set() {
                         merge(
                             &mut out,
                             Target::TextOf(b),
-                            Path::step(prefix, Path::step(Path::Text, text_cont.clone())),
+                            Path::step(prefix.clone(), Path::step(Path::Text, text_cont.clone())),
                         );
                     }
                 }
@@ -321,16 +318,6 @@ impl<'a> Optimizer<'a> {
             Some(false) => Qualifier::False,
             None => self.eval.evaluate(&structural, node),
         }
-    }
-
-    /// Factored `recrw(node, ·)` over the document-DTD graph, computed via
-    /// the shared `recProc` and cached.
-    fn rec_info(&mut self, node: usize) -> &HashMap<usize, Path> {
-        if !self.rec.contains_key(&node) {
-            let (_, recrw) = self.graph.rec_proc_public(node);
-            self.rec.insert(node, recrw);
-        }
-        &self.rec[&node]
     }
 }
 

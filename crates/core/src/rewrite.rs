@@ -23,6 +23,8 @@
 //!   symbolic per-node accumulation over the DAG in topological order, so
 //!   each intermediate node's path expression is built once and reused
 //!   (`recrw(a, g) = (l_b ∪ ε)/l_c/(l_e ∪ l_f)/l_g` for Fig. 7(a)).
+//!   It depends only on the view, so [`ViewGraph`] computes each node's
+//!   table once and every query translated over the graph shares it.
 //!
 //! **Recursive views** (§4.2): over a cyclic view DTD `//` has
 //! infinitely many σ-paths, and the paper observes the finite-union
@@ -39,6 +41,7 @@
 use crate::error::{Error, Result};
 use crate::view::def::{SecurityView, ViewContent, ViewItem};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::OnceLock;
 use sxv_xpath::{factored_union, simplify, Path, Qualifier};
 
 /// Rewrite a view query to a document query. Recursive views are
@@ -65,9 +68,18 @@ pub fn rewrite_paper_merge(view: &SecurityView, p: &Path) -> Result<Path> {
     graph.rewrite_merged(p)
 }
 
+/// `recProc(A)`: every node `B` reachable from `A` (descendant-or-self),
+/// in the order `//` visits them, with its `recrw(A, B)` expression.
+type RecTable = Vec<(usize, Path)>;
+
 /// A DAG over view-DTD nodes with σ-labelled edges — the structure both
 /// rewriting variants run on. Node 0 is the virtual *document node* (its
 /// only child is the view root), so absolute queries translate naturally.
+///
+/// Everything here depends only on the view (or DTD), never on a query:
+/// build the graph once per policy and translate every query through it.
+/// Each node's `recProc` table is filled on first use and then shared by
+/// every later query, including concurrent ones.
 #[derive(Debug)]
 pub struct ViewGraph {
     labels: Vec<String>,
@@ -80,6 +92,10 @@ pub struct ViewGraph {
     has_text: Vec<bool>,
     doc_node: usize,
     root: usize,
+    /// Does the graph contain a cycle? Fixed at construction.
+    cyclic: bool,
+    /// `recProc` per node, one lazily filled slot each.
+    rec: Vec<OnceLock<RecTable>>,
 }
 
 impl ViewGraph {
@@ -116,7 +132,7 @@ impl ViewGraph {
         let attrs = labels.iter().map(|l| view.visible_attributes(l).to_vec()).collect();
         let has_text =
             labels.iter().map(|l| matches!(view.production(l), Some(ViewContent::Str))).collect();
-        Ok(ViewGraph { labels, children, sigma, attrs, has_text, doc_node: 0, root })
+        Ok(ViewGraph::new(labels, children, sigma, attrs, has_text, root))
     }
 
     /// Build by unfolding the (possibly recursive) view DTD to `height`.
@@ -171,7 +187,7 @@ impl ViewGraph {
         let attrs = labels.iter().map(|l| view.visible_attributes(l).to_vec()).collect();
         let has_text =
             labels.iter().map(|l| matches!(view.production(l), Some(ViewContent::Str))).collect();
-        Ok(ViewGraph { labels, children, sigma, attrs, has_text, doc_node: 0, root: 1 })
+        Ok(ViewGraph::new(labels, children, sigma, attrs, has_text, 1))
     }
 
     /// Build from a document DTD with identity σ (each edge annotated by
@@ -211,7 +227,7 @@ impl ViewGraph {
             .iter()
             .map(|l| matches!(dtd.production(l), Some(sxv_dtd::NormalContent::Str)))
             .collect();
-        ViewGraph { labels, children, sigma, attrs, has_text, doc_node: 0, root }
+        ViewGraph::new(labels, children, sigma, attrs, has_text, root)
     }
 
     /// Build from a document DTD unfolded to `height` (§4.2 applied to
@@ -247,7 +263,20 @@ impl ViewGraph {
             .iter()
             .map(|l| matches!(dtd.production(l), Some(sxv_dtd::NormalContent::Str)))
             .collect();
-        Ok(ViewGraph { labels, children, sigma, attrs, has_text, doc_node: 0, root })
+        Ok(ViewGraph::new(labels, children, sigma, attrs, has_text, root))
+    }
+
+    fn new(
+        labels: Vec<String>,
+        children: Vec<Vec<usize>>,
+        sigma: HashMap<(usize, usize), Path>,
+        attrs: Vec<Vec<String>>,
+        has_text: Vec<bool>,
+        root: usize,
+    ) -> Self {
+        let cyclic = has_cycle(&children);
+        let rec = children.iter().map(|_| OnceLock::new()).collect();
+        ViewGraph { labels, children, sigma, attrs, has_text, doc_node: 0, root, cyclic, rec }
     }
 
     /// The virtual document node (parent of the root).
@@ -292,33 +321,7 @@ impl ViewGraph {
     /// repeat along a path — so containment tests consult this and
     /// decline to certify on cyclic graphs.
     pub fn is_cyclic(&self) -> bool {
-        // Iterative three-color DFS: 0 = white, 1 = on stack, 2 = done.
-        let mut color = vec![0u8; self.children.len()];
-        for start in 0..self.children.len() {
-            if color[start] != 0 {
-                continue;
-            }
-            let mut stack = vec![(start, 0usize)];
-            color[start] = 1;
-            while let Some(&mut (n, ref mut i)) = stack.last_mut() {
-                if *i < self.children[n].len() {
-                    let c = self.children[n][*i];
-                    *i += 1;
-                    match color[c] {
-                        0 => {
-                            color[c] = 1;
-                            stack.push((c, 0));
-                        }
-                        1 => return true,
-                        _ => {}
-                    }
-                } else {
-                    color[n] = 2;
-                    stack.pop();
-                }
-            }
-        }
-        false
+        self.cyclic
     }
 
     /// Nodes reachable from `n`, including `n` (descendant-or-self).
@@ -349,14 +352,14 @@ impl ViewGraph {
 
     /// Rewrite a query evaluated at the view root (per-target tables).
     pub fn rewrite(&self, p: &Path) -> Result<Path> {
-        let mut ctx = Rewriter { graph: self, memo: HashMap::new(), rec: HashMap::new() };
+        let mut ctx = Rewriter { graph: self, memo: HashMap::new() };
         let table = ctx.rw_path(p, self.root)?;
         Ok(Path::union_all(table.into_values()))
     }
 
     /// Rewrite with the paper's merged combination (Fig. 6 verbatim).
     pub fn rewrite_merged(&self, p: &Path) -> Result<Path> {
-        let mut ctx = Rewriter { graph: self, memo: HashMap::new(), rec: HashMap::new() };
+        let mut ctx = Rewriter { graph: self, memo: HashMap::new() };
         let (q, _) = ctx.rw_merged(p, self.root)?;
         Ok(q)
     }
@@ -365,26 +368,18 @@ impl ViewGraph {
         &self.sigma[&(a, b)]
     }
 
-    /// Public entry to `recProc` (used by the §5 optimizer).
-    pub fn rec_proc_public(&self, a: usize) -> (Vec<usize>, HashMap<usize, Path>) {
-        self.rec_proc(a)
+    /// `recProc(A)`: every node `B` reachable from `A` (descendant-or-self)
+    /// with `recrw(A, B)`, in the order `//` visits them. Computed on the
+    /// first call for `A` and shared by every later one.
+    pub(crate) fn rec_proc(&self, a: usize) -> &[(usize, Path)] {
+        self.rec[a].get_or_init(|| self.compute_rec_proc(a))
     }
 
-    /// `recProc(A)`: descendant-or-self reachability with translated path
-    /// expressions, built in topological order so shared prefixes stay
-    /// shared (the paper's symbolic `Z_x` variables).
-    fn rec_proc(&self, a: usize) -> (Vec<usize>, HashMap<usize, Path>) {
-        // Reachable subgraph (including `a` itself: descendant-or-self).
-        let mut reach: BTreeSet<usize> = BTreeSet::new();
-        reach.insert(a);
-        let mut stack = vec![a];
-        while let Some(x) = stack.pop() {
-            for &y in &self.children[x] {
-                if reach.insert(y) {
-                    stack.push(y);
-                }
-            }
-        }
+    /// `recProc(A)`, computed anew: descendant-or-self reachability with
+    /// translated path expressions, built in topological order so shared
+    /// prefixes stay shared (the paper's symbolic `Z_x` variables).
+    fn compute_rec_proc(&self, a: usize) -> RecTable {
+        let reach = self.descendants_or_self(a);
         // Kahn topological order of the reachable subgraph.
         let mut indegree: HashMap<usize, usize> = reach.iter().map(|&n| (n, 0)).collect();
         for &x in &reach {
@@ -422,8 +417,8 @@ impl ViewGraph {
                     }
                 }
             }
-            let recrw = kleene_reach(&nodes, &edges, a);
-            return (nodes, recrw);
+            let mut recrw = kleene_reach(&nodes, &edges, a);
+            return nodes.into_iter().map(|y| (y, recrw.remove(&y).expect("every node"))).collect();
         }
         let mut recrw: HashMap<usize, Path> = HashMap::new();
         recrw.insert(a, Path::Empty);
@@ -454,8 +449,39 @@ impl ViewGraph {
             }
             recrw.insert(y, acc);
         }
-        (order, recrw)
+        order.into_iter().map(|y| (y, recrw.remove(&y).expect("every node"))).collect()
     }
+}
+
+/// Iterative three-color DFS over an adjacency list: does it hold a
+/// cycle? (0 = white, 1 = on stack, 2 = done.)
+fn has_cycle(children: &[Vec<usize>]) -> bool {
+    let mut color = vec![0u8; children.len()];
+    for start in 0..children.len() {
+        if color[start] != 0 {
+            continue;
+        }
+        let mut stack = vec![(start, 0usize)];
+        color[start] = 1;
+        while let Some(&mut (n, ref mut i)) = stack.last_mut() {
+            if *i < children[n].len() {
+                let c = children[n][*i];
+                *i += 1;
+                match color[c] {
+                    0 => {
+                        color[c] = 1;
+                        stack.push((c, 0));
+                    }
+                    1 => return true,
+                    _ => {}
+                }
+            } else {
+                color[n] = 2;
+                stack.pop();
+            }
+        }
+    }
+    false
 }
 
 /// Walk expressions from `start` over an edge-labelled graph, by Kleene
@@ -619,21 +645,12 @@ type Table = BTreeMap<Target, Path>;
 
 struct Rewriter<'a> {
     graph: &'a ViewGraph,
-    /// Memo for the DP: (sub-query address, node) → table.
+    /// Memo for the DP: (sub-query address, node) → table. Per call:
+    /// addresses are reused from one query to the next.
     memo: HashMap<(usize, usize), Table>,
-    /// recProc cache per node.
-    rec: HashMap<usize, (Vec<usize>, HashMap<usize, Path>)>,
 }
 
 impl<'a> Rewriter<'a> {
-    fn rec_info(&mut self, a: usize) -> &(Vec<usize>, HashMap<usize, Path>) {
-        if !self.rec.contains_key(&a) {
-            let info = self.graph.rec_proc(a);
-            self.rec.insert(a, info);
-        }
-        &self.rec[&a]
-    }
-
     fn rw_path(&mut self, p: &Path, node: usize) -> Result<Table> {
         let key = (p as *const Path as usize, node);
         if let Some(hit) = self.memo.get(&key) {
@@ -689,7 +706,7 @@ impl<'a> Rewriter<'a> {
                 }
             }
             Path::Descendant(p1) => {
-                let (reach, recrw) = self.rec_info(node).clone();
+                let graph = self.graph;
                 let mut branches: BTreeMap<Target, Vec<Path>> = BTreeMap::new();
                 // `//` expands to descendant-or-self, which includes *text*
                 // nodes; when `p1` is nullable (e.g. `//(l | ε)`) those text
@@ -697,19 +714,18 @@ impl<'a> Rewriter<'a> {
                 // node also contributes its text children, continued through
                 // the leaf-restricted form of `p1`.
                 let text_cont = continue_from_text(p1);
-                for b in reach {
-                    let prefix = recrw[&b].clone();
+                for &(b, ref prefix) in graph.rec_proc(node) {
                     if prefix.is_empty_set() {
                         continue;
                     }
                     for (w, q) in self.rw_path(p1, b)? {
                         branches.entry(w).or_default().push(Path::step(prefix.clone(), q));
                     }
-                    if self.graph.has_text[b] && !text_cont.is_empty_set() {
-                        branches
-                            .entry(Target::TextOf(b))
-                            .or_default()
-                            .push(Path::step(prefix, Path::step(Path::Text, text_cont.clone())));
+                    if graph.has_text[b] && !text_cont.is_empty_set() {
+                        branches.entry(Target::TextOf(b)).or_default().push(Path::step(
+                            prefix.clone(),
+                            Path::step(Path::Text, text_cont.clone()),
+                        ));
                     }
                 }
                 for (w, alts) in branches {
@@ -875,17 +891,16 @@ impl<'a> Rewriter<'a> {
                 }
             }
             Path::Descendant(p1) => {
-                let (reach_dd, recrw) = self.rec_info(node).clone();
+                let graph = self.graph;
                 let mut rw = Path::EmptySet;
                 let mut reach = BTreeSet::new();
-                for b in reach_dd {
-                    let prefix = recrw[&b].clone();
+                for &(b, ref prefix) in graph.rec_proc(node) {
                     if prefix.is_empty_set() {
                         continue;
                     }
                     let (rw1, reach1) = self.rw_merged(p1, b)?;
                     if !rw1.is_empty_set() {
-                        rw = Path::union(rw, Path::step(prefix, rw1));
+                        rw = Path::union(rw, Path::step(prefix.clone(), rw1));
                         reach.extend(reach1);
                     }
                 }

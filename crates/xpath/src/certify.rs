@@ -405,6 +405,28 @@ impl Interp<'_> {
         base
     }
 
+    /// The transfer of a [`PlanOp::BitmapFilter`], alone or fused into a
+    /// scan. Both bitmaps keep only accessible types. The member bitmap
+    /// keeps text and drops dummies. The element bitmap drops text but
+    /// admits every view element, including hidden occurrences served
+    /// under a dummy label: when the input may hold a type that a dummy
+    /// exposes, every dummy label may come out.
+    fn bitmap_filter(&self, filter: AccessFilter, state: AbsState) -> AbsState {
+        let types = state.types.intersection(&self.ctx.accessible).cloned().collect();
+        match filter {
+            AccessFilter::Member => {
+                AbsState { doc: false, text: state.text, types, dummies: BTreeSet::new() }
+            }
+            AccessFilter::Element => {
+                let mut dummies = state.dummies;
+                if !state.types.is_disjoint(&self.ctx.dummy_visible) {
+                    dummies.extend(self.ctx.dummy_labels.iter().cloned());
+                }
+                AbsState { doc: false, text: false, types, dummies }
+            }
+        }
+    }
+
     fn run_pipeline(&mut self, ops: &[PlanNode], input: AbsState, depth: usize) -> AbsState {
         let mut state = input;
         let mut intentional_empty = false;
@@ -462,18 +484,7 @@ impl Interp<'_> {
                 }
                 out
             }
-            PlanOp::BitmapFilter(f) => {
-                let types: BTreeSet<String> =
-                    state.types.intersection(&self.ctx.accessible).cloned().collect();
-                match f {
-                    AccessFilter::Member => {
-                        AbsState { doc: false, text: state.text, types, dummies: BTreeSet::new() }
-                    }
-                    AccessFilter::Element => {
-                        AbsState { doc: false, text: false, types, dummies: state.dummies }
-                    }
-                }
-            }
+            PlanOp::BitmapFilter(f) => self.bitmap_filter(*f, state),
             PlanOp::Fused(f) => {
                 // A fused scan is certified by composing its
                 // constituents' transfers: the absorbed descendant-expand
@@ -508,16 +519,7 @@ impl Interp<'_> {
                     AxisTest::Text => out.text = self.ctx.any_text(&text_base),
                 }
                 if let Some(filter) = f.filter {
-                    let types: BTreeSet<String> =
-                        out.types.intersection(&self.ctx.accessible).cloned().collect();
-                    out = match filter {
-                        AccessFilter::Member => {
-                            AbsState { doc: false, text: out.text, types, dummies: BTreeSet::new() }
-                        }
-                        AccessFilter::Element => {
-                            AbsState { doc: false, text: false, types, dummies: out.dummies }
-                        }
-                    };
+                    out = self.bitmap_filter(filter, out);
                 }
                 if let Some(q) = &f.qual {
                     let mark = self.trace.len();
@@ -1043,6 +1045,50 @@ mod tests {
         let cert = certify_ops(&ops, &c);
         assert!(cert.certified());
         assert_eq!(cert.emitted.dummies, BTreeSet::from(["dummy1".to_string()]));
+    }
+
+    #[test]
+    fn element_filter_admits_dummies_that_expose_its_input_types() {
+        // `trial` is hidden but served under the view's `dummy1`. The
+        // view-element bitmap admits those occurrences, so a `//*` plan
+        // through it must list the dummy, whether the filter runs alone
+        // or fused into the scan.
+        let mut c = ctx();
+        c.dummy_labels.insert("dummy1".into());
+        c.dummy_visible.insert("trial".into());
+        let standalone = vec![
+            node(PlanOp::RootSeed),
+            node(PlanOp::DescendantSlice(AxisTest::AnyElement)),
+            node(PlanOp::BitmapFilter(AccessFilter::Element)),
+        ];
+        let fused = vec![
+            node(PlanOp::RootSeed),
+            node(PlanOp::Fused(crate::plan::FusedScan {
+                axis: AxisTest::AnyElement,
+                filter: Some(AccessFilter::Element),
+                qual: None,
+                from_expand: false,
+            })),
+        ];
+        for ops in [standalone, fused] {
+            let cert = certify_ops(&ops, &c);
+            assert!(cert.certified(), "{:?}", cert.findings);
+            assert_eq!(cert.emitted.dummies, BTreeSet::from(["dummy1".to_string()]));
+            assert!(!cert.emitted.types.contains("trial"), "hidden type stays filtered");
+        }
+        // Input types that no dummy exposes admit no dummy, and the
+        // member bitmap never admits one.
+        for (test, filter) in [
+            (AxisTest::Label("name".into()), AccessFilter::Element),
+            (AxisTest::AnyElement, AccessFilter::Member),
+        ] {
+            let ops = vec![
+                node(PlanOp::RootSeed),
+                node(PlanOp::DescendantSlice(test)),
+                node(PlanOp::BitmapFilter(filter)),
+            ];
+            assert!(certify_ops(&ops, &c).emitted.dummies.is_empty(), "{filter}");
+        }
     }
 
     /// Recursive bill-of-materials context: `part` contains `part`.
