@@ -31,10 +31,12 @@ use std::process::Command;
 use std::time::Instant;
 
 use sxv_bench::{json_escape, AdexWorkload, ADEX_SECTION6_SPEC, DATASETS, DATASETS_XL};
-use sxv_core::{build_access_view, derive_view, AccessSpec, Approach, PlanPolicy, SecureEngine};
+use sxv_core::{
+    answer_line, build_access_view, derive_view, AccessSpec, Approach, PlanPolicy, SecureEngine,
+};
 use sxv_dtd::parse_dtd;
 use sxv_pack::{load_package_file, write_package_file, RoleArtifacts};
-use sxv_xml::{parse as parse_xml, DocIndex, Document, NodeId};
+use sxv_xml::{parse as parse_xml, DocIndex, Document};
 use sxv_xpath::parse as parse_xpath;
 
 /// First query of Table 1 — the "first answer" both probes must reach.
@@ -82,17 +84,6 @@ fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
-/// Format answers exactly like `sxv query` stdout.
-fn format_answers(doc: &Document, nodes: &[NodeId]) -> Vec<String> {
-    nodes
-        .iter()
-        .map(|&node| match doc.label_opt(node) {
-            Some(label) => format!("<{label}> {}", doc.string_value(node)),
-            None => format!("#text {}", doc.string_value(node)),
-        })
-        .collect()
-}
-
 /// FNV-1a over the answer lines — the byte-identity fingerprint.
 fn answers_hash(lines: &[String]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -116,7 +107,7 @@ fn answer_q1(engine: &SecureEngine<'_>, doc: &Document, index: &DocIndex) -> Vec
     let (nodes, _) = engine
         .answer_report_policy(doc, Some(index), &q, Approach::Annotate, PlanPolicy::Auto)
         .expect("Q1 answers");
-    format_answers(doc, &nodes)
+    nodes.into_iter().map(|node| answer_line(doc, node)).collect()
 }
 
 /// `--probe pack --xml F --out P`: parse + index + access view + write

@@ -33,7 +33,7 @@ use sxv_bench::{
     adex_dtd, adex_restricted_spec, adex_spec, json_escape, ADEX_DTD, ADEX_RESTRICTED_SPEC,
     ADEX_SECTION6_SPEC, TABLE1_QUERIES,
 };
-use sxv_core::{build_access_view, derive_view, Approach, PlanPolicy, SecureEngine};
+use sxv_core::{answer_line, build_access_view, derive_view, Approach, PlanPolicy, SecureEngine};
 use sxv_gen::{GenConfig, Generator};
 use sxv_pack::{load_package_file, write_package_file, RoleArtifacts};
 use sxv_serve::http::Client;
@@ -81,13 +81,7 @@ fn direct_answers(engine: &SecureEngine<'_>, doc: &Document, query: &str) -> Vec
     let (nodes, _) = engine
         .answer_report_policy(doc, None, &q, Approach::Optimize, PlanPolicy::ForceWalk)
         .expect("bench queries answer");
-    nodes
-        .into_iter()
-        .map(|node| match doc.label_opt(node) {
-            Some(label) => format!("<{label}> {}", doc.string_value(node)),
-            None => format!("#text {}", doc.string_value(node)),
-        })
-        .collect()
+    nodes.into_iter().map(|node| answer_line(doc, node)).collect()
 }
 
 fn percentile(sorted: &[u64], p: f64) -> u64 {

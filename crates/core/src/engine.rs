@@ -42,6 +42,32 @@ pub enum Approach {
     Annotate,
 }
 
+impl std::str::FromStr for Approach {
+    type Err = String;
+
+    fn from_str(s: &str) -> std::result::Result<Approach, String> {
+        match s {
+            "naive" => Ok(Approach::Naive),
+            "rewrite" => Ok(Approach::Rewrite),
+            "optimize" => Ok(Approach::Optimize),
+            "annotate" => Ok(Approach::Annotate),
+            other => Err(format!(
+                "unknown approach {other:?} (valid values: naive, rewrite, optimize, annotate)"
+            )),
+        }
+    }
+}
+
+/// One answer node as every serving surface prints it: `<label> value`
+/// for an element, `#text value` for a text node, where `value` is the
+/// node's string value.
+pub fn answer_line(doc: &Document, node: NodeId) -> String {
+    match doc.label_opt(node) {
+        Some(label) => format!("<{label}> {}", doc.string_value(node)),
+        None => format!("#text {}", doc.string_value(node)),
+    }
+}
+
 /// Default number of translated queries kept by the engine's cache.
 pub const DEFAULT_TRANSLATION_CACHE_CAPACITY: usize = 64;
 
@@ -529,12 +555,11 @@ impl<'a> SecureEngine<'a> {
     /// Translate a view query to a document query.
     ///
     /// Recursive views translate directly into regular path expressions
-    /// with Kleene closures — no document height is involved. Results
-    /// are memoized (as full compiled plans) in a bounded sharded LRU
-    /// keyed by the normalized query, the approach, and the planner
-    /// policy.
+    /// with Kleene closures — no document height is involved. The
+    /// translation comes from the [`PlanPolicy::Auto`] plan, the one
+    /// every serving surface runs, and shares its plan-cache entry.
     pub fn translate(&self, p: &Path, approach: Approach) -> Result<Path> {
-        self.plan_certified(p, approach, PlanPolicy::ForceWalk)
+        self.plan_certified(p, approach, PlanPolicy::Auto)
             .0
             .map(|planned| planned.plan.translated.clone())
     }

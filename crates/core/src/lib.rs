@@ -69,7 +69,9 @@ pub mod view;
 pub use accessibility::{compute_accessibility, Accessibility};
 pub use analysis::{audit_view, certify_context, AuditFinding, TypeAccessibility};
 pub use annotate::build_access_view;
-pub use engine::{AccessCacheStats, Approach, CacheStats, Planned, QueryReport, SecureEngine};
+pub use engine::{
+    answer_line, AccessCacheStats, Approach, CacheStats, Planned, QueryReport, SecureEngine,
+};
 pub use error::{Error, Result};
 pub use materialized_baseline::MaterializedBaseline;
 pub use naive::NaiveBaseline;

@@ -5,7 +5,9 @@
 //! shared translation-plan and accessibility caches) that survives
 //! across requests, so the per-query cost converges to plan-cache-hit +
 //! evaluation instead of parse + derive + compile on every call, which
-//! is what the one-shot CLI pays.
+//! is what the one-shot CLI pays. Every request runs the engine's cached
+//! `auto` plan over the document's structural index — the plan
+//! `sxv explain` prints.
 //!
 //! The wire protocol is deliberately small — hand-rolled HTTP/1.1 and
 //! JSON ([`http`], [`json`]), no dependencies:
@@ -37,7 +39,9 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
-use sxv_core::{derive_view, AccessSpec, Approach, PlanPolicy, PolicyRegistry, SecureEngine};
+use sxv_core::{
+    answer_line, derive_view, AccessSpec, Approach, PlanPolicy, PolicyRegistry, SecureEngine,
+};
 use sxv_xml::{DocIndex, Document};
 use sxv_xpath::{parse as parse_xpath, AccessView};
 
@@ -72,8 +76,8 @@ pub struct ServeConfig {
     /// an answer.
     pub verify: bool,
     /// Pre-built structural indexes by doc name (e.g. loaded from an
-    /// `.sxvpkg` package). Docs without one are served index-less, as
-    /// before; a stale name is a boot error.
+    /// `.sxvpkg` package). Docs without one are indexed at boot; a stale
+    /// name, or a document that cannot be indexed, is a boot error.
     pub indexes: Vec<(String, DocIndex)>,
     /// Pre-built `(role name, doc name, artifact)` accessibility views
     /// to seed each role engine's cache with at boot, so the first
@@ -131,9 +135,8 @@ struct ServerState<'a> {
     role_index: BTreeMap<String, usize>,
     docs: Vec<(String, Document)>,
     doc_index: BTreeMap<String, usize>,
-    /// Structural index per doc (aligned with `docs`); `None` serves
-    /// the walk path exactly as before.
-    indexes: Vec<Option<DocIndex>>,
+    /// Structural index per doc (aligned with `docs`).
+    indexes: Vec<DocIndex>,
     tenants: Vec<TenantStats>, // role-major: role_idx * docs.len() + doc_idx
     queue: Bounded<Job>,
     shutdown: AtomicBool,
@@ -199,12 +202,22 @@ pub fn run(config: ServeConfig, ready: mpsc::Sender<SocketAddr>) -> Result<(), S
 
     // Attach pre-built indexes and seed access caches with pre-built
     // artifacts (both typically from `.sxvpkg` packages): the first
-    // query over a packaged tenant pays evaluation only.
+    // query over a packaged tenant pays evaluation only. Every other
+    // document is indexed here, so every request runs its `Auto` plan
+    // over an index.
     let mut indexes: Vec<Option<DocIndex>> = config.docs.iter().map(|_| None).collect();
     for (name, idx) in config.indexes {
         let &i = doc_index.get(&name).ok_or_else(|| format!("index for unknown doc {name:?}"))?;
         indexes[i] = Some(idx);
     }
+    let indexes = indexes
+        .into_iter()
+        .zip(&config.docs)
+        .map(|(idx, (name, doc))| {
+            idx.or_else(|| DocIndex::new(doc))
+                .ok_or_else(|| format!("doc {name:?}: ids are not in document order; cannot index"))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
     // Pre-compile the warm-list queries for every role × approach under
     // the serving plan policy, so known workloads start on the cache-hit
     // path. Certification happens as part of planning; under --verify a
@@ -217,7 +230,7 @@ pub fn run(config: ServeConfig, ready: mpsc::Sender<SocketAddr>) -> Result<(), S
             for approach in
                 [Approach::Naive, Approach::Rewrite, Approach::Optimize, Approach::Annotate]
             {
-                let (planned, _) = engine.plan_certified(&parsed, approach, PlanPolicy::ForceWalk);
+                let (planned, _) = engine.plan_certified(&parsed, approach, PlanPolicy::Auto);
                 let planned =
                     planned.map_err(|e| format!("warm query {q:?} (role {role:?}): {e}"))?;
                 if config.verify && !planned.cert.certified() {
@@ -334,24 +347,13 @@ fn execute(state: &ServerState<'_>, job: &Job) -> Reply {
             };
         }
     };
-    let index = state.indexes[job.doc_idx].as_ref();
-    match engine.answer_report_policy(doc, index, &query, job.approach, PlanPolicy::ForceWalk) {
+    let index = Some(&state.indexes[job.doc_idx]);
+    match engine.answer_report_policy(doc, index, &query, job.approach, PlanPolicy::Auto) {
         Ok((nodes, report)) => {
-            // Answer lines are byte-identical to `sxv query` stdout:
-            // `<label> value` for elements, `#text value` for text nodes.
+            // Answer lines are byte-identical to `sxv query` stdout.
             let answers: Vec<String> = nodes
                 .iter()
-                .map(|&node| match doc.label_opt(node) {
-                    Some(label) => {
-                        format!(
-                            "\"{}\"",
-                            json_escape(&format!("<{label}> {}", doc.string_value(node)))
-                        )
-                    }
-                    None => {
-                        format!("\"{}\"", json_escape(&format!("#text {}", doc.string_value(node))))
-                    }
-                })
+                .map(|&node| format!("\"{}\"", json_escape(&answer_line(doc, node))))
                 .collect();
             let latency_us = elapsed_us(job.admitted);
             tenant.record_ok(latency_us, report.cache_hit, u64::from(report.plan.fused_scan));
@@ -468,12 +470,10 @@ fn handle_query(state: &ServerState<'_>, body: &[u8]) -> (u16, String) {
     let Some(query) = parsed.get("query").and_then(Json::as_str) else {
         return err(400, "missing string field \"query\"");
     };
-    let approach = match parsed.get("approach").and_then(Json::as_str) {
-        None | Some("optimize") => Approach::Optimize,
-        Some("naive") => Approach::Naive,
-        Some("rewrite") => Approach::Rewrite,
-        Some("annotate") => Approach::Annotate,
-        Some(other) => return err(400, &format!("unknown approach {other:?}")),
+    let approach = match parsed.get("approach").and_then(Json::as_str).map(str::parse::<Approach>) {
+        None => Approach::Optimize,
+        Some(Ok(approach)) => approach,
+        Some(Err(e)) => return err(400, &e),
     };
     let Some(&role_idx) = state.role_index.get(role) else {
         return err(404, &format!("unknown role {role:?}"));

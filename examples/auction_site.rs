@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A bidder browses bid histories.
     let answer = |q: &str, approach| -> Result<Vec<NodeId>, Box<dyn std::error::Error>> {
         let p = parse_xpath(q)?;
-        Ok(engine.answer_report_policy(&doc, None, &p, approach, PlanPolicy::ForceWalk)?.0)
+        Ok(engine.answer_report_policy(&doc, None, &p, approach, PlanPolicy::Auto)?.0)
     };
     let amounts = answer("//open-auction/bids/bid/amount", Approach::Optimize)?;
     println!(

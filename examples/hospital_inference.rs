@@ -67,9 +67,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Against the security view, both queries rewrite to the same flat
     // patient set: the difference is empty and the inference fails.
     let engine = SecureEngine::new(&spec, &view);
-    let answer = |p: &Path| {
-        engine.answer_report_policy(&doc, None, p, Approach::Optimize, PlanPolicy::ForceWalk)
-    };
+    let answer =
+        |p: &Path| engine.answer_report_policy(&doc, None, p, Approach::Optimize, PlanPolicy::Auto);
     let (r1, _) = answer(&p1)?;
     let (r2, _) = answer(&p2)?;
     println!("\n=== the same attack against the security view ===");

@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let answer = |group: &str, q: &str| {
         let p = parse_xpath(q).expect("query parses");
         engines[group]
-            .answer_report_policy(&doc, None, &p, Approach::Optimize, PlanPolicy::ForceWalk)
+            .answer_report_policy(&doc, None, &p, Approach::Optimize, PlanPolicy::Auto)
             .expect("query answers")
     };
     for group in ["nurse-ward6", "nurse-ward7", "researcher", "admin"] {

@@ -39,9 +39,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    materialization, just query rewriting (Fig. 6) + DTD-aware
     //    optimization (Fig. 10).
     let engine = SecureEngine::new(&spec, &view);
-    let answer = |p: &Path| {
-        engine.answer_report_policy(&doc, None, p, Approach::Optimize, PlanPolicy::ForceWalk)
-    };
+    let answer =
+        |p: &Path| engine.answer_report_policy(&doc, None, p, Approach::Optimize, PlanPolicy::Auto);
 
     let (names, _) = answer(&parse_xpath("//employee/name")?)?;
     println!("names visible: {:?}", names.iter().map(|&n| doc.string_value(n)).collect::<Vec<_>>());

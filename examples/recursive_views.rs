@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // same entry would serve a thread nested a thousand replies deep.
     let engine = SecureEngine::new(&spec, &view);
     let (served, _) =
-        engine.answer_report_policy(&doc, None, &p, Approach::Optimize, PlanPolicy::ForceWalk)?;
+        engine.answer_report_policy(&doc, None, &p, Approach::Optimize, PlanPolicy::Auto)?;
     assert_eq!(served, authors);
 
     // Cross-check 1: the §4.2 unfolding oracle, given a sufficient

@@ -6,7 +6,8 @@
 #   2. byte-identity gate: `sxv query --package` must print exactly
 #      what the in-memory `sxv query` prints, for every Table 1 query
 #      × every approach (naive, rewrite, optimize, annotate) × both
-#      roles, including the `--backend join` plan path;
+#      roles (both sides run the indexed `auto` plan, so this also
+#      gates the packaged index's interval columns);
 #   3. forward-compat gate: a package whose version field is bumped
 #      must be refused with a typed version error (exit != 0, no
 #      panic), and a truncated package likewise;
@@ -67,18 +68,6 @@ for role in analyst advertiser; do
       fi
       CELLS=$((CELLS + 1))
     done
-    # The join-plan path reads the packaged index's interval columns.
-    "$SXV" query --dtd "$DTD" --root adex --spec "$spec" \
-      --doc "$WORK/adex.xml" --query "$q" --backend join \
-      > "$WORK/mem.out" 2>/dev/null
-    "$SXV" query --package "$WORK/adex.sxvpkg" --role "$role" \
-      --query "$q" --backend join \
-      > "$WORK/pkg.out" 2>/dev/null
-    if ! cmp -s "$WORK/mem.out" "$WORK/pkg.out"; then
-      echo "FAIL: join-backend answers diverge: role=$role query=$q" >&2
-      exit 1
-    fi
-    CELLS=$((CELLS + 1))
   done
 done
 echo "ok: $CELLS (role, query, approach) cells byte-identical"

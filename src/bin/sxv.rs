@@ -5,13 +5,13 @@
 //! sxv materialize --dtd … --root … --spec … --doc data.xml
 //! sxv rewrite     --dtd … --root … --spec … --query '//patient//bill' [--no-optimize]
 //! sxv query       --dtd … --root … --spec … --doc data.xml --query '…' [--approach naive|rewrite|optimize|annotate]
-//!                 [--backend walk|join|auto] [--indexed] [--stats] [--repeat N] [--threads N] [--verify]
-//! sxv query       --package pkg.sxvpkg --query '…' [--role NAME] [--approach …] [--backend …] [--indexed]
+//!                 [--bind k=v]… [--stats] [--repeat N] [--threads N] [--verify]
+//! sxv query       --package pkg.sxvpkg --query '…' [--role NAME] [--approach …]
 //!                 [--stats] [--repeat N] [--threads N] [--verify]
 //! sxv pack        --dtd … --root … --doc data.xml --out pkg.sxvpkg (--spec FILE | --role NAME=SPECFILE …)
 //!                 [--bind k=v]…
-//! sxv explain     --dtd … --root … --spec … --query '…' [--approach …] [--policy walk|join|auto]
-//!                 [--doc data.xml] [--height N] [--format text|json] [--verify]
+//! sxv explain     --dtd … --root … --spec … --query '…' [--approach …] [--bind k=v]…
+//!                 [--format text|json] [--verify]
 //! sxv generate    --dtd … --root … [--branch 4] [--seed 1] [--depth 30]
 //! sxv validate    --dtd … --root … --doc data.xml
 //! sxv lint        --dtd … --root … [--spec …] [--bind k=v] [--view view.txt] [--query '…'] [--plans]
@@ -24,7 +24,12 @@
 //! All subcommands read the document DTD (with `--root` naming the root
 //! element type) and, where applicable, a specification file in the
 //! paper's `ann(parent, child) = Y|N|[q]` syntax with `--bind` supplying
-//! `$parameter` values.
+//! `$parameter` values. A flag the subcommand's usage line does not list
+//! is refused.
+//!
+//! `sxv query`, `sxv serve` and `sxv explain` share one plan per query:
+//! the engine's cached `auto` plan, run over the document's structural
+//! index (a package's, or one built at load).
 //!
 //! `sxv lint` is the static analyzer: it audits the specification, the
 //! (derived or `--view`-supplied) view definition and any `--query`
@@ -47,9 +52,8 @@
 //! package are byte-identical to the in-memory build.
 
 use secure_xml_views::core::{
-    build_access_view, certify, derive_view, dtd_cost_model, materialize, optimize,
-    parse_view_text, rewrite, rewrite_with_height, AccessSpec, Approach, CostModel, PlanPolicy,
-    SecureEngine,
+    answer_line, build_access_view, derive_view, materialize, optimize, parse_view_text, rewrite,
+    rewrite_with_height, AccessSpec, Approach, PlanPolicy, Planned, SecureEngine,
 };
 use secure_xml_views::dtd::{parse_dtd, validate, validate_attributes, Dtd};
 use secure_xml_views::gen::{GenConfig, Generator};
@@ -59,7 +63,7 @@ use secure_xml_views::lint::{
 use secure_xml_views::pack::{load_package_file, write_package_file, Package, RoleArtifacts};
 use secure_xml_views::serve::{run as serve_run, ServeConfig};
 use secure_xml_views::xml::{parse as parse_xml, to_string_pretty, DocIndex, Document};
-use secure_xml_views::xpath::{compile, compile_annotate, parse as parse_xpath, AccessView};
+use secure_xml_views::xpath::{parse as parse_xpath, AccessView};
 use std::path::Path as FsPath;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -78,6 +82,8 @@ fn main() -> ExitCode {
 /// Parsed command-line options (flag → values, in order).
 struct Options {
     command: String,
+    /// The subcommand's usage line: the flags it accepts.
+    usage: &'static str,
     flags: Vec<(String, String)>,
 }
 
@@ -85,30 +91,25 @@ impl Options {
     fn parse() -> Result<Options, String> {
         let mut args = std::env::args().skip(1);
         let command = args.next().ok_or_else(usage)?;
+        let usage = subcommand_usage(&command)
+            .ok_or_else(|| format!("unknown subcommand {command:?}\n{}", usage()))?;
         let mut flags = Vec::new();
         while let Some(flag) = args.next() {
             let name = flag
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected a --flag, found {flag:?}"))?
                 .to_string();
-            // Boolean flags take no value.
-            if matches!(
-                name.as_str(),
-                "show-sigma"
-                    | "no-optimize"
-                    | "stats"
-                    | "indexed"
-                    | "deny-warnings"
-                    | "verify"
-                    | "plans"
-            ) {
-                flags.push((name, String::new()));
-                continue;
-            }
-            let value = args.next().ok_or_else(|| format!("--{name} needs a value"))?;
+            let Some((_, takes_value)) = usage_flags(usage).find(|&(f, _)| f == name) else {
+                return Err(format!("`sxv {command}` does not take --{name}\nusage: {usage}"));
+            };
+            let value = if takes_value {
+                args.next().ok_or_else(|| format!("--{name} needs a value"))?
+            } else {
+                String::new()
+            };
             flags.push((name, value));
         }
-        Ok(Options { command, flags })
+        Ok(Options { command, usage, flags })
     }
 
     fn get(&self, name: &str) -> Option<&str> {
@@ -125,7 +126,7 @@ impl Options {
             format!(
                 "`sxv {cmd}` is missing required --{name}\nusage: {usage}",
                 cmd = self.command,
-                usage = subcommand_usage(&self.command)
+                usage = self.usage
             )
         })
     }
@@ -150,9 +151,10 @@ fn usage() -> String {
         .to_string()
 }
 
-/// The one-line usage of a specific subcommand (for `require` errors).
-fn subcommand_usage(command: &str) -> &'static str {
-    match command {
+/// The one-line usage of a subcommand, `None` for an unknown one. It is
+/// the one list of the flags the subcommand takes (see [`usage_flags`]).
+fn subcommand_usage(command: &str) -> Option<&'static str> {
+    Some(match command {
         "derive" => "sxv derive --dtd FILE --root NAME --spec FILE [--bind k=v]… [--show-sigma]",
         "materialize" => {
             "sxv materialize --dtd FILE --root NAME --spec FILE --doc FILE [--bind k=v]…"
@@ -164,7 +166,7 @@ fn subcommand_usage(command: &str) -> &'static str {
         "query" => {
             "sxv query (--dtd FILE --root NAME --spec FILE --doc FILE | --package PKGFILE \
              [--role NAME]) --query PATH \
-             [--approach naive|rewrite|optimize|annotate] [--backend walk|join|auto] [--indexed] \
+             [--approach naive|rewrite|optimize|annotate] [--bind k=v]… \
              [--stats] [--repeat N] [--threads N] [--verify]"
         }
         "pack" => {
@@ -173,8 +175,8 @@ fn subcommand_usage(command: &str) -> &'static str {
         }
         "explain" => {
             "sxv explain --dtd FILE --root NAME --spec FILE --query PATH \
-             [--approach naive|rewrite|optimize|annotate] [--policy walk|join|auto] [--doc FILE] \
-             [--height N] [--format text|json] [--verify]"
+             [--approach naive|rewrite|optimize|annotate] [--bind k=v]… \
+             [--format text|json] [--verify]"
         }
         "generate" => "sxv generate --dtd FILE --root NAME [--branch N] [--seed N] [--depth N]",
         "validate" => "sxv validate --dtd FILE --root NAME --doc FILE",
@@ -188,11 +190,17 @@ fn subcommand_usage(command: &str) -> &'static str {
              --package NAME=PKGFILE…) [--bind k=v]… [--port N] [--workers N] [--queue N] \
              [--timeout-ms N] [--stats-interval N] [--warm FILE] [--verify]"
         }
-        _ => {
-            "sxv <derive|materialize|rewrite|query|explain|generate|validate|lint|serve|pack> \
-             --dtd FILE --root NAME …"
-        }
-    }
+        _ => return None,
+    })
+}
+
+/// Each `--flag` of a usage line, and whether it takes a value: a
+/// boolean flag is written `[--flag]`, a valued one `--flag VALUE`.
+fn usage_flags(usage: &str) -> impl Iterator<Item = (&str, bool)> {
+    usage.split("--").skip(1).map(|rest| {
+        let end = rest.find(|c: char| !c.is_ascii_alphanumeric() && c != '-').unwrap_or(rest.len());
+        (&rest[..end], rest[end..].starts_with(' '))
+    })
 }
 
 fn run() -> Result<ExitCode, String> {
@@ -208,7 +216,7 @@ fn run() -> Result<ExitCode, String> {
         "lint" => cmd_lint(&opts),
         "serve" => cmd_serve(&opts).map(|()| ExitCode::SUCCESS),
         "pack" => cmd_pack(&opts).map(|()| ExitCode::SUCCESS),
-        other => Err(format!("unknown subcommand {other:?}\n{}", usage())),
+        other => unreachable!("Options::parse refuses unknown subcommand {other:?}"),
     }
 }
 
@@ -288,8 +296,8 @@ struct QuerySetup {
     dtd: Dtd,
     spec_text: String,
     doc: Document,
-    /// Index shipped in the package (`None` on the parse path; the
-    /// parse path builds one on demand instead).
+    /// Index shipped in the package (`None` on the parse path, which
+    /// builds one).
     prebuilt_index: Option<DocIndex>,
     /// Accessibility artifact shipped in the package, preloaded into
     /// the engine's cache.
@@ -373,21 +381,7 @@ fn cmd_query(opts: &Options) -> Result<(), String> {
         AccessSpec::parse(&setup.dtd, &setup.spec_text, &params).map_err(|e| e.to_string())?;
     let doc = setup.doc;
     let query = parse_xpath(opts.require("query")?).map_err(|e| e.to_string())?;
-    let approach = match opts.get("approach").unwrap_or("optimize") {
-        "naive" => Approach::Naive,
-        "rewrite" => Approach::Rewrite,
-        "optimize" => Approach::Optimize,
-        "annotate" => Approach::Annotate,
-        other => {
-            return Err(format!(
-                "unknown approach {other:?} (valid values: naive, rewrite, optimize, annotate)"
-            ))
-        }
-    };
-    let policy: PlanPolicy = match opts.get("backend") {
-        None => PlanPolicy::ForceWalk,
-        Some(v) => v.parse().map_err(|e| format!("--backend: {e}"))?,
-    };
+    let approach: Approach = opts.get("approach").unwrap_or("optimize").parse()?;
     let repeat: usize = match opts.get("repeat") {
         None => 1,
         Some(v) => v.parse().map_err(|e| format!("--repeat: {e}"))?,
@@ -402,19 +396,12 @@ fn cmd_query(opts: &Options) -> Result<(), String> {
     if threads == 0 {
         return Err("--threads must be at least 1".into());
     }
-    // Join and auto plans evaluate over the index's occurrence lists, so
-    // any --backend other than walk builds the index even without --indexed.
-    // A package ships its index pre-built, so there the fast path is free.
-    let index = if opts.has("indexed") || policy != PlanPolicy::ForceWalk {
-        Some(match setup.prebuilt_index {
-            Some(idx) => idx,
-            None => {
-                DocIndex::new(&doc).ok_or("document ids are not in document order; cannot index")?
-            }
-        })
-    } else {
-        None
-    };
+    // Queries run the engine's `Auto` plan over an index, as the daemon
+    // does. A package ships its index pre-built.
+    let index = setup
+        .prebuilt_index
+        .or_else(|| DocIndex::new(&doc))
+        .ok_or("document ids are not in document order; cannot index")?;
     let view = derive_view(&spec).map_err(|e| e.to_string())?;
     let mut engine = SecureEngine::new(&spec, &view);
     if opts.has("verify") {
@@ -430,7 +417,7 @@ fn cmd_query(opts: &Options) -> Result<(), String> {
         // immutable document + index.
         let queries: Vec<_> = (0..repeat).map(|_| query.clone()).collect();
         let mut results =
-            engine.answer_batch(&doc, index.as_ref(), &queries, approach, policy, threads);
+            engine.answer_batch(&doc, Some(&index), &queries, approach, PlanPolicy::Auto, threads);
         let (ans, report) = results.pop().expect("repeat >= 1").map_err(|e| e.to_string())?;
         for r in results {
             let (other, _) = r.map_err(|e| e.to_string())?;
@@ -444,7 +431,7 @@ fn cmd_query(opts: &Options) -> Result<(), String> {
         let mut last_report = None;
         for _ in 0..repeat {
             let (ans, report) = engine
-                .answer_report_policy(&doc, index.as_ref(), &query, approach, policy)
+                .answer_report_policy(&doc, Some(&index), &query, approach, PlanPolicy::Auto)
                 .map_err(|e| e.to_string())?;
             answer = ans;
             last_report = Some(report);
@@ -476,14 +463,13 @@ fn cmd_query(opts: &Options) -> Result<(), String> {
             report.plan.est_rows,
         );
         eprintln!(
-            "evaluation ({policy} backend): nodes_touched={} qualifier_checks={} \
-             index_lookups={} merge_steps={} interval_probes={}{}",
+            "evaluation: nodes_touched={} qualifier_checks={} index_lookups={} merge_steps={} \
+             interval_probes={}",
             report.eval.nodes_touched,
             report.eval.qualifier_checks,
             report.eval.index_lookups,
             report.eval.merge_steps,
             report.eval.interval_probes,
-            if index.is_some() { " (indexed)" } else { "" },
         );
         eprintln!(
             "translation cache: hits={} misses={} entries={} hit_rate={:.1}% \
@@ -515,10 +501,7 @@ fn cmd_query(opts: &Options) -> Result<(), String> {
     }
     eprintln!("{} result(s)", answer.len());
     for node in answer {
-        match doc.label_opt(node) {
-            Some(label) => println!("<{label}> {}", doc.string_value(node)),
-            None => println!("#text {}", doc.string_value(node)),
-        }
+        println!("{}", answer_line(&doc, node));
     }
     Ok(())
 }
@@ -527,53 +510,21 @@ fn cmd_explain(opts: &Options) -> Result<ExitCode, String> {
     let dtd = load_dtd(opts)?;
     let spec = load_spec(opts, &dtd)?;
     let query = parse_xpath(opts.require("query")?).map_err(|e| e.to_string())?;
-    let approach = match opts.get("approach").unwrap_or("optimize") {
-        "naive" => Approach::Naive,
-        "rewrite" => Approach::Rewrite,
-        "optimize" => Approach::Optimize,
-        "annotate" => Approach::Annotate,
-        other => {
-            return Err(format!(
-                "unknown approach {other:?} (valid values: naive, rewrite, optimize, annotate)"
-            ))
-        }
-    };
-    let policy: PlanPolicy = match opts.get("policy") {
-        None => PlanPolicy::Auto,
-        Some(v) => v.parse().map_err(|e| format!("--policy: {e}"))?,
-    };
+    let approach: Approach = opts.get("approach").unwrap_or("optimize").parse()?;
     let json = match opts.get("format").unwrap_or("text") {
         "text" => false,
         "json" => true,
         other => return Err(format!("unknown format {other:?} (valid values: text, json)")),
     };
-    // With --doc the planner sees the document's real occurrence lists;
-    // without one it falls back to DTD-derived expected cardinalities and
-    // plans for index-less execution.
-    let doc = match opts.get("doc") {
-        Some(_) => Some(load_doc(opts)?),
-        None => None,
-    };
-    let cost = match &doc {
-        Some(d) => {
-            let idx =
-                DocIndex::new(d).ok_or("document ids are not in document order; cannot index")?;
-            CostModel::from_index(&idx)
-        }
-        None => dtd_cost_model(&dtd, false),
-    };
     let view = derive_view(&spec).map_err(|e| e.to_string())?;
     let engine = SecureEngine::new(&spec, &view);
-    let translated = engine.translate(&query, approach).map_err(|e| e.to_string())?;
-    let plan = match approach {
-        // Annotate serves the view query itself through access-filtered
-        // view operators; there is no document-side translation to plan.
-        Approach::Annotate => compile_annotate(&translated, policy, &cost),
-        _ => compile(&translated, policy, &cost),
-    };
-    // --verify runs the static certifier over the plan and appends its
-    // trace; an uncertified plan turns the exit code nonzero.
-    let cert = opts.has("verify").then(|| certify(&plan, engine.certify_context()));
+    // The plan every serving surface runs for this query, with the
+    // certificate the engine cached for it.
+    let (planned, _) = engine.plan_certified(&query, approach, PlanPolicy::Auto);
+    let Planned { plan, cert, .. } = planned.map_err(|e| e.to_string())?;
+    // --verify appends the certificate's trace; an uncertified plan
+    // turns the exit code nonzero.
+    let cert = opts.has("verify").then_some(cert);
     if json {
         match &cert {
             Some(c) => {
@@ -695,7 +646,7 @@ fn cmd_lint(opts: &Options) -> Result<ExitCode, String> {
             return Err(format!(
                 "nothing to lint: pass --spec (and optionally --view / --query)\n\
                  usage: {}",
-                subcommand_usage("lint")
+                opts.usage
             ));
         }
         // --spec was given but did not survive parsing: the SXV001
@@ -756,7 +707,7 @@ fn cmd_pack(opts: &Options) -> Result<(), String> {
         return Err(format!(
             "`sxv pack` needs at least one role: pass --spec FILE or --role NAME=SPECFILE\n\
              usage: {}",
-            subcommand_usage("pack")
+            opts.usage
         ));
     }
     let mut built = Vec::new();

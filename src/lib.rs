@@ -45,7 +45,7 @@
 //! let engine = SecureEngine::new(&spec, &view);
 //! let answer = |q| {
 //!     let p = parse_xpath(q).unwrap();
-//!     engine.answer_report_policy(&doc, None, &p, Approach::Optimize, PlanPolicy::ForceWalk).unwrap().0
+//!     engine.answer_report_policy(&doc, None, &p, Approach::Optimize, PlanPolicy::Auto).unwrap().0
 //! };
 //! assert_eq!(answer("//a").len(), 1);
 //! assert!(answer("//b").is_empty()); // `b` is invisible in the view

@@ -173,27 +173,19 @@ fn query_stats_reports_cache_and_eval_counters() {
     assert!(ok, "{stderr}");
     assert!(stderr.contains("translated query:"), "{stderr}");
     assert!(stderr.contains("nodes_touched="), "{stderr}");
-    assert!(stderr.contains("plan (walk policy): ops="), "{stderr}");
+    assert!(stderr.contains("plan (auto policy): ops="), "{stderr}");
     assert!(stderr.contains("est_rows≈"), "{stderr}");
     assert!(stderr.contains("hits=2 misses=1"), "three repeats = 1 miss + 2 hits: {stderr}");
     assert!(stderr.contains("hit_rate=66.7%"), "{stderr}");
     assert!(stderr.contains("plans_compiled=1"), "repeats must reuse the cached plan: {stderr}");
     assert!(stderr.contains("last query: hit"), "{stderr}");
     assert!(stderr.contains("1 result(s)"), "{stderr}");
-
-    // Indexed evaluation must agree and report index probes when the
-    // translated query exercises the index.
-    args.push("--indexed");
-    let (_, idx_err, ok) = run(&args);
-    assert!(ok, "{idx_err}");
-    assert!(idx_err.contains("(indexed)"), "{idx_err}");
-    assert!(idx_err.contains("1 result(s)"), "{idx_err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn query_backend_join_and_threaded_batch_agree_with_walk() {
-    let dir = std::env::temp_dir().join(format!("sxv-cli-backend-{}", std::process::id()));
+fn threaded_batch_agrees_and_retired_flags_are_refused() {
+    let dir = std::env::temp_dir().join(format!("sxv-cli-batch-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let doc_path = dir.join("h.xml");
     std::fs::write(
@@ -217,79 +209,62 @@ fn query_backend_join_and_threaded_batch_agree_with_walk() {
         "//patient/name",
         "--stats",
     ];
-    let mut walk_args = vec!["query"];
-    walk_args.extend(DTD_ARGS);
-    walk_args.extend(base);
-    walk_args.extend(["--backend", "walk", "--indexed"]);
-    let (walk_out, walk_err, ok) = run(&walk_args);
-    assert!(ok, "{walk_err}");
-    assert!(walk_err.contains("evaluation (walk backend)"), "{walk_err}");
-
-    // --backend join builds the index implicitly and must return the
-    // same answer, reporting its merge/probe counters.
-    let mut join_args = vec!["query"];
-    join_args.extend(DTD_ARGS);
-    join_args.extend(base);
-    join_args.extend(["--backend", "join"]);
-    let (join_out, join_err, ok) = run(&join_args);
-    assert!(ok, "{join_err}");
-    assert_eq!(walk_out, join_out, "join backend answer differs from walk");
-    assert!(join_err.contains("evaluation (join backend)"), "{join_err}");
-    assert!(join_err.contains("merge_steps="), "{join_err}");
-    assert!(join_err.contains("interval_probes="), "{join_err}");
-    assert!(join_err.contains("(indexed)"), "join must build the index: {join_err}");
-
-    // --backend auto lets the planner pick operators from the index's
-    // cardinalities; the answer must still match the walk exactly.
-    let mut auto_args = vec!["query"];
-    auto_args.extend(DTD_ARGS);
-    auto_args.extend(base);
-    auto_args.extend(["--backend", "auto"]);
-    let (auto_out, auto_err, ok) = run(&auto_args);
-    assert!(ok, "{auto_err}");
-    assert_eq!(walk_out, auto_out, "auto policy answer differs from walk");
-    assert!(auto_err.contains("evaluation (auto backend)"), "{auto_err}");
-    assert!(auto_err.contains("(indexed)"), "auto must build the index: {auto_err}");
+    let mut one_args = vec!["query"];
+    one_args.extend(DTD_ARGS);
+    one_args.extend(base);
+    let (one_out, one_err, ok) = run(&one_args);
+    assert!(ok, "{one_err}");
 
     // Threaded batch over repeat copies: same answer, all workers agree.
-    let mut batch_args = vec!["query"];
-    batch_args.extend(DTD_ARGS);
-    batch_args.extend(base);
-    batch_args.extend(["--backend", "join", "--repeat", "6", "--threads", "3"]);
+    let mut batch_args = one_args.clone();
+    batch_args.extend(["--repeat", "6", "--threads", "3"]);
     let (batch_out, batch_err, ok) = run(&batch_args);
     assert!(ok, "{batch_err}");
-    assert_eq!(walk_out, batch_out, "threaded batch answer differs from walk");
+    assert_eq!(one_out, batch_out, "threaded batch answer differs from one run");
     // The ward qualifier guards the dept edge, so both patients in the
     // qualifying dept are visible.
     assert!(batch_err.contains("2 result(s)"), "{batch_err}");
 
-    // Bad values are rejected with the flag named.
-    let mut bad = vec!["query"];
-    bad.extend(DTD_ARGS);
-    bad.extend(base);
-    bad.extend(["--backend", "turbo"]);
-    let (_, bad_err, ok) = run(&bad);
-    assert!(!ok);
-    assert!(bad_err.contains("--backend"), "{bad_err}");
-    assert!(bad_err.contains("valid values: walk, join, auto"), "{bad_err}");
     // Zero worker/repeat counts are usage errors, not silent clamps: the
     // message must name the flag and the minimum.
-    let mut zero = vec!["query"];
-    zero.extend(DTD_ARGS);
-    zero.extend(base);
-    zero.extend(["--threads", "0"]);
-    let (_, zero_err, ok) = run(&zero);
-    assert!(!ok);
-    assert!(zero_err.contains("--threads"), "{zero_err}");
-    assert!(zero_err.contains("at least 1"), "{zero_err}");
-    let mut zero_rep = vec!["query"];
-    zero_rep.extend(DTD_ARGS);
-    zero_rep.extend(base);
-    zero_rep.extend(["--repeat", "0"]);
-    let (_, rep_err, ok) = run(&zero_rep);
-    assert!(!ok);
-    assert!(rep_err.contains("--repeat"), "{rep_err}");
-    assert!(rep_err.contains("at least 1"), "{rep_err}");
+    for (flag, value) in [("--threads", "0"), ("--repeat", "0")] {
+        let mut zero = one_args.clone();
+        zero.extend([flag, value]);
+        let (_, zero_err, ok) = run(&zero);
+        assert!(!ok);
+        assert!(zero_err.contains(flag), "{zero_err}");
+        assert!(zero_err.contains("at least 1"), "{zero_err}");
+    }
+
+    // Every plan is the engine's indexed `auto` plan: the flags that
+    // used to pick another are refused with exit 1, the flag named and
+    // the usage printed, rather than ignored or eating the next flag.
+    let mut explain_args = vec!["explain"];
+    explain_args.extend(DTD_ARGS);
+    explain_args.extend([
+        "--spec",
+        "assets/hospital_nurse.spec",
+        "--bind",
+        "wardNo=6",
+        "--query",
+        "//patient/name",
+    ]);
+    let retired: [(&Vec<&str>, &[&str], &str); 5] = [
+        (&one_args, &["--backend", "join"], "--backend"),
+        (&one_args, &["--indexed", "--stats"], "--indexed"),
+        (&explain_args, &["--policy", "walk"], "--policy"),
+        (&explain_args, &["--doc", doc_str], "--doc"),
+        (&explain_args, &["--height", "3"], "--height"),
+    ];
+    for (args, extra, flag) in retired {
+        let mut args = args.clone();
+        args.extend(extra);
+        let (stdout, stderr, code) = run_code(&args);
+        assert_eq!(code, 1, "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{stdout}");
+        assert!(stderr.contains(&format!("does not take {flag}")), "{stderr}");
+        assert!(stderr.contains(&format!("usage: sxv {}", args[0])), "{stderr}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -333,63 +308,23 @@ fn explain_renders_plans_text_and_json() {
     assert!(json.contains("\"ops\":"), "{json}");
     assert!(json.contains("\"est_rows\":"), "{json}");
 
-    // The naive translation is `//`-heavy: under every policy the
-    // fusion pass collapses the trailing slice → qualifier chain into
-    // one streaming fused scan instead of materializing per-operator
-    // sets.
+    // The naive translation is `//`-heavy: the fusion pass collapses the
+    // trailing slice → qualifier chain into one streaming fused scan
+    // instead of materializing per-operator sets.
     let mut naive = args.clone();
     naive.extend(["--approach", "naive"]);
-    let mut walk = naive.clone();
-    walk.extend(["--policy", "walk"]);
-    let (walk_plan, _, ok) = run(&walk);
+    let (naive_plan, _, ok) = run(&naive);
     assert!(ok);
-    assert!(walk_plan.contains("fused-scan"), "{walk_plan}");
-    let mut join = naive.clone();
-    join.extend(["--policy", "join"]);
-    let (join_plan, _, ok) = run(&join);
-    assert!(ok);
-    assert!(join_plan.contains("descendant-slice"), "{join_plan}");
+    assert!(naive_plan.contains("descendant-slice"), "{naive_plan}");
+    assert!(naive_plan.contains("fused-scan"), "{naive_plan}");
 
-    // Bad values are rejected with the flag named and the choices listed.
+    // Bad values are rejected with the choices listed.
     let mut bad = args.clone();
-    bad.extend(["--policy", "turbo"]);
+    bad.extend(["--approach", "turbo"]);
     let (_, bad_err, ok) = run(&bad);
     assert!(!ok);
-    assert!(bad_err.contains("--policy"), "{bad_err}");
-    assert!(bad_err.contains("valid values: walk, join, auto"), "{bad_err}");
-}
-
-#[test]
-fn explain_with_document_uses_real_cardinalities() {
-    let dir = std::env::temp_dir().join(format!("sxv-cli-explain-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let doc_path = dir.join("h.xml");
-    std::fs::write(
-        &doc_path,
-        "<hospital><dept><patientInfo><patient><name>A</name><wardNo>6</wardNo>\
-         <treatment><trial><bill>9</bill></trial></treatment></patient></patientInfo>\
-         <staffInfo/></dept></hospital>",
-    )
-    .unwrap();
-    let mut args = vec!["explain"];
-    args.extend(DTD_ARGS);
-    args.extend([
-        "--spec",
-        "assets/hospital_nurse.spec",
-        "--bind",
-        "wardNo=6",
-        "--query",
-        "//patient/name",
-        "--doc",
-        doc_path.to_str().unwrap(),
-    ]);
-    let (stdout, stderr, ok) = run(&args);
-    assert!(ok, "{stderr}");
-    assert!(stdout.contains("plan (policy=auto"), "{stdout}");
-    // One patient in the document: estimates come from the index, not
-    // the DTD's expected fan-out, so the plan's estimate stays small.
-    assert!(stdout.contains("est_rows≈1") || stdout.contains("est_rows≈0"), "{stdout}");
-    std::fs::remove_dir_all(&dir).ok();
+    assert!(bad_err.contains("unknown approach"), "{bad_err}");
+    assert!(bad_err.contains("valid values: naive, rewrite, optimize, annotate"), "{bad_err}");
 }
 
 #[test]

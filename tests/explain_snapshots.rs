@@ -1,16 +1,20 @@
 //! Golden-file snapshots of `sxv explain` over the paper's Table 1
 //! queries (§6) under the Adex policy of `assets/adex_section6.spec`.
 //!
-//! Without a `--doc`, explain plans against DTD-derived expected
-//! cardinalities, which are deterministic for a fixed DTD — so the full
-//! text dump (operators, per-operator `est_rows`) is stable and any
-//! planner change shows up as a readable diff. Regenerate after an
-//! intentional change with:
+//! Explain prints the engine's cached `auto` plan, the one every serving
+//! surface runs. It is costed from DTD-derived expected cardinalities,
+//! which are deterministic for a fixed DTD — so the full text dump
+//! (operators, per-operator `est_rows`) is stable and any planner change
+//! shows up as a readable diff. Regenerate after an intentional change
+//! with:
 //!
 //! ```text
 //! UPDATE_SNAPSHOTS=1 cargo test --test explain_snapshots
 //! ```
 
+use secure_xml_views::core::{derive_view, AccessSpec, Approach, PlanPolicy, SecureEngine};
+use secure_xml_views::dtd::parse_dtd;
+use secure_xml_views::xpath::parse as parse_xpath;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -177,4 +181,44 @@ fn b1_rewrite_verify_trace_matches_snapshot() {
 #[test]
 fn b1_json_plan_matches_snapshot() {
     check_snapshot("explain_b1.json", &explain_bom(BOM[0].1, &["--format", "json"]));
+}
+
+#[test]
+fn explain_prints_the_plan_the_engine_serves() {
+    // `sxv explain --verify` must print exactly the plan and certificate
+    // the engine caches for serving, not a plan of its own.
+    let policies = [
+        ("assets/adex.dtd", "adex", "assets/adex_section6.spec", &TABLE1[..]),
+        ("assets/bom.dtd", "bom", "assets/bom_contractor.spec", &BOM[..]),
+    ];
+    for (dtd_path, root, spec_path, queries) in policies {
+        let dtd = parse_dtd(&std::fs::read_to_string(dtd_path).unwrap(), root).unwrap();
+        let spec =
+            AccessSpec::parse(&dtd, &std::fs::read_to_string(spec_path).unwrap(), &[]).unwrap();
+        let view = derive_view(&spec).unwrap();
+        let engine = SecureEngine::new(&spec, &view);
+        for (name, query) in queries {
+            for approach_name in ["naive", "rewrite", "optimize", "annotate"] {
+                let approach: Approach = approach_name.parse().unwrap();
+                let (planned, _) =
+                    engine.plan_certified(&parse_xpath(query).unwrap(), approach, PlanPolicy::Auto);
+                let planned = planned.unwrap();
+                let want = format!(
+                    "translated query: {}\n{}{}",
+                    planned.plan.translated,
+                    planned.plan.explain_text(),
+                    planned.cert.to_text()
+                );
+                let out = Command::new(env!("CARGO_BIN_EXE_sxv"))
+                    .args(["explain", "--dtd", dtd_path, "--root", root, "--spec", spec_path])
+                    .args(["--query", query, "--approach", approach_name, "--verify"])
+                    .output()
+                    .expect("binary runs");
+                let context = format!("{name} ({approach_name})");
+                assert_eq!(String::from_utf8(out.stdout).unwrap(), want, "{context}");
+                let code = if planned.cert.certified() { 0 } else { 1 };
+                assert_eq!(out.status.code(), Some(code), "{context}");
+            }
+        }
+    }
 }

@@ -13,7 +13,7 @@
 
 use proptest::prelude::*;
 use secure_xml_views::core::{
-    build_access_view, derive_view, AccessSpec, Approach, PlanPolicy, SecureEngine,
+    answer_line, build_access_view, derive_view, AccessSpec, Approach, PlanPolicy, SecureEngine,
 };
 use secure_xml_views::dtd::parse_dtd;
 use secure_xml_views::gen::{GenConfig, Generator};
@@ -116,13 +116,7 @@ fn path_strategy() -> impl Strategy<Value = Path> {
 
 /// Format answers exactly like `sxv query` stdout.
 fn format_answers(doc: &Document, nodes: &[NodeId]) -> Vec<String> {
-    nodes
-        .iter()
-        .map(|&node| match doc.label_opt(node) {
-            Some(label) => format!("<{label}> {}", doc.string_value(node)),
-            None => format!("#text {}", doc.string_value(node)),
-        })
-        .collect()
+    nodes.iter().map(|&node| answer_line(doc, node)).collect()
 }
 
 proptest! {

@@ -4,12 +4,14 @@
 //! identical to the one-shot engine, correct 4xx/5xx semantics under
 //! bad input and overload, per-tenant stats, clean shutdown.
 
-use secure_xml_views::core::{derive_view, AccessSpec, Approach, PlanPolicy, SecureEngine};
+use secure_xml_views::core::{
+    answer_line, derive_view, AccessSpec, Approach, PlanPolicy, SecureEngine,
+};
 use secure_xml_views::dtd::{parse_dtd, Dtd};
 use secure_xml_views::serve::http::Client;
 use secure_xml_views::serve::json::MAX_NESTING;
 use secure_xml_views::serve::{parse_answers, query_body, run, ServeConfig};
-use secure_xml_views::xml::{parse as parse_xml, Document};
+use secure_xml_views::xml::{parse as parse_xml, Document, DocumentParts, NodeId};
 use secure_xml_views::xpath::parse as parse_xpath;
 use secure_xml_views::xpath::parser::MAX_DEPTH;
 use std::net::SocketAddr;
@@ -56,9 +58,9 @@ fn client(addr: SocketAddr) -> Client {
     Client::connect(&addr.to_string(), Duration::from_secs(10)).unwrap()
 }
 
-/// What the one-shot path (`sxv query` defaults: optimize + walk, no
-/// index) answers for this (role, doc, query) — the server must match
-/// these lines byte for byte.
+/// What the unindexed `walk` plan answers for this (role, doc, query)
+/// under optimize — the server's indexed `auto` plan must match these
+/// lines byte for byte.
 fn direct_answers(dtd: &Dtd, role: &str, doc_name: &str, query: &str) -> Vec<String> {
     let spec = roles(dtd).into_iter().find(|(n, _)| n == role).unwrap().1;
     let doc = docs().into_iter().find(|(n, _)| n == doc_name).unwrap().1;
@@ -68,13 +70,7 @@ fn direct_answers(dtd: &Dtd, role: &str, doc_name: &str, query: &str) -> Vec<Str
     let (nodes, _) = engine
         .answer_report_policy(&doc, None, &q, Approach::Optimize, PlanPolicy::ForceWalk)
         .unwrap();
-    nodes
-        .into_iter()
-        .map(|node| match doc.label_opt(node) {
-            Some(label) => format!("<{label}> {}", doc.string_value(node)),
-            None => format!("#text {}", doc.string_value(node)),
-        })
-        .collect()
+    nodes.into_iter().map(|node| answer_line(&doc, node)).collect()
 }
 
 fn shutdown(addr: SocketAddr, handle: JoinHandle<Result<(), String>>) {
@@ -240,6 +236,13 @@ fn unknown_tenants_and_bad_bodies_get_4xx() {
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("query parse"), "{body}");
 
+    let turbo =
+        "{\"role\": \"public\", \"doc\": \"d1\", \"query\": \"*\", \"approach\": \"turbo\"}";
+    let (status, body) = c.post("/query", turbo).unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("unknown approach"), "{body}");
+    assert!(body.contains("valid values: naive, rewrite, optimize, annotate"), "{body}");
+
     let (status, _) = c.get("/no-such-endpoint").unwrap();
     assert_eq!(status, 404);
 
@@ -341,6 +344,23 @@ fn boot_rejects_empty_or_invalid_configs() {
     config.workers = 0;
     let err = run(config, tx).unwrap_err();
     assert!(err.contains("--workers"), "{err}");
+
+    // Every served document is indexed at boot, so one whose ids are not
+    // in document order (node 3 sits under node 1 but after node 2)
+    // fails the boot instead of being served unindexed.
+    let scrambled = Document::from_raw_parts(DocumentParts {
+        labels: vec!["r".into(), "pub".into(), "sec".into()],
+        node_labels: vec![0, 1, 2, 1],
+        parents: vec![Document::NO_PARENT, 0, 0, 1],
+        root: Some(NodeId::from_index(0)),
+        ..DocumentParts::default()
+    })
+    .unwrap();
+    let mut docs = docs();
+    docs.push(("scrambled".into(), scrambled));
+    let (tx, _rx) = mpsc::channel();
+    let err = run(ServeConfig::new(roles(&dtd), docs), tx).unwrap_err();
+    assert!(err.contains("doc \"scrambled\"") && err.contains("cannot index"), "{err}");
 }
 
 /// Deep query shapes: how to build one of size `n`, the largest size the
