@@ -6,8 +6,6 @@
 //! * `rewrite` scaling in |p| (Theorem 4.1: `O(|p|·|D_v|²)`) and in |D_v|;
 //! * `recProc` factored-output cost on deep diamond DAGs (the symbolic
 //!   `Z_x` sharing — without it these would be exponential);
-//! * ablation: per-target `rewrite` vs. the paper's merged Fig. 6
-//!   combination;
 //! * `optimize` translation cost, and end-to-end query answering with and
 //!   without optimization on the hospital workload;
 //! * compiled `Auto` plans over the structural index (`DocIndex`) vs. the
@@ -16,7 +14,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use sxv_bench::{diamond_dtd, HospitalWorkload};
-use sxv_core::{derive_view, optimize, rewrite, rewrite_paper_merge, AccessSpec};
+use sxv_core::{derive_view, optimize, rewrite, AccessSpec};
 use sxv_xpath::{compile, eval_at_root, parse, CostModel, PlanPolicy};
 
 fn bench_derive(c: &mut Criterion) {
@@ -71,14 +69,6 @@ fn bench_rewrite_scaling(c: &mut Criterion) {
             b.iter(|| black_box(rewrite(&hospital.view, &p).unwrap()))
         });
     }
-    // Ablation: per-target tables vs the paper's merged combination.
-    let p = parse("//patient//bill").unwrap();
-    group.bench_function("per-target", |b| {
-        b.iter(|| black_box(rewrite(&hospital.view, &p).unwrap()))
-    });
-    group.bench_function("paper-merged", |b| {
-        b.iter(|| black_box(rewrite_paper_merge(&hospital.view, &p).unwrap()))
-    });
     group.finish();
 }
 

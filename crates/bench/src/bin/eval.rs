@@ -12,12 +12,8 @@
 //! override the artifact paths. Every policy's answers are asserted
 //! identical to the reference tree-walk before anything is timed.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use sxv_bench::{
-    json_escape, time_pair_us, time_us, AdexWorkload, BomWorkload, Timing, BOM_QUERIES, DATASETS,
-};
+use sxv_bench::{json_escape, time_us, AdexWorkload, BomWorkload, Timing, BOM_QUERIES, DATASETS};
 use sxv_core::{optimize, rewrite, rewrite_with_height, Approach, PlanPolicy, SecureEngine};
 use sxv_xml::{DocIndex, Document};
 use sxv_xpath::{
@@ -25,44 +21,6 @@ use sxv_xpath::{
 };
 
 const POLICIES: [PlanPolicy; 3] = [PlanPolicy::ForceWalk, PlanPolicy::ForceJoin, PlanPolicy::Auto];
-
-/// Counting allocator: every heap allocation the process makes ticks two
-/// counters, so the `exec` section can report allocations-per-query for
-/// the fused vs materialized executors (the fused path's whole point is
-/// killing per-operator intermediate buffers).
-struct CountingAlloc;
-
-static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates every operation to `System`; the counters are plain
-// relaxed atomics with no allocation of their own.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Run `f` once and return its result plus (allocations, bytes) it made.
-fn count_allocs<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
-    let (c0, b0) = (ALLOC_COUNT.load(Ordering::Relaxed), ALLOC_BYTES.load(Ordering::Relaxed));
-    let out = f();
-    let (c1, b1) = (ALLOC_COUNT.load(Ordering::Relaxed), ALLOC_BYTES.load(Ordering::Relaxed));
-    (out, c1 - c0, b1 - b0)
-}
 
 struct Row {
     query: &'static str,
@@ -72,23 +30,6 @@ struct Row {
     timing: Timing,
     stats: EvalStats,
     plan: PlanSummary,
-    result_count: usize,
-}
-
-/// One fused-vs-materialized executor measurement: the same compiled
-/// plan run through the streaming executor and through the
-/// de-composed per-operator oracle, with per-run allocation counts.
-struct ExecRow {
-    query: &'static str,
-    dataset: &'static str,
-    approach: &'static str,
-    fused: Timing,
-    materialized: Timing,
-    fused_allocs: u64,
-    fused_alloc_bytes: u64,
-    materialized_allocs: u64,
-    materialized_alloc_bytes: u64,
-    fused_ops: u32,
     result_count: usize,
 }
 
@@ -234,86 +175,6 @@ fn main() {
                         result_count: reference.len(),
                     });
                 }
-            }
-        }
-    }
-    println!();
-
-    // Fused vs materialized execution: the same compiled plan, run
-    // through the streaming executor (the serving path) and through the
-    // de-composed per-operator oracle. Same process, same plan, same
-    // data — the ratio isolates what fusion buys, machine noise aside.
-    let mut exec_rows: Vec<ExecRow> = Vec::new();
-    println!(
-        "{:<5} {:<4} {:<9} {:>12} {:>12} {:>7} {:>12} {:>12} {:>6}",
-        "Query", "Data", "Approach", "fused(us)", "mat(us)", "f/m", "f-allocs", "m-allocs", "fused"
-    );
-    for q in &workload.queries {
-        for (name, doc, annotated, index, naive_index, access) in &docs {
-            for &(aname, approach) in &approaches {
-                let (eval_doc, eval_index): (&Document, &DocIndex) = match approach {
-                    Approach::Naive => (annotated, naive_index),
-                    _ => (doc, index),
-                };
-                let cost = CostModel::from_index(eval_index);
-                let plan = match approach {
-                    Approach::Annotate => compile_annotate(&q.view_query, PlanPolicy::Auto, &cost),
-                    _ => compile(q.translated(approach), PlanPolicy::Auto, &cost),
-                };
-                let acc = match approach {
-                    Approach::Annotate => Some(access),
-                    _ => None,
-                };
-                let run_fused = || plan.execute_with_access(eval_doc, Some(eval_index), acc);
-                let run_mat = || plan.execute_materialized(eval_doc, Some(eval_index), acc);
-                let ((fused_ans, _), fa, fb) = count_allocs(run_fused);
-                let ((mat_ans, _), ma, mb) = count_allocs(run_mat);
-                assert_eq!(
-                    fused_ans, mat_ans,
-                    "{} {aname} on {name}: fused executor disagrees with the oracle",
-                    q.name
-                );
-                let summary = plan.summary();
-                // A plan with no fused scans, closure expands or schema
-                // slices runs the identical operator pipeline through both
-                // entry points: one timing serves both columns instead
-                // of reporting loop-to-loop noise as a phantom speedup
-                // or regression. Differing pipelines (the oracle runs a
-                // schema slice's retained chain) are timed with
-                // interleaved repetitions so drift cancels.
-                let differs =
-                    summary.fused_scan + summary.closure_expand + summary.schema_slice > 0;
-                let (fused_t, mat_t) = if differs {
-                    time_pair_us(&run_fused, run_mat)
-                } else {
-                    let t = time_us(run_fused);
-                    (t, t)
-                };
-                println!(
-                    "{:<5} {:<4} {:<9} {:>12.1} {:>12.1} {:>6.2}x {:>12} {:>12} {:>6}",
-                    q.name,
-                    name,
-                    aname,
-                    fused_t.median_us,
-                    mat_t.median_us,
-                    mat_t.median_us / fused_t.median_us.max(1e-9),
-                    fa,
-                    ma,
-                    summary.fused_scan
-                );
-                exec_rows.push(ExecRow {
-                    query: q.name,
-                    dataset: name,
-                    approach: aname,
-                    fused: fused_t,
-                    materialized: mat_t,
-                    fused_allocs: fa,
-                    fused_alloc_bytes: fb,
-                    materialized_allocs: ma,
-                    materialized_alloc_bytes: mb,
-                    fused_ops: summary.fused_scan,
-                    result_count: fused_ans.len(),
-                });
             }
         }
     }
@@ -509,38 +370,6 @@ fn main() {
                 direct_eval,
                 unfold_eval,
             });
-            // Closure plans through the fused executor vs the oracle:
-            // the in-place deduped worklist vs the legacy merge loop.
-            let plan = compile(&direct, PlanPolicy::Auto, &CostModel::from_index(&index));
-            let run_fused = || plan.execute(&doc, Some(&index));
-            let run_mat = || plan.execute_materialized(&doc, Some(&index), None);
-            let ((fused_ans, _), fa, fb) = count_allocs(run_fused);
-            let ((mat_ans, _), ma, mb) = count_allocs(run_mat);
-            assert_eq!(
-                fused_ans, mat_ans,
-                "{qname} on {dname}: fused closure executor disagrees with the oracle"
-            );
-            let (fused_t, mat_t) = time_pair_us(&run_fused, &run_mat);
-            println!(
-                "      fused {:>10.1} us vs materialized {:>10.1} us ({:.2}x), \
-                 allocs {fa} vs {ma}",
-                fused_t.median_us,
-                mat_t.median_us,
-                mat_t.median_us / fused_t.median_us.max(1e-9)
-            );
-            exec_rows.push(ExecRow {
-                query: qname,
-                dataset: dname,
-                approach: "optimize",
-                fused: fused_t,
-                materialized: mat_t,
-                fused_allocs: fa,
-                fused_alloc_bytes: fb,
-                materialized_allocs: ma,
-                materialized_alloc_bytes: mb,
-                fused_ops: plan.summary().fused_scan,
-                result_count: fused_ans.len(),
-            });
         }
     }
     println!();
@@ -554,7 +383,6 @@ fn main() {
     let json = render_json(
         &rows,
         &rec_rows,
-        &exec_rows,
         &recompiles,
         &access_rows,
         &warm,
@@ -580,7 +408,6 @@ fn cache_tuple(engine: &SecureEngine) -> (u64, u64, u64) {
 fn render_json(
     rows: &[Row],
     rec: &[RecRow],
-    exec: &[ExecRow],
     recompiles: &[(&str, u64, u64)],
     access: &[(&str, usize, u64, usize)],
     warm: &[(&str, Timing)],
@@ -624,31 +451,6 @@ fn render_json(
     }
     let _ = writeln!(out, "  ],");
     let _ = writeln!(out, "  \"exec\": {{");
-    let _ = writeln!(out, "    \"rows\": [");
-    for (i, r) in exec.iter().enumerate() {
-        let comma = if i + 1 < exec.len() { "," } else { "" };
-        let speedup = r.materialized.median_us / r.fused.median_us.max(1e-9);
-        let _ = writeln!(
-            out,
-            "      {{\"query\": \"{}\", \"dataset\": \"{}\", \"approach\": \"{}\", \
-             \"fused_median_us\": {:.3}, \"materialized_median_us\": {:.3}, \
-             \"speedup\": {speedup:.3}, \"fused_allocs\": {}, \"fused_alloc_bytes\": {}, \
-             \"materialized_allocs\": {}, \"materialized_alloc_bytes\": {}, \
-             \"fused_ops\": {}, \"result_count\": {}}}{comma}",
-            json_escape(r.query),
-            json_escape(r.dataset),
-            json_escape(r.approach),
-            r.fused.median_us,
-            r.materialized.median_us,
-            r.fused_allocs,
-            r.fused_alloc_bytes,
-            r.materialized_allocs,
-            r.materialized_alloc_bytes,
-            r.fused_ops,
-            r.result_count
-        );
-    }
-    let _ = writeln!(out, "    ],");
     let _ = writeln!(out, "    \"adaptive\": [");
     for (i, (name, compiled, recompiled)) in recompiles.iter().enumerate() {
         let comma = if i + 1 < recompiles.len() { "," } else { "" };

@@ -50,9 +50,6 @@ pub enum Error {
         /// The height bound that admitted no instance.
         height: usize,
     },
-    /// The query uses a feature the algorithm does not support (e.g. an
-    /// absolute path inside a qualifier during rewriting).
-    UnsupportedQuery(String),
     /// A batch worker thread died before reporting its queries' answers
     /// (the surviving workers' answers are unaffected).
     WorkerLost,
@@ -93,7 +90,6 @@ impl fmt::Display for Error {
             Error::UnfoldImpossible { height } => {
                 write!(f, "view DTD has no instance of height ≤ {height}; cannot unfold")
             }
-            Error::UnsupportedQuery(what) => write!(f, "unsupported query feature: {what}"),
             Error::WorkerLost => {
                 write!(f, "a batch worker thread panicked before answering its queries")
             }

@@ -46,11 +46,11 @@
 //! `rw(p1/p2, A) = rw(p1,A)/(∪_v rw(p2,v))`, which can leak when two view
 //! types reachable via `p1` share a child label but carry different σ
 //! annotations (a `v`-specific continuation gets applied under a different
-//! type's image). Our primary implementation keeps the dynamic program but
-//! tables translations *per target type*, so every composed fragment stays
-//! context-correct; the verbatim Fig. 6 combination is available as
-//! [`rewrite::rewrite_paper_merge`] for comparison. Both coincide on view
-//! DTDs without shared child labels (e.g. every example in the paper).
+//! type's image). Our implementation keeps the dynamic program but tables
+//! translations *per target type*, so every composed fragment stays
+//! context-correct. The two combinations coincide on view DTDs without
+//! shared child labels (e.g. every example in the paper); DESIGN.md §7
+//! gives a view on which the verbatim merge returns hidden nodes.
 
 pub mod accessibility;
 pub mod analysis;
@@ -78,7 +78,7 @@ pub use naive::NaiveBaseline;
 pub use optimize::{approx_contained, optimize, optimize_with_height};
 pub use plancost::dtd_cost_model;
 pub use registry::PolicyRegistry;
-pub use rewrite::{rewrite, rewrite_paper_merge, rewrite_with_height, ViewGraph};
+pub use rewrite::{rewrite, rewrite_with_height, ViewGraph};
 pub use spec::{parse_spec_rules, RawRule, RawValue};
 pub use spec::{AccessSpec, AccessSpecBuilder, Annotation};
 pub use sxv_xpath::{certify, CertFinding, CertifyContext, PlanCertificate, TraceLine};

@@ -16,9 +16,9 @@
 //!   share a child label with different σ annotations. We table
 //!   translations per *target* node — `rw(p', A) : target ↦ query` — so
 //!   every composed fragment is evaluated in the context it was translated
-//!   for. The verbatim merge is available as [`rewrite_paper_merge`]; the
-//!   two coincide whenever no reachable view types share a child label
-//!   (true for all examples in the paper).
+//!   for. The two coincide whenever no reachable view types share a child
+//!   label (true for all examples in the paper); DESIGN.md §7 gives a view
+//!   on which the merge returns hidden nodes.
 //! * **`recProc`** (precomputation for `//`) follows the paper exactly:
 //!   symbolic per-node accumulation over the DAG in topological order, so
 //!   each intermediate node's path expression is built once and reused
@@ -61,19 +61,12 @@ pub fn rewrite_with_height(view: &SecurityView, p: &Path, height: usize) -> Resu
     graph.rewrite(p)
 }
 
-/// The verbatim Fig. 6 combination (single merged `reach`/`rw` per
-/// sub-query) — kept for comparison benchmarks and paper-fidelity tests.
-pub fn rewrite_paper_merge(view: &SecurityView, p: &Path) -> Result<Path> {
-    let graph = ViewGraph::from_view(view)?;
-    graph.rewrite_merged(p)
-}
-
 /// `recProc(A)`: every node `B` reachable from `A` (descendant-or-self),
 /// in the order `//` visits them, with its `recrw(A, B)` expression.
 type RecTable = Vec<(usize, Path)>;
 
-/// A DAG over view-DTD nodes with σ-labelled edges — the structure both
-/// rewriting variants run on. Node 0 is the virtual *document node* (its
+/// A DAG over view-DTD nodes with σ-labelled edges — the structure the
+/// rewriting runs on. Node 0 is the virtual *document node* (its
 /// only child is the view root), so absolute queries translate naturally.
 ///
 /// Everything here depends only on the view (or DTD), never on a query:
@@ -355,13 +348,6 @@ impl ViewGraph {
         let mut ctx = Rewriter { graph: self, memo: HashMap::new() };
         let table = ctx.rw_path(p, self.root)?;
         Ok(Path::union_all(table.into_values()))
-    }
-
-    /// Rewrite with the paper's merged combination (Fig. 6 verbatim).
-    pub fn rewrite_merged(&self, p: &Path) -> Result<Path> {
-        let mut ctx = Rewriter { graph: self, memo: HashMap::new() };
-        let (q, _) = ctx.rw_merged(p, self.root)?;
-        Ok(q)
     }
 
     fn sigma_edge(&self, a: usize, b: usize) -> &Path {
@@ -831,104 +817,6 @@ impl<'a> Rewriter<'a> {
             Qualifier::Not(inner) => Qualifier::not(self.rw_qual(inner, node)?),
         })
     }
-
-    /// Fig. 6 verbatim: merged `(rw, reach)` pairs.
-    fn rw_merged(&mut self, p: &Path, node: usize) -> Result<(Path, BTreeSet<usize>)> {
-        Ok(match p {
-            Path::Text => {
-                // The merged comparison mode predates text(); the primary
-                // per-target rewriting supports it.
-                return Err(Error::UnsupportedQuery(
-                    "text() in the Fig. 6 merged comparison mode".into(),
-                ));
-            }
-            Path::Closure(_) => {
-                // Fig. 6 has no Kleene case; the per-target rewriting
-                // supports closures via state elimination.
-                return Err(Error::UnsupportedQuery(
-                    "Kleene closure in the Fig. 6 merged comparison mode".into(),
-                ));
-            }
-            Path::Empty => (Path::Empty, BTreeSet::from([node])),
-            Path::EmptySet => (Path::EmptySet, BTreeSet::new()),
-            Path::Doc => (Path::Doc, BTreeSet::from([self.graph.doc_node])),
-            Path::Label(l) => {
-                let mut rw = Path::EmptySet;
-                let mut reach = BTreeSet::new();
-                for &c in &self.graph.children[node] {
-                    if self.graph.labels[c] == *l {
-                        rw = Path::union(rw, self.graph.sigma_edge(node, c).clone());
-                        reach.insert(c);
-                    }
-                }
-                (rw, reach)
-            }
-            Path::Wildcard => {
-                let mut rw = Path::EmptySet;
-                let mut reach = BTreeSet::new();
-                for &c in &self.graph.children[node] {
-                    rw = Path::union(rw, self.graph.sigma_edge(node, c).clone());
-                    reach.insert(c);
-                }
-                (rw, reach)
-            }
-            Path::Step(p1, p2) => {
-                let (rw1, reach1) = self.rw_merged(p1, node)?;
-                if rw1.is_empty_set() {
-                    return Ok((Path::EmptySet, BTreeSet::new()));
-                }
-                let mut qq = Path::EmptySet;
-                let mut reach = BTreeSet::new();
-                for v in reach1 {
-                    let (rw2, reach2) = self.rw_merged(p2, v)?;
-                    qq = Path::union(qq, rw2);
-                    reach.extend(reach2);
-                }
-                if qq.is_empty_set() {
-                    (Path::EmptySet, BTreeSet::new())
-                } else {
-                    (Path::step(rw1, qq), reach)
-                }
-            }
-            Path::Descendant(p1) => {
-                let graph = self.graph;
-                let mut rw = Path::EmptySet;
-                let mut reach = BTreeSet::new();
-                for &(b, ref prefix) in graph.rec_proc(node) {
-                    if prefix.is_empty_set() {
-                        continue;
-                    }
-                    let (rw1, reach1) = self.rw_merged(p1, b)?;
-                    if !rw1.is_empty_set() {
-                        rw = Path::union(rw, Path::step(prefix.clone(), rw1));
-                        reach.extend(reach1);
-                    }
-                }
-                (rw, reach)
-            }
-            Path::Union(p1, p2) => {
-                let (rw1, reach1) = self.rw_merged(p1, node)?;
-                let (rw2, reach2) = self.rw_merged(p2, node)?;
-                let mut reach = reach1;
-                reach.extend(reach2);
-                (Path::union(rw1, rw2), reach)
-            }
-            Path::Filter(base, q) => {
-                let (rwb, reachb) = self.rw_merged(base, node)?;
-                if rwb.is_empty_set() {
-                    return Ok((Path::EmptySet, BTreeSet::new()));
-                }
-                // Fig. 6 translates the qualifier at the context node
-                // (cases 7–12 are stated for ε[q]); we translate at each
-                // reached node and disjoin — the merged analogue.
-                let mut rq = Qualifier::False;
-                for &v in &reachb {
-                    rq = Qualifier::or(rq, self.rw_qual(q, v)?);
-                }
-                (Path::filter(rwb, rq), reachb)
-            }
-        })
-    }
 }
 
 fn merge(table: &mut Table, target: Target, q: Path) {
@@ -1244,28 +1132,10 @@ mod tests {
     }
 
     #[test]
-    fn merged_variant_agrees_on_paper_view() {
-        // No shared child labels with differing σ in the nurse view, so the
-        // merged (Fig. 6 verbatim) and per-target variants agree.
-        let spec = nurse_spec();
-        let view = derive_view(&spec).unwrap();
-        let doc = hospital_doc();
-        for q in ["//patient//bill", "//patient/name", "dept/*", "//name"] {
-            let p = parse(q).unwrap();
-            let precise = rewrite(&view, &p).unwrap();
-            let merged = rewrite_paper_merge(&view, &p).unwrap();
-            assert_eq!(
-                eval_at_root(&doc, &precise),
-                eval_at_root(&doc, &merged),
-                "{q}: merged and per-target answers differ"
-            );
-        }
-    }
-
-    #[test]
     fn per_target_fixes_shared_label_leak() {
-        // r → a, b ; a → c (σ c) ; b → c (σ x/c): the Fig. 6 merge applies
-        // b's continuation under a. Build such a view by hand.
+        // r → a, b ; a → c (σ c) ; b → c (σ x/c): the verbatim Fig. 6
+        // merge applies b's continuation under a and returns a's hidden
+        // x/c/t (DESIGN.md §7). Build such a view by hand.
         use std::collections::BTreeMap;
         let mut sigma = BTreeMap::new();
         sigma.insert(("r".to_string(), "a".to_string()), parse("a").unwrap());
@@ -1298,10 +1168,6 @@ mod tests {
         let r = eval_at_root(&doc, &precise);
         let values: Vec<String> = r.iter().map(|&n| doc.string_value(n)).collect();
         assert_eq!(values, ["visible-a", "visible-b"], "precise variant: {precise}");
-        // The verbatim merge leaks `a/x/c/t`.
-        let merged = rewrite_paper_merge(&view, &p).unwrap();
-        let rm = eval_at_root(&doc, &merged);
-        assert!(rm.len() > r.len(), "documented Fig. 6 unsoundness: {merged}");
     }
 
     #[test]
@@ -1403,11 +1269,6 @@ mod tests {
         // No step continues past text.
         let dead = rewrite(&view, &parse("//name/text()/name").unwrap()).unwrap();
         assert!(dead.is_empty_set(), "{dead}");
-        // The merged comparison mode reports text() as unsupported.
-        assert!(matches!(
-            rewrite_paper_merge(&view, &parse("//text()").unwrap()),
-            Err(Error::UnsupportedQuery(_))
-        ));
     }
 
     #[test]

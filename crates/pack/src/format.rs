@@ -207,17 +207,6 @@ fn le_u64_words(bytes: &[u8]) -> Vec<u64> {
     }
 }
 
-/// Decode a `u32` array section (one bulk copy, no per-element work).
-pub fn decode_u32s(bytes: &[u8], what: &str) -> Result<Vec<u32>> {
-    if !bytes.len().is_multiple_of(4) {
-        return Err(Error::Malformed(format!(
-            "{what}: {} bytes is not a whole number of u32 words",
-            bytes.len()
-        )));
-    }
-    Ok(le_u32_words(bytes))
-}
-
 /// Decode a `u64` array section.
 pub fn decode_u64s(bytes: &[u8], what: &str) -> Result<Vec<u64>> {
     if !bytes.len().is_multiple_of(8) {

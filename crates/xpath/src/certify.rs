@@ -360,9 +360,9 @@ pub fn certify(plan: &CompiledQuery, ctx: &CertifyContext) -> PlanCertificate {
     certify_ops(&plan.ops, ctx)
 }
 
-/// Certify a raw operator pipeline (used for hand-built plans in tests
-/// and for the certificate/plan mismatch lint).
-pub fn certify_ops(ops: &[PlanNode], ctx: &CertifyContext) -> PlanCertificate {
+/// Certify a raw operator pipeline (hand-built plans in tests reach it
+/// directly).
+fn certify_ops(ops: &[PlanNode], ctx: &CertifyContext) -> PlanCertificate {
     let mut interp = Interp {
         ctx,
         trace: Vec::new(),
@@ -427,6 +427,41 @@ impl Interp<'_> {
         }
     }
 
+    /// The transfer of a [`PlanOp::DescendantSlice`], alone or as a
+    /// fused scan's axis: the descendants of the state's types that pass
+    /// `test`.
+    fn descendant_slice(&self, test: &AxisTest, state: &AbsState) -> AbsState {
+        let (cand, text_base) = self.descendant_candidates(state);
+        let mut out = AbsState::empty();
+        match test {
+            AxisTest::Label(l) => {
+                if cand.contains(l) {
+                    out.types.insert(l.clone());
+                }
+            }
+            AxisTest::AnyElement => out.types = cand,
+            AxisTest::Text => out.text = self.ctx.any_text(&text_base),
+        }
+        out
+    }
+
+    /// The transfer of a [`PlanOp::DescendantExpand`], alone or absorbed
+    /// into a fused scan: every descendant type and text, plus the input
+    /// itself when `or_self`.
+    fn descendant_expand(&self, or_self: bool, state: AbsState) -> AbsState {
+        let (cand, text_base) = self.descendant_candidates(&state);
+        let mut out = AbsState {
+            doc: false,
+            text: self.ctx.any_text(&text_base),
+            types: cand,
+            dummies: BTreeSet::new(),
+        };
+        if or_self {
+            out.join(&state);
+        }
+        out
+    }
+
     fn run_pipeline(&mut self, ops: &[PlanNode], input: AbsState, depth: usize) -> AbsState {
         let mut state = input;
         let mut intentional_empty = false;
@@ -457,67 +492,18 @@ impl Interp<'_> {
             PlanOp::DocSeed => AbsState { doc: true, ..AbsState::default() },
             PlanOp::EmptySet => AbsState::empty(),
             PlanOp::ChildWalk(test) | PlanOp::ChildMergeJoin(test) => self.child_step(&state, test),
-            PlanOp::DescendantSlice(test) => {
-                let (cand, text_base) = self.descendant_candidates(&state);
-                let mut out = AbsState::empty();
-                match test {
-                    AxisTest::Label(l) => {
-                        if cand.contains(l) {
-                            out.types.insert(l.clone());
-                        }
-                    }
-                    AxisTest::AnyElement => out.types = cand,
-                    AxisTest::Text => out.text = self.ctx.any_text(&text_base),
-                }
-                out
-            }
-            PlanOp::DescendantExpand { or_self } => {
-                let (cand, text_base) = self.descendant_candidates(&state);
-                let mut out = AbsState {
-                    doc: false,
-                    text: self.ctx.any_text(&text_base),
-                    types: cand,
-                    dummies: BTreeSet::new(),
-                };
-                if *or_self {
-                    out.join(&state);
-                }
-                out
-            }
+            PlanOp::DescendantSlice(test) => self.descendant_slice(test, &state),
+            PlanOp::DescendantExpand { or_self } => self.descendant_expand(*or_self, state),
             PlanOp::BitmapFilter(f) => self.bitmap_filter(*f, state),
             PlanOp::Fused(f) => {
-                // A fused scan is certified by composing its
-                // constituents' transfers: the absorbed descendant-expand
-                // (if any), descendant-slice, then the bitmap
-                // intersection, then the qualifier probe. The abstract
-                // result is identical to the defused pipeline's (fusion
-                // changes evaluation order, not the emitted or probed
-                // states), which is why `--verify` keeps working on
-                // fused plans.
-                let state = if f.from_expand {
-                    let (cand, text_base) = self.descendant_candidates(&state);
-                    let mut expanded = AbsState {
-                        doc: false,
-                        text: self.ctx.any_text(&text_base),
-                        types: cand,
-                        dummies: BTreeSet::new(),
-                    };
-                    expanded.join(&state);
-                    expanded
-                } else {
-                    state
-                };
-                let (cand, text_base) = self.descendant_candidates(&state);
-                let mut out = AbsState::empty();
-                match &f.axis {
-                    AxisTest::Label(l) => {
-                        if cand.contains(l) {
-                            out.types.insert(l.clone());
-                        }
-                    }
-                    AxisTest::AnyElement => out.types = cand,
-                    AxisTest::Text => out.text = self.ctx.any_text(&text_base),
-                }
+                // A fused scan is certified through its constituents'
+                // transfer functions: the absorbed descendant-expand (if
+                // any), descendant-slice, then the bitmap intersection,
+                // then the qualifier probe. Fusion changes evaluation
+                // order, not the emitted or probed states, so a fused
+                // scan certifies exactly as its constituents would.
+                let state = if f.from_expand { self.descendant_expand(true, state) } else { state };
+                let mut out = self.descendant_slice(&f.axis, &state);
                 if let Some(filter) = f.filter {
                     out = self.bitmap_filter(filter, out);
                 }
@@ -539,8 +525,7 @@ impl Interp<'_> {
                 // A schema slice is certified as the chain it retains,
                 // then its fused qualifier: on every document where the
                 // scan runs it selects exactly the chain's nodes, and the
-                // chain itself runs everywhere else. The abstract result
-                // is the defused pipeline's.
+                // chain itself runs everywhere else.
                 let mark = self.trace.len();
                 self.trace.push(TraceLine {
                     depth: depth + 1,

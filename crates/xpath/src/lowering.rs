@@ -669,9 +669,6 @@ mod tests {
             let want = eval_at_root(&d, &p);
             assert_eq!(plan.execute(&d, Some(&idx)).0, want, "{q} (slice)");
             assert_eq!(plan.execute(&d, None).0, want, "{q} (no index: chain)");
-            assert_eq!(plan.execute_materialized(&d, Some(&idx), None).0, want, "{q} (oracle)");
-            assert_eq!(plan.defused().summary().schema_slice, 0, "{q}");
-            assert_eq!(plan.defused().execute(&d, Some(&idx)).0, want, "{q} (defused)");
             // At the document node the lowering's root context does not
             // hold: the chain runs.
             assert_eq!(plan.execute_at_document(&d, Some(&idx)).0, eval_at_document(&d, &p), "{q}");

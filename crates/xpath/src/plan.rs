@@ -84,19 +84,6 @@ impl fmt::Display for PlanPolicy {
     }
 }
 
-impl std::str::FromStr for PlanPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<PlanPolicy, String> {
-        match s {
-            "walk" | "force-walk" => Ok(PlanPolicy::ForceWalk),
-            "join" | "force-join" => Ok(PlanPolicy::ForceJoin),
-            "auto" => Ok(PlanPolicy::Auto),
-            other => Err(format!("unknown plan policy {other:?} (valid values: walk, join, auto)")),
-        }
-    }
-}
-
 /// What a single axis step selects (the owned twin of the evaluators'
 /// borrowed axis tests, so plans can outlive the query AST).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -152,7 +139,7 @@ impl fmt::Display for AxisTest {
 /// qualifier probe inside the producing loop. No intermediate set is
 /// materialized between the fused stages, and existence qualifiers
 /// short-circuit per candidate. Produced by the compile-time fusion
-/// pass ([`CompiledQuery::defused`] reverses it).
+/// pass; the certifier runs the constituents' transfer functions on it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FusedScan {
     /// The descendant axis producing candidates (interval slices with an
@@ -166,7 +153,8 @@ pub struct FusedScan {
     /// The scan absorbed a preceding `descendant-expand (or-self)`:
     /// descendants of descendants-or-self are exactly descendants, so
     /// the expand's materialized set never needs to exist. Kept so
-    /// [`CompiledQuery::defused`] can reconstruct the legacy pipeline.
+    /// `explain` shows the absorbed expand and the certifier applies its
+    /// transfer.
     pub from_expand: bool,
 }
 
@@ -180,11 +168,9 @@ pub struct FusedScan {
 ///
 /// The operator keeps the run. It executes the run instead of the scan
 /// when no index is attached, when the executing document leaves
-/// `schema` ([`DocIndex::conforms_to`], memoized per index), and in the
-/// oracle executors ([`CompiledQuery::execute_materialized`],
-/// [`CompiledQuery::execute_at_document`]). [`CompiledQuery::defused`]
-/// restores the run, and the certifier interprets the run, so the
-/// lowering moves no abstract state.
+/// `schema` ([`DocIndex::conforms_to`], memoized per index), and at the
+/// document node ([`CompiledQuery::execute_at_document`]). The certifier
+/// interprets the run, so the lowering moves no abstract state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchemaSlice {
     /// The scan: a descendant slice of the run's final label, plus the
@@ -796,72 +782,6 @@ fn fuse_qual(q: QualPlan) -> QualPlan {
     }
 }
 
-fn defuse_ops(ops: &[PlanNode]) -> Vec<PlanNode> {
-    let mut out = Vec::with_capacity(ops.len());
-    for node in ops {
-        match &node.op {
-            PlanOp::Fused(f) => {
-                if f.from_expand {
-                    out.push(PlanNode {
-                        op: PlanOp::DescendantExpand { or_self: true },
-                        est_rows: node.est_rows,
-                    });
-                }
-                out.push(PlanNode {
-                    op: PlanOp::DescendantSlice(f.axis.clone()),
-                    est_rows: node.est_rows,
-                });
-                if let Some(filter) = f.filter {
-                    out.push(PlanNode {
-                        op: PlanOp::BitmapFilter(filter),
-                        est_rows: node.est_rows,
-                    });
-                }
-                if let Some(q) = &f.qual {
-                    out.push(PlanNode {
-                        op: PlanOp::QualifierProbe(defuse_qual(q)),
-                        est_rows: node.est_rows,
-                    });
-                }
-            }
-            PlanOp::SchemaSlice(s) => {
-                out.extend(defuse_ops(&s.chain));
-                if let Some(q) = &s.scan.qual {
-                    out.push(PlanNode {
-                        op: PlanOp::QualifierProbe(defuse_qual(q)),
-                        est_rows: node.est_rows,
-                    });
-                }
-            }
-            PlanOp::UnionMerge(arms) => out.push(PlanNode {
-                op: PlanOp::UnionMerge(arms.iter().map(|a| defuse_ops(a)).collect()),
-                est_rows: node.est_rows,
-            }),
-            PlanOp::ClosureExpand { body } => out.push(PlanNode {
-                op: PlanOp::ClosureExpand { body: defuse_ops(body) },
-                est_rows: node.est_rows,
-            }),
-            PlanOp::QualifierProbe(q) => out.push(PlanNode {
-                op: PlanOp::QualifierProbe(defuse_qual(q)),
-                est_rows: node.est_rows,
-            }),
-            other => out.push(PlanNode { op: other.clone(), est_rows: node.est_rows }),
-        }
-    }
-    out
-}
-
-fn defuse_qual(q: &QualPlan) -> QualPlan {
-    match q {
-        QualPlan::Exists(ops) => QualPlan::Exists(defuse_ops(ops)),
-        QualPlan::Eq(ops, c) => QualPlan::Eq(defuse_ops(ops), c.clone()),
-        QualPlan::And(a, b) => QualPlan::And(Box::new(defuse_qual(a)), Box::new(defuse_qual(b))),
-        QualPlan::Or(a, b) => QualPlan::Or(Box::new(defuse_qual(a)), Box::new(defuse_qual(b))),
-        QualPlan::Not(inner) => QualPlan::Not(Box::new(defuse_qual(inner))),
-        leaf => leaf.clone(),
-    }
-}
-
 /// Append the annotation pipeline for `p`; returns the estimated output
 /// cardinality and whether the output context is still a *seed* (the
 /// root element or document node only), which gates the fused
@@ -1211,18 +1131,13 @@ impl ExecSet {
 
 /// Everything the executor reads per call: the document, the optional
 /// structural index, and (annotation plans only) the access view.
-/// `fused` selects the streaming executor; when false, fused operators
-/// run de-composed with a materialized set between every stage and the
-/// closure worklist re-sorts per pass — the pre-fusion executor, kept
-/// as the differential-testing oracle and the bench baseline. `lowered`
-/// lets schema slices take their scan: false in the oracle executor and
-/// at the document node, whose context the lowering did not assume.
+/// `lowered` lets schema slices take their scan: false at the document
+/// node, whose context the lowering did not assume.
 #[derive(Clone, Copy)]
 struct Exec<'a> {
     doc: &'a Document,
     idx: Option<&'a DocIndex>,
     access: Option<&'a AccessView>,
-    fused: bool,
     lowered: bool,
 }
 
@@ -1256,30 +1171,7 @@ impl CompiledQuery {
         access: Option<&AccessView>,
     ) -> (Vec<NodeId>, EvalStats) {
         let mut stats = EvalStats::default();
-        let ex = Exec { doc, idx: index, access, fused: true, lowered: true };
-        let result = match doc.root_opt() {
-            Some(root) => run_ops(ex, self.body(), ExecSet::single(root), &mut stats).into_ids(),
-            None => Vec::new(),
-        };
-        (result, stats)
-    }
-
-    /// Execute with the pre-fusion materializing executor: fused scans
-    /// run de-composed (slice, then bitmap filter, then qualifier probe,
-    /// each materializing its full result set), schema slices run the
-    /// chain they replaced, and `closure-expand` uses the legacy
-    /// sorted-worklist fixpoint. Answers are bit-identical to
-    /// [`CompiledQuery::execute_with_access`]; this exists as the
-    /// differential-testing oracle and the fused-vs-materialized bench
-    /// baseline.
-    pub fn execute_materialized(
-        &self,
-        doc: &Document,
-        index: Option<&DocIndex>,
-        access: Option<&AccessView>,
-    ) -> (Vec<NodeId>, EvalStats) {
-        let mut stats = EvalStats::default();
-        let ex = Exec { doc, idx: index, access, fused: false, lowered: false };
+        let ex = Exec { doc, idx: index, access, lowered: true };
         let result = match doc.root_opt() {
             Some(root) => run_ops(ex, self.body(), ExecSet::single(root), &mut stats).into_ids(),
             None => Vec::new(),
@@ -1297,7 +1189,7 @@ impl CompiledQuery {
         index: Option<&DocIndex>,
     ) -> (Vec<NodeId>, EvalStats) {
         let mut stats = EvalStats::default();
-        let ex = Exec { doc, idx: index, access: None, fused: true, lowered: false };
+        let ex = Exec { doc, idx: index, access: None, lowered: false };
         let result = run_ops(ex, self.body(), ExecSet::document(), &mut stats).into_ids();
         (result, stats)
     }
@@ -1315,7 +1207,7 @@ impl CompiledQuery {
         access: Option<&AccessView>,
     ) -> (Vec<NodeId>, EvalStats, Vec<u64>) {
         let mut stats = EvalStats::default();
-        let ex = Exec { doc, idx: index, access, fused: true, lowered: true };
+        let ex = Exec { doc, idx: index, access, lowered: true };
         let mut observed = Vec::with_capacity(self.ops.len());
         let mut cur = match doc.root_opt() {
             Some(root) => ExecSet::single(root),
@@ -1339,21 +1231,6 @@ impl CompiledQuery {
             observed.push(cur.observed_rows());
         }
         (cur.into_ids(), stats, observed)
-    }
-
-    /// Undo the fusion and schema-slice passes: every fused scan splits
-    /// back into its constituent `descendant-slice` / `bitmap-filter` /
-    /// `qualifier-probe` operators (each carrying the fused node's
-    /// `est_rows`), and every schema slice back into the chain it
-    /// replaced (plus its fused qualifier probe). The defused plan
-    /// certifies to the same abstract emitted/probed states — the
-    /// property the fusion proptest pins.
-    pub fn defused(&self) -> CompiledQuery {
-        CompiledQuery {
-            translated: self.translated.clone(),
-            policy: self.policy,
-            ops: defuse_ops(&self.ops),
-        }
     }
 
     /// The pipeline after the seed marker.
@@ -1409,13 +1286,7 @@ fn run_op(ex: Exec, op: &PlanOp, ctx: &ExecSet, stats: &mut EvalStats) -> ExecSe
             Some(idx) => descendant_slice(doc, idx, ctx, axis, stats),
             None => descendant_scan(doc, ctx, axis, stats),
         },
-        PlanOp::Fused(f) => {
-            if ex.fused {
-                fused_scan(ex, ctx, f, stats)
-            } else {
-                fused_materialized(ex, ctx, f, stats)
-            }
-        }
+        PlanOp::Fused(f) => fused_scan(ex, ctx, f, stats),
         PlanOp::DescendantExpand { or_self } => descendant_expand(doc, idx, ctx, *or_self, stats),
         PlanOp::UnionMerge(arms) => {
             let mut out = ExecSet::empty();
@@ -1424,13 +1295,7 @@ fn run_op(ex: Exec, op: &PlanOp, ctx: &ExecSet, stats: &mut EvalStats) -> ExecSe
             }
             out
         }
-        PlanOp::ClosureExpand { body } => {
-            if ex.fused {
-                closure_expand_fused(ex, body, ctx, stats)
-            } else {
-                closure_expand_materialized(ex, body, ctx, stats)
-            }
-        }
+        PlanOp::ClosureExpand { body } => closure_expand(ex, body, ctx, stats),
         PlanOp::QualifierProbe(q) => qual_filter(ex, q, ctx, stats),
         PlanOp::SchemaSlice(s) => {
             if ex.slice_ok(s) {
@@ -1708,36 +1573,6 @@ fn fused_scan(ex: Exec, ctx: &ExecSet, f: &FusedScan, stats: &mut EvalStats) -> 
     }
 }
 
-/// The de-composed twin of [`fused_scan`] (oracle mode): run the
-/// constituent slice, bitmap filter and qualifier probe as separate
-/// materializing operators, exactly as the pre-fusion executor did.
-fn fused_materialized(ex: Exec, ctx: &ExecSet, f: &FusedScan, stats: &mut EvalStats) -> ExecSet {
-    // The legacy pipeline materialized the full descendant-or-self set
-    // before slicing; the streaming scan skips it as a pure identity.
-    let expanded;
-    let ctx = if f.from_expand {
-        let mut e = descendant_expand(ex.doc, ex.idx, ctx, true, stats);
-        e.make_sorted();
-        expanded = e;
-        &expanded
-    } else {
-        ctx
-    };
-    let mut cur = match ex.idx {
-        Some(idx) => descendant_slice(ex.doc, idx, ctx, &f.axis, stats),
-        None => descendant_scan(ex.doc, ctx, &f.axis, stats),
-    };
-    if let Some(filter) = f.filter {
-        cur.make_sorted();
-        cur = bitmap_filter(ex.access(), &cur, filter, stats);
-    }
-    if let Some(q) = &f.qual {
-        cur.make_sorted();
-        cur = qual_filter(ex, q, &cur, stats);
-    }
-    cur
-}
-
 /// Existence probe of a [`FusedScan`]: stream candidates per context
 /// node and exit at the first survivor — the short-circuit per-context
 /// exit fused qualifier pipelines get for free.
@@ -1789,12 +1624,7 @@ fn fused_scan_any(ex: Exec, ctx: &ExecSet, f: &FusedScan, stats: &mut EvalStats)
 /// membership is one bit probe, newly reached ids need no re-sort
 /// against the accumulator, and the final sorted result falls out of the
 /// bitmap in one ascending sweep.
-fn closure_expand_fused(
-    ex: Exec,
-    body: &[PlanNode],
-    ctx: &ExecSet,
-    stats: &mut EvalStats,
-) -> ExecSet {
+fn closure_expand(ex: Exec, body: &[PlanNode], ctx: &ExecSet, stats: &mut EvalStats) -> ExecSet {
     let mut visited = NodeBitmap::new(ex.doc.len());
     for &v in ctx.ids() {
         visited.set(v);
@@ -1819,33 +1649,6 @@ fn closure_expand_fused(
     // to_ids sweeps the bitmap ascending, so the sorted-unique invariant
     // holds by construction.
     ExecSet { doc: acc_doc, rows: Rows::Sorted(visited.to_ids()) }
-}
-
-/// The legacy closure worklist (oracle mode): dedup by binary search
-/// into the sorted accumulator, merge-union per pass.
-fn closure_expand_materialized(
-    ex: Exec,
-    body: &[PlanNode],
-    ctx: &ExecSet,
-    stats: &mut EvalStats,
-) -> ExecSet {
-    let mut acc = ctx.clone();
-    acc.make_sorted();
-    let mut frontier = acc.clone();
-    loop {
-        let mut step = run_ops(ex, body, frontier, stats);
-        step.make_sorted();
-        let new_doc = step.doc && !acc.doc;
-        let new_ids: Vec<NodeId> =
-            step.ids().iter().copied().filter(|v| acc.ids().binary_search(v).is_err()).collect();
-        if !new_doc && new_ids.is_empty() {
-            break;
-        }
-        let new = ExecSet { doc: new_doc, rows: Rows::Sorted(new_ids) };
-        acc.union_with(new.clone(), stats);
-        frontier = new;
-    }
-    acc
 }
 
 /// Child step by walking children lists (the document node's only child
@@ -2678,12 +2481,9 @@ mod tests {
     }
 
     #[test]
-    fn policy_parses_and_prints() {
-        assert_eq!("walk".parse::<PlanPolicy>().unwrap(), PlanPolicy::ForceWalk);
-        assert_eq!("force-join".parse::<PlanPolicy>().unwrap(), PlanPolicy::ForceJoin);
-        assert_eq!("auto".parse::<PlanPolicy>().unwrap(), PlanPolicy::Auto);
-        let err = "turbo".parse::<PlanPolicy>().unwrap_err();
-        assert!(err.contains("valid values: walk, join, auto"), "{err}");
+    fn policy_prints_and_defaults_to_auto() {
+        assert_eq!(PlanPolicy::ForceWalk.to_string(), "walk");
+        assert_eq!(PlanPolicy::ForceJoin.to_string(), "join");
         assert_eq!(PlanPolicy::Auto.to_string(), "auto");
         assert_eq!(PlanPolicy::default(), PlanPolicy::Auto);
     }
@@ -3012,72 +2812,30 @@ mod tests {
     }
 
     #[test]
-    fn fusion_collapses_slice_chains_and_defuse_round_trips() {
+    fn fusion_collapses_slice_chains() {
         let cost = CostModel::uninformed();
         // slice + qual → fused (no filter).
         let p = parse("//patient[wardNo='6']/name").unwrap();
         let cq = compile(&p, PlanPolicy::Auto, &cost);
         let s = cq.summary();
         assert_eq!((s.fused_scan, s.descendant_slice, s.qualifier_probe), (1, 0, 0), "{s:?}");
-        // Defusing restores the constituent operators and the defused
-        // plan keeps computing the same answers (it runs the oracle
-        // operators even under the fused executor entry point).
-        let de = cq.defused();
-        let ds = de.summary();
-        assert_eq!((ds.fused_scan, ds.descendant_slice, ds.qualifier_probe), (0, 1, 1), "{ds:?}");
         let d = hospital();
         let idx = DocIndex::new(&d).unwrap();
-        assert_eq!(cq.execute(&d, Some(&idx)).0, de.execute(&d, Some(&idx)).0);
-        assert_eq!(cq.execute(&d, None).0, de.execute(&d, None).0);
+        assert_eq!(cq.execute(&d, Some(&idx)).0, eval_at_root(&d, &p));
+        assert_eq!(cq.execute(&d, None).0, eval_at_root(&d, &p));
         // slice + bitmap + qual → one fused op in annotate plans.
         let q2 = parse("//patient[wardNo='6']").unwrap();
         let an = compile_annotate(&q2, PlanPolicy::Auto, &cost);
         let sa = an.summary();
         assert_eq!(sa.fused_scan, 1, "{sa:?}");
         assert_eq!((sa.descendant_slice, sa.bitmap_filter, sa.qualifier_probe), (0, 0, 0));
-        let da = an.defused().summary();
-        assert_eq!((da.descendant_slice, da.bitmap_filter, da.qualifier_probe), (1, 1, 1));
     }
 
     #[test]
-    fn fused_executor_matches_materialized_oracle() {
-        let d = hospital();
-        let idx = DocIndex::new(&d).unwrap();
-        let av = identity_access(&d);
-        let costs =
-            [("index", CostModel::from_index(&idx)), ("uninformed", CostModel::uninformed())];
-        for q in EQUIVALENCE_QUERIES {
-            let p = parse(q).unwrap();
-            for policy in PlanPolicy::ALL {
-                for (cname, cost) in &costs {
-                    let cq = compile(&p, policy, cost);
-                    assert_eq!(
-                        cq.execute(&d, Some(&idx)).0,
-                        cq.execute_materialized(&d, Some(&idx), None).0,
-                        "{q} ({policy}, {cname}, indexed)"
-                    );
-                    assert_eq!(
-                        cq.execute(&d, None).0,
-                        cq.execute_materialized(&d, None, None).0,
-                        "{q} ({policy}, {cname}, scan)"
-                    );
-                    let an = compile_annotate(&p, policy, cost);
-                    assert_eq!(
-                        an.execute_with_access(&d, Some(&idx), Some(&av)).0,
-                        an.execute_materialized(&d, Some(&idx), Some(&av)).0,
-                        "{q} ({policy}, {cname}, annotate)"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn closure_expand_fused_matches_materialized() {
+    fn closure_expand_matches_walk() {
         // A hand-built closure plan: (child::*)* from the root — the
-        // reflexive-transitive closure reaches every element. The fused
-        // worklist (bitmap-deduped) and the materialized worklist
-        // (binary-search dedup, per-pass union) must agree exactly.
+        // reflexive-transitive closure reaches every element. The
+        // bitmap-deduped worklist must agree with the walk evaluator.
         let d = hospital();
         let idx = DocIndex::new(&d).unwrap();
         let body = vec![PlanNode { op: PlanOp::ChildWalk(AxisTest::AnyElement), est_rows: 4 }];
@@ -3086,12 +2844,10 @@ mod tests {
             PlanNode { op: PlanOp::ClosureExpand { body }, est_rows: 14 },
         ];
         let cq = CompiledQuery { translated: parse("//.").unwrap(), policy: PlanPolicy::Auto, ops };
-        let (fused, _) = cq.execute(&d, Some(&idx));
-        let (mat, _) = cq.execute_materialized(&d, Some(&idx), None);
-        assert_eq!(fused, mat);
-        assert_eq!(fused.len(), 14, "closure reaches all elements");
-        let (fused_scan, _) = cq.execute(&d, None);
-        assert_eq!(fused_scan, fused);
+        let want = eval_at_root(&d, &parse("(*)*").unwrap());
+        assert_eq!(want.len(), 14, "closure reaches all elements");
+        assert_eq!(cq.execute(&d, Some(&idx)).0, want);
+        assert_eq!(cq.execute(&d, None).0, want);
     }
 
     #[test]
