@@ -179,7 +179,7 @@ pub fn certify_context(spec: &AccessSpec, view: &SecurityView) -> sxv_xpath::Cer
         }
     }
 
-    sxv_xpath::CertifyContext {
+    sxv_xpath::CertifyContext::new(sxv_xpath::ContextSets {
         root: dtd.root().to_string(),
         children,
         text_types,
@@ -188,7 +188,7 @@ pub fn certify_context(spec: &AccessSpec, view: &SecurityView) -> sxv_xpath::Cer
         hideable,
         dummy_visible,
         dummy_labels,
-    }
+    })
 }
 
 /// One finding of the view audit.
@@ -567,7 +567,8 @@ mod tests {
     fn certify_context_from_nurse_spec() {
         let spec = nurse();
         let view = derive_view(&spec).unwrap();
-        let ctx = certify_context(&spec, &view);
+        let context = certify_context(&spec, &view);
+        let ctx = context.sets();
         assert_eq!(ctx.root, "hospital");
         assert!(ctx.children["dept"].contains("clinicalTrial"));
         assert!(ctx.text_types.contains("name") && !ctx.text_types.contains("patient"));
@@ -582,7 +583,7 @@ mod tests {
             "{:?}",
             ctx.dummy_visible
         );
-        assert!(ctx.emittable("bill") && !ctx.emittable("test"));
+        assert!(context.emittable("bill") && !context.emittable("test"));
     }
 
     #[test]

@@ -126,7 +126,9 @@ impl PlanFeedback {
 pub struct Planned {
     /// The compiled, executable plan.
     pub plan: Arc<CompiledQuery>,
-    /// The plan's static certificate (checked once, cached alongside).
+    /// The plan's static certificate (checked once, cached alongside,
+    /// without the abstract trace: [`sxv_xpath::certify_traced`]
+    /// rebuilds that for printing).
     pub cert: Arc<PlanCertificate>,
     /// Adaptive-execution feedback shared across cache clones.
     pub feedback: Arc<PlanFeedback>,
@@ -165,8 +167,10 @@ struct PlanCache {
     /// Certificates with error findings (the plan would emit data that
     /// is not provably accessible; `--verify` refuses to serve these).
     certify_failures: AtomicU64,
-    /// Cumulative certification time, in microseconds.
-    certify_micros: AtomicU64,
+    /// Cumulative certification time, in nanoseconds: a certification
+    /// takes a few microseconds, so summing whole microseconds per plan
+    /// would drop up to a quarter of it.
+    certify_nanos: AtomicU64,
 }
 
 impl PlanCache {
@@ -188,7 +192,7 @@ impl PlanCache {
             plans_certified: AtomicU64::new(0),
             plans_recompiled: AtomicU64::new(0),
             certify_failures: AtomicU64::new(0),
-            certify_micros: AtomicU64::new(0),
+            certify_nanos: AtomicU64::new(0),
         }
     }
 
@@ -240,7 +244,7 @@ impl PlanCache {
             plans_certified: self.plans_certified.load(Ordering::Relaxed),
             plans_recompiled: self.plans_recompiled.load(Ordering::Relaxed),
             certify_failures: self.certify_failures.load(Ordering::Relaxed),
-            certify_micros: self.certify_micros.load(Ordering::Relaxed),
+            certify_micros: self.certify_nanos.load(Ordering::Relaxed) / 1_000,
         }
     }
 }
@@ -369,7 +373,8 @@ pub struct CacheStats {
     /// are refused; otherwise they still serve (runtime enforcement
     /// keeps the answer safe) and this counter is the audit trail.
     pub certify_failures: u64,
-    /// Cumulative static-certification time in microseconds.
+    /// Cumulative static-certification time in microseconds (summed in
+    /// nanoseconds, converted when read).
     pub certify_micros: u64,
 }
 
@@ -595,9 +600,7 @@ impl<'a> SecureEngine<'a> {
     fn certify_counted(&self, plan: &CompiledQuery) -> Arc<PlanCertificate> {
         let started = std::time::Instant::now();
         let cert = Arc::new(certify(plan, &self.certctx));
-        self.cache
-            .certify_micros
-            .fetch_add(started.elapsed().as_micros() as u64, Ordering::Relaxed);
+        self.cache.certify_nanos.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         self.cache.plans_certified.fetch_add(1, Ordering::Relaxed);
         if !cert.certified() {
             self.cache.certify_failures.fetch_add(1, Ordering::Relaxed);

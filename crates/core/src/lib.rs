@@ -81,7 +81,10 @@ pub use registry::PolicyRegistry;
 pub use rewrite::{rewrite, rewrite_with_height, ViewGraph};
 pub use spec::{parse_spec_rules, RawRule, RawValue};
 pub use spec::{AccessSpec, AccessSpecBuilder, Annotation};
-pub use sxv_xpath::{certify, CertFinding, CertifyContext, PlanCertificate, TraceLine};
+pub use sxv_xpath::{
+    certify, certify_traced, CertFinding, CertifyContext, ContextSets, PlanCertificate, TraceLine,
+    TracedCertificate,
+};
 pub use sxv_xpath::{is_dummy_label, AccessView};
 pub use sxv_xpath::{CompiledQuery, CostModel, PlanPolicy, PlanSummary};
 pub use view::def::{SecurityView, ViewContent, ViewItem};

@@ -73,10 +73,10 @@ pub fn lint_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sxv_xpath::{compile, parse as parse_xpath, CostModel, PlanPolicy};
+    use sxv_xpath::{compile, parse as parse_xpath, ContextSets, CostModel, PlanPolicy};
 
     fn ctx() -> CertifyContext {
-        let mut ctx = CertifyContext { root: "r".into(), ..Default::default() };
+        let mut ctx = ContextSets { root: "r".into(), ..Default::default() };
         for (parent, kids) in
             [("r", vec!["a", "b"]), ("a", vec!["c"]), ("b", vec![]), ("c", vec![])]
         {
@@ -89,7 +89,7 @@ mod tests {
         }
         ctx.inaccessible.insert("b".into());
         ctx.hideable.insert("b".into());
-        ctx
+        CertifyContext::new(ctx)
     }
 
     fn plan_for(q: &str) -> CompiledQuery {
@@ -116,7 +116,7 @@ mod tests {
     /// view induces: closure plans certify through the fixpoint
     /// transfer, and a closure body emitting a hidden type is caught.
     fn recursive_ctx() -> CertifyContext {
-        let mut ctx = CertifyContext { root: "part".into(), ..Default::default() };
+        let mut ctx = ContextSets { root: "part".into(), ..Default::default() };
         for (parent, kids) in [
             ("part", vec!["part-id", "serial", "sub"]),
             ("sub", vec!["part"]),
@@ -132,7 +132,7 @@ mod tests {
         }
         ctx.inaccessible.insert("serial".into());
         ctx.hideable.insert("serial".into());
-        ctx
+        CertifyContext::new(ctx)
     }
 
     #[test]

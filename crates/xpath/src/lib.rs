@@ -44,7 +44,10 @@ pub mod subq;
 
 pub use access::{is_dummy_label, AccessView, AccessViewParts, PackedAccessViewParts};
 pub use ast::{Path, Qualifier};
-pub use certify::{certify, AbsState, CertFinding, CertifyContext, PlanCertificate, TraceLine};
+pub use certify::{
+    certify, certify_traced, AbsState, CertFinding, CertifyContext, ContextSets, PlanCertificate,
+    TraceLine, TracedCertificate,
+};
 pub use error::{Error, Result};
 pub use eval::{
     eval, eval_at_document, eval_at_root, eval_at_root_with_stats, eval_qualifier, EvalStats,

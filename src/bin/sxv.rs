@@ -52,8 +52,9 @@
 //! package are byte-identical to the in-memory build.
 
 use secure_xml_views::core::{
-    answer_line, build_access_view, derive_view, materialize, optimize, parse_view_text, rewrite,
-    rewrite_with_height, AccessSpec, Approach, PlanPolicy, Planned, SecureEngine,
+    answer_line, build_access_view, certify_traced, derive_view, materialize, optimize,
+    parse_view_text, rewrite, rewrite_with_height, AccessSpec, Approach, PlanPolicy, Planned,
+    SecureEngine,
 };
 use secure_xml_views::dtd::{parse_dtd, validate, validate_attributes, Dtd};
 use secure_xml_views::gen::{GenConfig, Generator};
@@ -518,13 +519,13 @@ fn cmd_explain(opts: &Options) -> Result<ExitCode, String> {
     };
     let view = derive_view(&spec).map_err(|e| e.to_string())?;
     let engine = SecureEngine::new(&spec, &view);
-    // The plan every serving surface runs for this query, with the
-    // certificate the engine cached for it.
+    // The plan every serving surface runs for this query.
     let (planned, _) = engine.plan_certified(&query, approach, PlanPolicy::Auto);
-    let Planned { plan, cert, .. } = planned.map_err(|e| e.to_string())?;
-    // --verify appends the certificate's trace; an uncertified plan
-    // turns the exit code nonzero.
-    let cert = opts.has("verify").then_some(cert);
+    let Planned { plan, .. } = planned.map_err(|e| e.to_string())?;
+    // --verify appends the certificate with its trace (the engine caches
+    // none; certification is pure, so the verdict is the cached one). An
+    // uncertified plan turns the exit code nonzero.
+    let cert = opts.has("verify").then(|| certify_traced(&plan, engine.certify_context()));
     if json {
         match &cert {
             Some(c) => {
@@ -540,7 +541,7 @@ fn cmd_explain(opts: &Options) -> Result<ExitCode, String> {
         }
     }
     Ok(match cert {
-        Some(c) if !c.certified() => ExitCode::from(1),
+        Some(c) if !c.cert.certified() => ExitCode::from(1),
         _ => ExitCode::SUCCESS,
     })
 }

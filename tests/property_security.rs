@@ -20,7 +20,8 @@ use secure_xml_views::dtd::{parse_dtd, Dtd};
 use secure_xml_views::gen::{GenConfig, Generator};
 use secure_xml_views::xml::{DocIndex, Document};
 use secure_xml_views::xpath::{
-    compile, compile_annotate, eval_at_root, CostModel, Path, PlanPolicy, Qualifier,
+    certify, certify_traced, compile, compile_annotate, eval_at_root, CostModel, Path, PlanPolicy,
+    Qualifier,
 };
 
 const HOSPITAL_DTD: &str = include_str!("../assets/hospital.dtd");
@@ -354,7 +355,9 @@ proptest! {
     /// abstract state really over-approximates the concrete answer —
     /// each element the executor returns has its label in the emitted
     /// type set (or stands behind a dummy the certificate records), and
-    /// text answers require the emitted text marker.
+    /// text answers require the emitted text marker. The engine's cached
+    /// certificate equals a fresh untraced one and the verdict of a
+    /// traced one.
     #[test]
     fn pipeline_plans_certify_and_overapproximate_answers(
         spec in spec_strategy(),
@@ -368,11 +371,15 @@ proptest! {
             return Ok(());
         }
         let engine = SecureEngine::new(&spec, &view);
-        let hideable = &engine.certify_context().hideable;
+        let ctx = engine.certify_context();
+        let hideable = &ctx.sets().hideable;
         for approach in [Approach::Rewrite, Approach::Optimize, Approach::Annotate] {
             for policy in PlanPolicy::ALL {
                 let (planned, _) = engine.plan_certified(&p, approach, policy);
                 let Ok(planned) = planned else { continue };
+                let fresh = certify(&planned.plan, ctx);
+                prop_assert_eq!(&fresh, &*planned.cert, "{:?}/{:?} {}", approach, policy, p);
+                prop_assert_eq!(&certify_traced(&planned.plan, ctx).cert, &fresh);
                 prop_assert!(
                     planned.cert.certified(),
                     "{:?}/{:?} plan for {} is uncertified: {:?}",
