@@ -15,7 +15,7 @@
 //! ancestor qualifiers to hold.
 
 use crate::spec::{AccessSpec, Annotation};
-use sxv_xml::{DocIndex, Document, NodeBitmap, NodeId};
+use sxv_xml::{DocIndex, Document, LabelId, NodeBitmap, NodeId};
 use sxv_xpath::{compile, eval_qualifier, CostModel, Path, PlanPolicy, Qualifier};
 
 /// Per-node accessibility, indexed by [`NodeId::index`].
@@ -83,6 +83,33 @@ pub fn compute_accessibility(
     propagate(spec, doc, |_, v| holds.contains(v))
 }
 
+/// The spec's edge annotations over one document's label ids, built
+/// once per pass so classifying a node costs no `String` and no
+/// `BTreeMap` lookup. Indexed by the child's [`LabelId`]; each entry
+/// lists the annotated parents of that child type (rarely more than
+/// one). Edges naming a label the document lacks never match a node and
+/// are left out.
+struct EdgeTable<'s> {
+    by_child: Vec<Vec<(LabelId, &'s Annotation)>>,
+}
+
+impl<'s> EdgeTable<'s> {
+    fn new(spec: &'s AccessSpec, doc: &Document) -> EdgeTable<'s> {
+        let mut by_child = vec![Vec::new(); doc.label_table().len()];
+        for (parent, child, ann) in spec.annotations() {
+            if let (Some(p), Some(c)) = (doc.label_id(parent), doc.label_id(child)) {
+                by_child[c.index()].push((p, ann));
+            }
+        }
+        EdgeTable { by_child }
+    }
+
+    /// `ann(parent, child)`, if explicitly defined.
+    fn get(&self, parent: LabelId, child: LabelId) -> Option<&'s Annotation> {
+        self.by_child[child.index()].iter().find(|(p, _)| *p == parent).map(|&(_, ann)| ann)
+    }
+}
+
 /// The pre-order pass shared by both entry points; `holds(q, v)` decides
 /// a conditional annotation `[q]` at node `v`.
 fn propagate(
@@ -94,50 +121,39 @@ fn propagate(
     let Some(root) = doc.root_opt() else {
         return flags;
     };
-    // Stack entries: (node, parent_accessible, ancestor_qualifiers_ok).
-    let mut stack: Vec<(NodeId, bool, bool)> = vec![(root, true, true)];
-    // The root itself: annotated Y by default, no ancestors.
-    while let Some((v, parent_accessible, anc_ok)) = stack.pop() {
-        let (accessible, own_qual_ok) = classify(spec, doc, &holds, v, parent_accessible, anc_ok);
+    let edges = EdgeTable::new(spec, doc);
+    // Stack entries: (node, parent label, parent_accessible,
+    // ancestor_qualifiers_ok); only the root has no parent label.
+    let mut stack: Vec<(NodeId, Option<LabelId>, bool, bool)> = vec![(root, None, true, true)];
+    while let Some((v, parent, parent_accessible, anc_ok)) = stack.pop() {
+        let label = doc.label_id_of(v);
+        // Returns `(accessible, own qualifier holds or absent)`.
+        let (accessible, own_qual_ok) = match (parent, label) {
+            // The root: Y by default, no ancestors.
+            (None, _) => (true, true),
+            // Text nodes inherit from their element parent (the paper's
+            // `str` children carry no annotation key of their own in
+            // our model).
+            (Some(_), None) => (parent_accessible, true),
+            (Some(parent), Some(label)) => match edges.get(parent, label) {
+                None => (parent_accessible, true),
+                Some(Annotation::Allow) => (anc_ok, true),
+                Some(Annotation::Deny) => (false, true),
+                Some(Annotation::Cond(q)) => {
+                    let holds = holds(q, v);
+                    (anc_ok && holds, holds)
+                }
+            },
+        };
         if accessible {
             flags.set(v);
         }
         let child_anc_ok = anc_ok && own_qual_ok;
         for &c in doc.children(v) {
-            stack.push((c, accessible, child_anc_ok));
+            stack.push((c, label, accessible, child_anc_ok));
         }
     }
     flags
-}
-
-/// Returns `(accessible, own qualifier holds or absent)`.
-fn classify(
-    spec: &AccessSpec,
-    doc: &Document,
-    holds: &impl Fn(&Qualifier, NodeId) -> bool,
-    v: NodeId,
-    parent_accessible: bool,
-    anc_ok: bool,
-) -> (bool, bool) {
-    let Some(parent) = doc.parent(v) else {
-        // Root: Y by default.
-        return (true, true);
-    };
-    // Text nodes inherit from their element parent (the paper's `str`
-    // children carry no annotation key of their own in our model).
-    let Some(label) = doc.label_opt(v) else {
-        return (parent_accessible, true);
-    };
-    let parent_label = doc.label_opt(parent).unwrap_or_default();
-    match spec.annotation(parent_label, label) {
-        None => (parent_accessible, true),
-        Some(Annotation::Allow) => (anc_ok, true),
-        Some(Annotation::Deny) => (false, true),
-        Some(Annotation::Cond(q)) => {
-            let holds = holds(q, v);
-            (anc_ok && holds, holds)
-        }
-    }
 }
 
 #[cfg(test)]

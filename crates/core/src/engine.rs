@@ -134,11 +134,14 @@ pub struct Planned {
     pub feedback: Arc<PlanFeedback>,
 }
 
-/// One cache shard: planning outcome plus its atomic LRU tick, per key.
-/// The value is the whole compiled artifact — a hit skips parse
-/// normalization, rewriting, optimization, planning *and*
-/// certification.
-type CacheShard = HashMap<CacheKey, (Result<Planned>, AtomicU64)>;
+/// One cache shard entry: planning outcome plus its atomic LRU tick.
+type CacheEntry = (Result<Planned>, AtomicU64);
+
+/// One cache shard, per key. The value is the whole compiled artifact —
+/// a hit skips parse normalization, rewriting, optimization, planning
+/// *and* certification. Keys are `Arc`-shared so an eviction takes its
+/// victim's key out with a refcount bump instead of a `Path` clone.
+type CacheShard = HashMap<Arc<CacheKey>, CacheEntry>;
 
 /// Sharded, read-mostly map of compiled query plans. Keys hash to one of
 /// a few independently locked shards, so concurrent [`SecureEngine`]
@@ -146,7 +149,8 @@ type CacheShard = HashMap<CacheKey, (Result<Planned>, AtomicU64)>;
 /// a cache *hit* takes only a shard read lock — the LRU tick lives in an
 /// `AtomicU64` per entry — and only misses take a shard write lock.
 /// Eviction is per-shard LRU via a linear minimum scan (capacities are
-/// small and lookups dominate).
+/// small and lookups dominate); the evicted plan is freed after the
+/// write lock is released.
 #[derive(Debug)]
 struct PlanCache {
     shards: Vec<RwLock<CacheShard>>,
@@ -221,18 +225,31 @@ impl PlanCache {
         if self.shard_cap == 0 {
             return;
         }
+        let key = Arc::new(key);
         let mut shard = write_recover(self.shard(&key));
-        if shard.len() >= self.shard_cap && !shard.contains_key(&key) {
-            if let Some(oldest) = shard
-                .iter()
-                .min_by_key(|(_, (_, t))| t.load(Ordering::Relaxed))
-                .map(|(k, _)| k.clone())
-            {
-                shard.remove(&oldest);
-            }
-        }
         let now = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        shard.insert(key, (planned, AtomicU64::new(now)));
+        let entry = (planned, AtomicU64::new(now));
+        // What leaves the cache: the entry an adaptive recompile
+        // replaces, or the least recently used one of a full shard.
+        let removed = if let Some(slot) = shard.get_mut(&key) {
+            Some((key, std::mem::replace(slot, entry)))
+        } else {
+            let evicted = if shard.len() >= self.shard_cap {
+                shard
+                    .iter()
+                    .min_by_key(|(_, (_, t))| t.load(Ordering::Relaxed))
+                    .map(|(k, _)| Arc::clone(k))
+                    .and_then(|oldest| shard.remove_entry(&oldest))
+            } else {
+                None
+            };
+            shard.insert(key, entry);
+            evicted
+        };
+        // Free its plan, certificate and key after the write lock is
+        // released.
+        drop(shard);
+        drop(removed);
     }
 
     fn stats(&self) -> CacheStats {
@@ -394,10 +411,16 @@ impl CacheStats {
 /// the translation was, the plan's operator mix with its estimated
 /// cardinality, and the executor's machine-independent cost counters
 /// (the actual work, to compare against the estimate).
+///
+/// The report shares the executed plan with the plan cache instead of
+/// copying it, so a cache hit builds no part of the translation. Read
+/// the translated query with [`QueryReport::translated`] and the plan's
+/// operator counts with [`QueryReport::plan`]; the whole plan (operators,
+/// per-operator `est_rows`) is [`QueryReport::compiled`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryReport {
-    /// The translated (document-side) query that was evaluated.
-    pub translated: Path,
+    /// The executed plan: the cached `Arc`, not a copy of it.
+    pub compiled: Arc<CompiledQuery>,
     /// The compiled plan was served from the cache.
     pub cache_hit: bool,
     /// Executor work counters (`index_lookups` is non-zero only on the
@@ -413,6 +436,13 @@ pub struct QueryReport {
     /// runtime enforcement is unchanged — unless the engine is in
     /// strict verify mode, which refuses them before execution.
     pub certified: bool,
+}
+
+impl QueryReport {
+    /// The translated (document-side) query that was evaluated.
+    pub fn translated(&self) -> &Path {
+        &self.compiled.translated
+    }
 }
 
 /// A query engine bound to one access policy.
@@ -639,8 +669,8 @@ impl<'a> SecureEngine<'a> {
     /// through the document's cached [`AccessView`].
     ///
     /// Returns the answer with a [`QueryReport`] of the work done: the
-    /// translated query, whether the plan was a cache hit, the plan's
-    /// operator mix and the executor's counters.
+    /// executed plan (shared with the cache, not copied), whether it was
+    /// a cache hit, the plan's operator mix and the executor's counters.
     pub fn answer_report_policy(
         &self,
         doc: &Document,
@@ -663,7 +693,7 @@ impl<'a> SecureEngine<'a> {
                     .join("; "),
             });
         }
-        let plan = &planned.plan;
+        let plan = planned.plan;
         // Adaptive Auto: exactly one execution per cached plan runs
         // profiled (a one-shot latch shared across cache clones),
         // recording observed per-operator cardinalities. When they
@@ -689,7 +719,7 @@ impl<'a> SecureEngine<'a> {
         };
         let (answer, eval) = if adaptive {
             let (answer, eval, observed) = plan.execute_profiled(doc, index, access);
-            self.maybe_recompile(p, approach, policy, plan, &observed);
+            self.maybe_recompile(p, approach, policy, &plan, &observed);
             (answer, eval)
         } else {
             plan.execute_with_access(doc, index, access)
@@ -697,10 +727,10 @@ impl<'a> SecureEngine<'a> {
         Ok((
             answer,
             QueryReport {
-                translated: plan.translated.clone(),
+                plan: plan.summary(),
+                compiled: plan,
                 cache_hit,
                 eval,
-                plan: plan.summary(),
                 policy,
                 certified,
             },
@@ -896,7 +926,7 @@ mod tests {
                         .answer_report_policy(&doc, index, &p, Approach::Annotate, policy)
                         .unwrap();
                     assert_eq!(ans, rewrite_ans, "{q} ({policy:?}, indexed={})", index.is_some());
-                    assert_eq!(report.translated, simplify(&p), "annotate must not rewrite");
+                    assert_eq!(*report.translated(), simplify(&p), "annotate must not rewrite");
                 }
             }
         }
@@ -1253,7 +1283,7 @@ mod tests {
             .answer_report_policy(&doc, None, &p, Approach::Optimize, PlanPolicy::ForceWalk)
             .unwrap();
         assert!(report.cache_hit);
-        assert_eq!(report.translated, engine.translate(&p, Approach::Optimize).unwrap());
+        assert_eq!(*report.translated(), engine.translate(&p, Approach::Optimize).unwrap());
     }
 
     #[test]

@@ -77,11 +77,15 @@ pub struct ServeConfig {
     pub verify: bool,
     /// Pre-built structural indexes by doc name (e.g. loaded from an
     /// `.sxvpkg` package). Docs without one are indexed at boot; a stale
-    /// name, or a document that cannot be indexed, is a boot error.
+    /// name, a document that cannot be indexed, or an index whose node
+    /// count differs from its document's ([`ArtifactMismatch`]) is a
+    /// boot error.
     pub indexes: Vec<(String, DocIndex)>,
     /// Pre-built `(role name, doc name, artifact)` accessibility views
     /// to seed each role engine's cache with at boot, so the first
     /// annotate-approach query over a packaged document builds nothing.
+    /// A view whose node count differs from its document's is a boot
+    /// error ([`ArtifactMismatch`]).
     pub preloaded_views: Vec<(String, String, Arc<AccessView>)>,
     /// Queries to pre-compile (and certify) for every role × approach at
     /// boot (`sxv serve --warm FILE`), so the first request for a known
@@ -110,6 +114,55 @@ impl ServeConfig {
         }
     }
 }
+
+/// A pre-built artifact in a [`ServeConfig`] whose node count differs
+/// from that of the document it is attached to: it was built for another
+/// document. Serving it answers wrongly or indexes out of bounds, so
+/// [`run`] refuses it at boot. (A same-sized artifact of another document
+/// still passes; checking structure node by node is a separate, deeper
+/// check.)
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ArtifactMismatch {
+    /// A structural index from [`ServeConfig::indexes`].
+    Index {
+        /// The document the index was attached to.
+        doc: String,
+        /// Nodes in that document.
+        doc_nodes: usize,
+        /// Nodes the index covers.
+        index_nodes: usize,
+    },
+    /// An access view from [`ServeConfig::preloaded_views`].
+    AccessView {
+        /// The role the view was preloaded for.
+        role: String,
+        /// The document the view was attached to.
+        doc: String,
+        /// Nodes in that document.
+        doc_nodes: usize,
+        /// Nodes the access view covers.
+        view_nodes: usize,
+    },
+}
+
+impl std::fmt::Display for ArtifactMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ArtifactMismatch::Index { doc, doc_nodes, index_nodes } => write!(
+                f,
+                "index for doc {doc:?} covers {index_nodes} nodes, but the document has \
+                 {doc_nodes}: it was built for another document"
+            ),
+            ArtifactMismatch::AccessView { role, doc, doc_nodes, view_nodes } => write!(
+                f,
+                "access view for role {role:?} over doc {doc:?} covers {view_nodes} nodes, but \
+                 the document has {doc_nodes}: it was built for another document"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ArtifactMismatch {}
 
 /// One admitted query waiting for a worker.
 struct Job {
@@ -208,6 +261,10 @@ pub fn run(config: ServeConfig, ready: mpsc::Sender<SocketAddr>) -> Result<(), S
     let mut indexes: Vec<Option<DocIndex>> = config.docs.iter().map(|_| None).collect();
     for (name, idx) in config.indexes {
         let &i = doc_index.get(&name).ok_or_else(|| format!("index for unknown doc {name:?}"))?;
+        let (doc_nodes, index_nodes) = (config.docs[i].1.len(), idx.node_count());
+        if index_nodes != doc_nodes {
+            return Err(ArtifactMismatch::Index { doc: name, doc_nodes, index_nodes }.to_string());
+        }
         indexes[i] = Some(idx);
     }
     let indexes = indexes
@@ -250,7 +307,14 @@ pub fn run(config: ServeConfig, ready: mpsc::Sender<SocketAddr>) -> Result<(), S
         let &d = doc_index
             .get(&doc_name)
             .ok_or_else(|| format!("preloaded view for unknown doc {doc_name:?}"))?;
-        engines[r].preload_access_view(config.docs[d].1.doc_id(), view);
+        let doc = &config.docs[d].1;
+        let (doc_nodes, view_nodes) = (doc.len(), view.len());
+        if view_nodes != doc_nodes {
+            let mismatch =
+                ArtifactMismatch::AccessView { role, doc: doc_name, doc_nodes, view_nodes };
+            return Err(mismatch.to_string());
+        }
+        engines[r].preload_access_view(doc.doc_id(), view);
     }
 
     let state = ServerState {

@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for q in ["//patient/name", "//test", "//bill"] {
             let (nodes, report) = answer(group, q);
             let values: Vec<String> = nodes.iter().map(|&n| doc.string_value(n)).collect();
-            println!("  {q}  →  {}", report.translated);
+            println!("  {q}  →  {}", report.translated());
             println!("      = {values:?}");
         }
         println!();

@@ -455,7 +455,7 @@ fn cmd_query(opts: &Options) -> Result<(), String> {
             query_us,
             query_us / repeat as u128,
         );
-        eprintln!("translated query: {}", report.translated);
+        eprintln!("translated query: {}", report.translated());
         eprintln!(
             "plan ({} policy): ops={} mix={} est_rows≈{}",
             report.policy,

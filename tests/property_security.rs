@@ -13,15 +13,15 @@
 
 use proptest::prelude::*;
 use secure_xml_views::core::{
-    accessibility, build_access_view, derive_view, materialize, optimize, rewrite, AccessSpec,
-    Approach, NaiveBaseline, SecureEngine,
+    accessibility, build_access_view, compute_accessibility, derive_view, materialize, optimize,
+    rewrite, AccessSpec, Annotation, Approach, NaiveBaseline, SecureEngine,
 };
 use secure_xml_views::dtd::{parse_dtd, Dtd};
 use secure_xml_views::gen::{GenConfig, Generator};
-use secure_xml_views::xml::{DocIndex, Document};
+use secure_xml_views::xml::{DocIndex, Document, NodeId};
 use secure_xml_views::xpath::{
-    certify, certify_traced, compile, compile_annotate, eval_at_root, CostModel, Path, PlanPolicy,
-    Qualifier,
+    certify, certify_traced, compile, compile_annotate, eval_at_root, eval_qualifier, CostModel,
+    Path, PlanPolicy, Qualifier,
 };
 
 const HOSPITAL_DTD: &str = include_str!("../assets/hospital.dtd");
@@ -79,6 +79,72 @@ fn spec_strategy() -> impl Strategy<Value = AccessSpec> {
             builder.build().expect("edges are valid")
         },
     )
+}
+
+/// §3.2 for one node, read off the definition: walk `v`'s root path by
+/// name, look each edge up in the spec and decide every qualifier with the
+/// reference interpreter. Deliberately shares no code with the
+/// accessibility passes it checks.
+fn accessible_by_definition(spec: &AccessSpec, doc: &Document, v: NodeId) -> bool {
+    let Some(parent) = doc.parent(v) else {
+        // The root is annotated Y by default.
+        return true;
+    };
+    if doc.label_opt(v).is_none() {
+        // A text node inherits its element's accessibility.
+        return accessible_by_definition(spec, doc, parent);
+    }
+    // ann(u) of a non-root element `u`, looked up by name.
+    let ann = |u: NodeId| spec.annotation(doc.label_opt(doc.parent(u)?)?, doc.label_opt(u)?);
+    // Rule 1's second half: every ancestor's qualifier holds.
+    let ancestor_qualifiers_hold =
+        std::iter::successors(Some(parent), |&u| doc.parent(u)).all(|u| match ann(u) {
+            Some(Annotation::Cond(q)) => eval_qualifier(doc, q, u),
+            _ => true,
+        });
+    match ann(v) {
+        Some(Annotation::Allow) => ancestor_qualifiers_hold,
+        Some(Annotation::Cond(q)) => eval_qualifier(doc, q, v) && ancestor_qualifiers_hold,
+        Some(Annotation::Deny) => false,
+        // Rule 2: no explicit annotation, so `v` inherits from its parent.
+        None => accessible_by_definition(spec, doc, parent),
+    }
+}
+
+/// Check both accessibility passes against [`accessible_by_definition`]
+/// on every node of `doc`.
+fn check_accessibility_definition(spec: &AccessSpec, doc: &Document) {
+    let expected: Vec<NodeId> =
+        doc.all_ids().filter(|&v| accessible_by_definition(spec, doc, v)).collect();
+    let index = DocIndex::new(doc).unwrap();
+    assert_eq!(accessibility::compute(spec, doc).accessible_ids().collect::<Vec<_>>(), expected);
+    for index in [None, Some(&index)] {
+        let serving = compute_accessibility(spec, doc, index).to_ids();
+        assert_eq!(serving, expected, "indexed: {}", index.is_some());
+    }
+}
+
+/// The nurse policy of Example 3.1 for both wards, and a policy whose
+/// conditionals nest (a false qualifier on `dept` or `patient` must
+/// poison the allowed regions below it), against the node-by-node
+/// reading of §3.2 on generated hospitals.
+#[test]
+fn nurse_accessibility_matches_the_definition() {
+    let dtd = hospital_dtd();
+    let nurse = include_str!("../assets/hospital_nurse.spec");
+    let nested = "ann(hospital, dept) = [*/patient/wardNo=$wardNo]\n\
+                  ann(patientInfo, patient) = [name='ann' or name='bob']\n\
+                  ann(patient, treatment) = [*/bill='10']\n\
+                  ann(treatment, trial) = N\n\
+                  ann(trial, bill) = Y\n";
+    for (text, ward) in [(nurse, "6"), (nurse, "7"), (nested, "6")] {
+        let spec = AccessSpec::parse(&dtd, text, &[("wardNo", ward)]).unwrap();
+        for seed in 0..12 {
+            for branch in 1..5 {
+                check_accessibility_definition(&spec, &hospital_doc(seed, branch));
+            }
+        }
+    }
 }
 
 /// Labels usable in generated queries: document labels plus dummies the
@@ -195,6 +261,18 @@ proptest! {
         let access = accessibility::compute(&spec, &doc);
         let accessible: BTreeSet<_> = access.accessible_ids().collect();
         prop_assert_eq!(sources, accessible);
+    }
+
+    /// §3.2 read node by node: the serving pass (with and without an
+    /// index) and the reference pass agree with a definition that shares
+    /// no code with them.
+    #[test]
+    fn accessibility_matches_the_definition(
+        spec in spec_strategy(),
+        seed in 0u64..1000,
+        branch in 1usize..5,
+    ) {
+        check_accessibility_definition(&spec, &hospital_doc(seed, branch));
     }
 
     /// Theorem 4.1: p(T_v) = p_t(T) for random queries and specs.

@@ -5,17 +5,17 @@
 //! bad input and overload, per-tenant stats, clean shutdown.
 
 use secure_xml_views::core::{
-    answer_line, derive_view, AccessSpec, Approach, PlanPolicy, SecureEngine,
+    answer_line, build_access_view, derive_view, AccessSpec, Approach, PlanPolicy, SecureEngine,
 };
 use secure_xml_views::dtd::{parse_dtd, Dtd};
 use secure_xml_views::serve::http::Client;
 use secure_xml_views::serve::json::MAX_NESTING;
-use secure_xml_views::serve::{parse_answers, query_body, run, ServeConfig};
-use secure_xml_views::xml::{parse as parse_xml, Document, DocumentParts, NodeId};
+use secure_xml_views::serve::{parse_answers, query_body, run, ArtifactMismatch, ServeConfig};
+use secure_xml_views::xml::{parse as parse_xml, DocIndex, Document, DocumentParts, NodeId};
 use secure_xml_views::xpath::parse as parse_xpath;
 use secure_xml_views::xpath::parser::MAX_DEPTH;
 use std::net::SocketAddr;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -361,6 +361,60 @@ fn boot_rejects_empty_or_invalid_configs() {
     let (tx, _rx) = mpsc::channel();
     let err = run(ServeConfig::new(roles(&dtd), docs), tx).unwrap_err();
     assert!(err.contains("doc \"scrambled\"") && err.contains("cannot index"), "{err}");
+}
+
+#[test]
+fn boot_refuses_artifacts_built_for_another_document() {
+    // Six nodes against d1's seven: an index or access view built over
+    // this document and attached to d1 would read past d1's nodes.
+    let other = parse_xml("<r><pub/><sec>s</sec><fin>f</fin></r>").unwrap();
+    let dtd = dtd();
+    let (role, spec) = roles(&dtd).remove(0);
+    let view = derive_view(&spec).unwrap();
+    let foreign_view = Arc::new(build_access_view(&spec, &view, &other, None));
+
+    // The error `run` refuses `config` with; a daemon that boots instead
+    // is shut down and fails the test.
+    let boot_error = |config: ServeConfig| {
+        let (tx, rx) = mpsc::channel();
+        let handle = std::thread::spawn(move || run(config, tx));
+        if let Ok(addr) = rx.recv_timeout(Duration::from_secs(10)) {
+            shutdown(addr, handle);
+            panic!("the daemon booted with another document's artifact");
+        }
+        handle.join().unwrap().unwrap_err()
+    };
+
+    let mut config = ServeConfig::new(roles(&dtd), docs());
+    config.indexes = vec![("d1".into(), DocIndex::new(&other).unwrap())];
+    assert_eq!(
+        boot_error(config),
+        ArtifactMismatch::Index { doc: "d1".into(), doc_nodes: 7, index_nodes: 6 }.to_string()
+    );
+
+    let mut config = ServeConfig::new(roles(&dtd), docs());
+    config.preloaded_views = vec![(role.clone(), "d2".into(), foreign_view)];
+    let err = boot_error(config);
+    let expected =
+        ArtifactMismatch::AccessView { role, doc: "d2".into(), doc_nodes: 7, view_nodes: 6 };
+    assert_eq!(err, expected.to_string());
+    assert!(err.contains("built for another document"), "{err}");
+
+    // Artifacts built over d1's own shape still boot and serve.
+    let d1 = docs().remove(0).1;
+    let mut config = ServeConfig::new(roles(&dtd), docs());
+    config.indexes = vec![("d1".into(), DocIndex::new(&d1).unwrap())];
+    config.preloaded_views =
+        vec![("public".into(), "d1".into(), Arc::new(build_access_view(&spec, &view, &d1, None)))];
+    let (addr, handle) = boot(config);
+    for approach in ["optimize", "annotate"] {
+        let body =
+            format!(r#"{{"role":"public","doc":"d1","query":"//*","approach":"{approach}"}}"#);
+        let (status, reply) = client(addr).post("/query", &body).unwrap();
+        assert_eq!(status, 200, "{reply}");
+        assert_eq!(parse_answers(&reply).unwrap(), direct_answers(&dtd, "public", "d1", "//*"));
+    }
+    shutdown(addr, handle);
 }
 
 /// Deep query shapes: how to build one of size `n`, the largest size the
