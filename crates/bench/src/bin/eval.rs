@@ -66,22 +66,25 @@ fn main() {
 
     let workload = AdexWorkload::new();
     let mut docs = Vec::new();
+    let mut access_rows: Vec<(&str, usize, u64, usize)> = Vec::new();
     for &(name, branch) in &datasets {
         let (doc, annotated) = workload.dataset(branch, 0xADE0 + branch as u64);
         let index = DocIndex::new(&doc).expect("generated docs are in document order");
         let naive_index = DocIndex::new(&annotated).expect("annotation preserves document order");
         // The annotate approach's one-time preparation: build the
         // accessibility artifact once per dataset, outside the timers.
+        let started = std::time::Instant::now();
         let access = workload.access_view(&doc, Some(&index));
+        let build_us = started.elapsed().as_micros() as u64;
         println!(
             "{name}: max_branch={branch}, {} nodes ({} elements); \
-             access bitmap: {} us build, {} bytes ({:.2} bytes/node)",
+             access bitmap: {build_us} us build, {} bytes ({:.2} bytes/node)",
             doc.len(),
             doc.element_count(),
-            access.build_micros(),
             access.bytes(),
             access.bytes() as f64 / doc.len().max(1) as f64
         );
+        access_rows.push((name, doc.len(), build_us, access.bytes()));
         docs.push((name, doc, annotated, index, naive_index, access));
     }
     println!();
@@ -177,37 +180,6 @@ fn main() {
                 }
             }
         }
-    }
-    println!();
-
-    // Adaptive Auto recompiles: a fresh engine per dataset answers the
-    // Table-1 workload twice under the Auto policy; the first profiled
-    // execution of each plan may trigger one feedback-driven recompile
-    // when observed cardinalities diverge from the DTD estimates.
-    let mut recompiles: Vec<(&str, u64, u64)> = Vec::new();
-    for (name, doc, _, index, _, _) in &docs {
-        let adaptive = SecureEngine::new(&workload.spec, &workload.view);
-        for _ in 0..2 {
-            for q in &workload.queries {
-                for approach in [Approach::Rewrite, Approach::Optimize, Approach::Annotate] {
-                    adaptive
-                        .answer_report_policy(
-                            doc,
-                            Some(index),
-                            &q.view_query,
-                            approach,
-                            PlanPolicy::Auto,
-                        )
-                        .expect("adaptive serving answers");
-                }
-            }
-        }
-        let c = adaptive.cache_stats();
-        println!(
-            "adaptive auto on {name}: plans_compiled={} plans_recompiled={}",
-            c.plans_compiled, c.plans_recompiled
-        );
-        recompiles.push((name, c.plans_compiled, c.plans_recompiled));
     }
     println!();
 
@@ -374,16 +346,9 @@ fn main() {
     }
     println!();
 
-    let access_rows: Vec<(&str, usize, u64, usize)> = docs
-        .iter()
-        .map(|(name, doc, _, _, _, access)| {
-            (*name, doc.len(), access.build_micros(), access.bytes())
-        })
-        .collect();
     let json = render_json(
         &rows,
         &rec_rows,
-        &recompiles,
         &access_rows,
         &warm,
         &cache_tuple(&engine),
@@ -408,7 +373,6 @@ fn cache_tuple(engine: &SecureEngine) -> (u64, u64, u64) {
 fn render_json(
     rows: &[Row],
     rec: &[RecRow],
-    recompiles: &[(&str, u64, u64)],
     access: &[(&str, usize, u64, usize)],
     warm: &[(&str, Timing)],
     cache: &(u64, u64, u64),
@@ -450,19 +414,6 @@ fn render_json(
         );
     }
     let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"exec\": {{");
-    let _ = writeln!(out, "    \"adaptive\": [");
-    for (i, (name, compiled, recompiled)) in recompiles.iter().enumerate() {
-        let comma = if i + 1 < recompiles.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "      {{\"dataset\": \"{}\", \"plans_compiled\": {compiled}, \
-             \"plans_recompiled\": {recompiled}}}{comma}",
-            json_escape(name)
-        );
-    }
-    let _ = writeln!(out, "    ]");
-    let _ = writeln!(out, "  }},");
     let _ = writeln!(out, "  \"access_bitmaps\": [");
     for (i, (name, nodes, build_us, bytes)) in access.iter().enumerate() {
         let comma = if i + 1 < access.len() { "," } else { "" };

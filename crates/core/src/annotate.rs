@@ -23,7 +23,6 @@ use crate::accessibility::compute_accessibility;
 use crate::spec::AccessSpec;
 use crate::view::def::{SecurityView, ViewContent};
 use std::collections::BTreeMap;
-use std::time::Instant;
 use sxv_xml::{DocIndex, Document, NodeId};
 use sxv_xpath::{eval, is_dummy_label, AccessView};
 
@@ -37,7 +36,6 @@ pub fn build_access_view(
     doc: &Document,
     index: Option<&DocIndex>,
 ) -> AccessView {
-    let started = Instant::now();
     let accessible = compute_accessibility(spec, doc, index);
     let mut av = AccessView::new(doc.len());
     av.set_accessible_count(accessible.count_ones());
@@ -51,7 +49,6 @@ pub fn build_access_view(
     av.set_visible_attrs(attrs);
     let Some(root) = doc.root_opt() else {
         av.finalize();
-        av.set_build_micros(started.elapsed().as_micros() as u64);
         return av;
     };
     av.record_root(root);
@@ -102,7 +99,6 @@ pub fn build_access_view(
         }
     }
     av.finalize();
-    av.set_build_micros(started.elapsed().as_micros() as u64);
     av
 }
 

@@ -11,19 +11,18 @@ use crate::annotate::build_access_view;
 use crate::error::{Error, Result};
 use crate::naive::NaiveBaseline;
 use crate::optimize::optimize_over;
-use crate::plancost::{calibrate, dtd_cost_model};
+use crate::plancost::dtd_cost_model;
 use crate::rewrite::ViewGraph;
 use crate::spec::AccessSpec;
 use crate::view::def::SecurityView;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use sxv_xml::{DocId, DocIndex, Document, NodeId};
 use sxv_xpath::{
-    certify, compile, compile_annotate, simplify, AccessView, AxisTest, CertifyContext,
-    CompiledQuery, CostModel, EvalStats, Path, PlanCertificate, PlanNode, PlanOp, PlanPolicy,
-    PlanSummary, SchemaSlice,
+    certify, compile, compile_annotate, simplify, AccessView, CertifyContext, CompiledQuery,
+    CostModel, EvalStats, Path, PlanCertificate, PlanPolicy, PlanSummary,
 };
 
 /// Query evaluation strategy (the three columns of Table 1, plus the
@@ -100,24 +99,6 @@ fn write_recover<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Runtime feedback slot shared by every clone of a cached plan: a
-/// one-shot latch deciding which execution of an `Auto` plan runs
-/// profiled (recording observed per-operator cardinalities). The
-/// recompile decision happens inside that same call, so the latch is
-/// the only cross-call state needed.
-#[derive(Debug, Default)]
-pub struct PlanFeedback {
-    profiled: AtomicBool,
-}
-
-impl PlanFeedback {
-    /// A feedback slot that is already latched — used for recompiled
-    /// plans, which must not profile (and potentially recompile) again.
-    fn latched() -> PlanFeedback {
-        PlanFeedback { profiled: AtomicBool::new(true) }
-    }
-}
-
 /// A compiled plan paired with the static certificate the engine
 /// produced for it at compile time (see [`sxv_xpath::certify()`]). Both
 /// halves are `Arc`-shared, so cloning a `Planned` out of the cache is
@@ -130,8 +111,6 @@ pub struct Planned {
     /// without the abstract trace: [`sxv_xpath::certify_traced`]
     /// rebuilds that for printing).
     pub cert: Arc<PlanCertificate>,
-    /// Adaptive-execution feedback shared across cache clones.
-    pub feedback: Arc<PlanFeedback>,
 }
 
 /// One cache shard entry: planning outcome plus its atomic LRU tick.
@@ -164,10 +143,6 @@ struct PlanCache {
     plans_compiled: AtomicU64,
     /// Plans put through the static certifier (one per compile).
     plans_certified: AtomicU64,
-    /// Adaptive recompiles: cached `Auto` plans replaced after observed
-    /// cardinalities diverged from the static estimates (never counted
-    /// in `plans_compiled`, which stays the compile-once proof).
-    plans_recompiled: AtomicU64,
     /// Certificates with error findings (the plan would emit data that
     /// is not provably accessible; `--verify` refuses to serve these).
     certify_failures: AtomicU64,
@@ -194,7 +169,6 @@ impl PlanCache {
             misses: AtomicU64::new(0),
             plans_compiled: AtomicU64::new(0),
             plans_certified: AtomicU64::new(0),
-            plans_recompiled: AtomicU64::new(0),
             certify_failures: AtomicU64::new(0),
             certify_nanos: AtomicU64::new(0),
         }
@@ -229,8 +203,9 @@ impl PlanCache {
         let mut shard = write_recover(self.shard(&key));
         let now = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         let entry = (planned, AtomicU64::new(now));
-        // What leaves the cache: the entry an adaptive recompile
-        // replaces, or the least recently used one of a full shard.
+        // What leaves the cache: the entry of a racing thread that
+        // missed the same key and inserted first, or the least recently
+        // used one of a full shard.
         let removed = if let Some(slot) = shard.get_mut(&key) {
             Some((key, std::mem::replace(slot, entry)))
         } else {
@@ -259,44 +234,11 @@ impl PlanCache {
             entries: self.shards.iter().map(|s| read_recover(s).len()).sum(),
             plans_compiled: self.plans_compiled.load(Ordering::Relaxed),
             plans_certified: self.plans_certified.load(Ordering::Relaxed),
-            plans_recompiled: self.plans_recompiled.load(Ordering::Relaxed),
+            plans_recompiled: 0,
             certify_failures: self.certify_failures.load(Ordering::Relaxed),
             certify_micros: self.certify_nanos.load(Ordering::Relaxed) / 1_000,
         }
     }
-}
-
-/// Divergence ratio that triggers an adaptive recompile: an operator's
-/// observed output must be ≥8x above (or below) its planned `est_rows`.
-const ADAPT_RATIO: u64 = 8;
-
-/// Magnitude floor for the divergence test: tiny absolute counts (a
-/// 0-vs-8-row miss on a toy document) never earn a recompile — the
-/// recompile would cost more than every future execution combined.
-const ADAPT_MIN_ROWS: u64 = 64;
-
-/// Observed per-label cardinalities harvested from a profiled
-/// execution: descendant scans (fused or not) report how many
-/// `label`-elements actually streamed out, which calibrates the cost
-/// model's per-label table. Child steps are skipped — their counts are
-/// context-local and would poison the global label statistics.
-fn label_observations(ops: &[PlanNode], observed: &[u64]) -> Vec<(String, u64)> {
-    let mut out = Vec::new();
-    for (node, &obs) in ops.iter().zip(observed) {
-        let axis = match &node.op {
-            PlanOp::DescendantSlice(a) => Some(a),
-            PlanOp::Fused(f) | PlanOp::SchemaSlice(SchemaSlice { scan: f, .. })
-                if f.filter.is_none() && f.qual.is_none() =>
-            {
-                Some(&f.axis)
-            }
-            _ => None,
-        };
-        if let Some(AxisTest::Label(l)) = axis {
-            out.push((l.clone(), obs));
-        }
-    }
-    out
 }
 
 /// Most accessibility artifacts kept resident at once; an engine rarely
@@ -315,22 +257,6 @@ fn bounded_insert<T>(map: &RwLock<HashMap<DocId, Arc<T>>>, key: DocId, value: Ar
         }
     }
     Arc::clone(map.entry(key).or_insert(value))
-}
-
-/// Compile a translated query for `approach`: annotate plans filter the
-/// untranslated view query through the accessibility artifact; every
-/// other approach runs its translation as-is.
-fn compile_for(
-    approach: Approach,
-    translated: &Path,
-    policy: PlanPolicy,
-    cost: &CostModel,
-) -> Arc<CompiledQuery> {
-    Arc::new(if approach == Approach::Annotate {
-        compile_annotate(translated, policy, cost)
-    } else {
-        compile(translated, policy, cost)
-    })
 }
 
 /// Cached [`AccessView`] artifacts, one per served document, plus the
@@ -383,8 +309,10 @@ pub struct CacheStats {
     /// Plans put through the static certifier (one per compile; flat on
     /// cache hits — the certificate is cached with the plan).
     pub plans_certified: u64,
-    /// Adaptive recompiles of cached `Auto` plans after observed
-    /// cardinalities diverged >8x from the static estimates.
+    /// Always 0: each plan is compiled once, on its key's miss, and
+    /// served unchanged until evicted. The field stays because the
+    /// benchmark harness (`perfbench/`) builds a `CacheStats` with a
+    /// struct literal that names every field.
     pub plans_recompiled: u64,
     /// Certificates with error findings. Under `--verify` these plans
     /// are refused; otherwise they still serve (runtime enforcement
@@ -557,9 +485,11 @@ impl<'a> SecureEngine<'a> {
             self.access.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(av);
         }
+        let started = std::time::Instant::now();
         let built = Arc::new(build_access_view(self.spec, self.view, doc, index));
+        let micros = started.elapsed().as_micros() as u64;
         self.access.builds.fetch_add(1, Ordering::Relaxed);
-        self.access.build_micros.fetch_add(built.build_micros(), Ordering::Relaxed);
+        self.access.build_micros.fetch_add(micros, Ordering::Relaxed);
         bounded_insert(&self.access.map, key, built)
     }
 
@@ -615,11 +545,18 @@ impl<'a> SecureEngine<'a> {
         }
         let planned = self.translate_uncached(&key.query, approach).map(|translated| {
             self.cache.plans_compiled.fetch_add(1, Ordering::Relaxed);
-            let plan = compile_for(approach, &translated, policy, &self.cost);
+            // Annotate plans filter the untranslated view query through
+            // the accessibility artifact; every other approach runs its
+            // translation as-is.
+            let plan = Arc::new(if approach == Approach::Annotate {
+                compile_annotate(&translated, policy, &self.cost)
+            } else {
+                compile(&translated, policy, &self.cost)
+            });
             // Certify once per compile; the certificate rides in the
             // cache entry so hits pay nothing.
             let cert = self.certify_counted(&plan);
-            Planned { plan, cert, feedback: Arc::new(PlanFeedback::default()) }
+            Planned { plan, cert }
         });
         self.cache.insert(key, planned.clone());
         (planned, false)
@@ -694,14 +631,6 @@ impl<'a> SecureEngine<'a> {
             });
         }
         let plan = planned.plan;
-        // Adaptive Auto: exactly one execution per cached plan runs
-        // profiled (a one-shot latch shared across cache clones),
-        // recording observed per-operator cardinalities. When they
-        // diverge far enough from the plancost estimates, the plan is
-        // recompiled against calibrated statistics and the cache entry
-        // replaced — this call still answers from the profiled run.
-        let adaptive =
-            policy == PlanPolicy::Auto && !planned.feedback.profiled.swap(true, Ordering::Relaxed);
         // What the plan runs over: naive plans read the cached annotated
         // copy (without the index, which was built for `doc`), annotate
         // plans filter `doc` through its cached access view.
@@ -717,13 +646,7 @@ impl<'a> SecureEngine<'a> {
             }
             Approach::Rewrite | Approach::Optimize => (doc, index, None),
         };
-        let (answer, eval) = if adaptive {
-            let (answer, eval, observed) = plan.execute_profiled(doc, index, access);
-            self.maybe_recompile(p, approach, policy, &plan, &observed);
-            (answer, eval)
-        } else {
-            plan.execute_with_access(doc, index, access)
-        };
+        let (answer, eval) = plan.execute_with_access(doc, index, access);
         Ok((
             answer,
             QueryReport {
@@ -735,38 +658,6 @@ impl<'a> SecureEngine<'a> {
                 certified,
             },
         ))
-    }
-
-    /// Decide whether a profiled `Auto` execution earned a recompile,
-    /// and perform it: any operator whose observed output diverges from
-    /// its `est_rows` by ≥ [`ADAPT_RATIO`] — and is large enough in
-    /// magnitude ([`ADAPT_MIN_ROWS`]) for the divergence to matter —
-    /// triggers one recompile against a cost model calibrated with the
-    /// observed per-label cardinalities. The replacement enters the
-    /// cache pre-latched, so it never profiles (or recompiles) again.
-    fn maybe_recompile(
-        &self,
-        p: &Path,
-        approach: Approach,
-        policy: PlanPolicy,
-        plan: &CompiledQuery,
-        observed: &[u64],
-    ) {
-        let diverged = plan.ops.iter().zip(observed).any(|(node, &obs)| {
-            let est = node.est_rows.max(1);
-            let (lo, hi) = if obs < est { (obs.max(1), est) } else { (est, obs.max(1)) };
-            hi >= ADAPT_RATIO * lo && hi >= ADAPT_MIN_ROWS
-        });
-        if !diverged {
-            return;
-        }
-        let calibrated = calibrate(&self.cost, label_observations(&plan.ops, observed));
-        let recompiled = compile_for(approach, &plan.translated, policy, &calibrated);
-        let cert = self.certify_counted(&recompiled);
-        self.cache.plans_recompiled.fetch_add(1, Ordering::Relaxed);
-        let planned =
-            Planned { plan: recompiled, cert, feedback: Arc::new(PlanFeedback::latched()) };
-        self.cache.insert(CacheKey { query: simplify(p), approach, policy }, Ok(planned));
     }
 
     /// Answer a batch of view queries concurrently over one shared
@@ -1211,11 +1102,12 @@ mod tests {
     }
 
     #[test]
-    fn auto_policy_recompiles_once_on_cardinality_divergence() {
+    fn auto_plans_are_compiled_once_and_never_replaced() {
         let (spec, view, _) = setup();
         // A document far wider than the DTD-derived estimates: hundreds
-        // of patients where plancost expects ~32, so the profiled first
-        // execution sees a >8x divergence above the magnitude floor.
+        // of patients where plancost expects ~32. Observed rows never
+        // feed back into the plan: the entry the miss compiled serves
+        // every later call.
         let mut src = String::from(
             "<hospital><dept><clinicalTrial><patientInfo/><test>t</test></clinicalTrial><patientInfo>",
         );
@@ -1230,44 +1122,23 @@ mod tests {
         let index = DocIndex::new(&doc).unwrap();
         let engine = SecureEngine::new(&spec, &view);
         let p = parse("//patient").unwrap();
-        let (first, report) = engine
-            .answer_report_policy(&doc, Some(&index), &p, Approach::Annotate, PlanPolicy::Auto)
-            .unwrap();
-        assert_eq!(first.len(), 300);
-        assert!(!report.cache_hit);
-        let stats = engine.cache_stats();
-        assert_eq!(stats.plans_compiled, 1, "recompiles never count as compiles");
-        assert_eq!(stats.plans_recompiled, 1, "first Auto execution profiles and recompiles");
-        assert_eq!(stats.plans_certified, 2, "the replacement plan is re-certified");
-        // The replacement serves from the cache and never re-profiles.
-        let (second, report2) = engine
-            .answer_report_policy(&doc, Some(&index), &p, Approach::Annotate, PlanPolicy::Auto)
-            .unwrap();
-        assert_eq!(first, second);
-        assert!(report2.cache_hit);
-        let stats = engine.cache_stats();
-        assert_eq!((stats.plans_compiled, stats.plans_recompiled), (1, 1));
-    }
-
-    #[test]
-    fn auto_policy_skips_recompile_on_small_documents() {
-        // The magnitude floor: toy cardinalities diverge by ratio all
-        // the time (0 observed vs 8 estimated), but a recompile there
-        // costs more than every future execution combined.
-        let (spec, view, doc) = setup();
-        let index = DocIndex::new(&doc).unwrap();
-        let engine = SecureEngine::new(&spec, &view);
-        for q in ["//patient/name", "//bill", "//name"] {
-            let p = parse(q).unwrap();
-            let (a1, _) = engine
-                .answer_report_policy(&doc, Some(&index), &p, Approach::Optimize, PlanPolicy::Auto)
+        let mut compiled = None;
+        for i in 0..3 {
+            let (answer, report) = engine
+                .answer_report_policy(&doc, Some(&index), &p, Approach::Annotate, PlanPolicy::Auto)
                 .unwrap();
-            let (a2, _) = engine
-                .answer_report_policy(&doc, Some(&index), &p, Approach::Optimize, PlanPolicy::Auto)
-                .unwrap();
-            assert_eq!(a1, a2);
+            assert_eq!(answer.len(), 300);
+            assert_eq!(report.cache_hit, i > 0);
+            compiled.get_or_insert(report.compiled);
         }
-        assert_eq!(engine.cache_stats().plans_recompiled, 0);
+        let (planned, hit) = engine.plan_certified(&p, Approach::Annotate, PlanPolicy::Auto);
+        assert!(hit);
+        assert!(
+            Arc::ptr_eq(&planned.unwrap().plan, &compiled.unwrap()),
+            "the cache must serve the plan the miss compiled"
+        );
+        let stats = engine.cache_stats();
+        assert_eq!((stats.plans_compiled, stats.plans_certified), (1, 1));
     }
 
     #[test]
@@ -1426,33 +1297,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn recompiled_auto_plans_keep_their_schema_slices() {
-        // 300 warranties against a DTD estimate of ~3: the profiled first
-        // execution diverges and recompiles against calibrated counts.
-        let (adex, _) = asset_specs();
-        let view = derive_view(&adex).unwrap();
-        let engine = SecureEngine::new(&adex, &view);
-        let doc = adex_doc(300, "", true);
-        let index = DocIndex::new(&doc).unwrap();
-        let p = parse("//house/r-e.warranty").unwrap();
-        let (first, _) = engine
-            .answer_report_policy(&doc, Some(&index), &p, Approach::Optimize, PlanPolicy::Auto)
-            .unwrap();
-        assert_eq!(first.len(), 300);
-        assert_eq!(engine.cache_stats().plans_recompiled, 1);
-        let (planned, hit) = engine.plan_certified(&p, Approach::Optimize, PlanPolicy::Auto);
-        let planned = planned.unwrap();
-        assert!(hit);
-        assert_eq!(planned.plan.summary().schema_slice, 1, "{}", planned.plan.explain_text());
-        assert!(planned.cert.certified());
-        let (second, rep) = engine
-            .answer_report_policy(&doc, Some(&index), &p, Approach::Optimize, PlanPolicy::Auto)
-            .unwrap();
-        assert_eq!(first, second);
-        assert!(rep.eval.nodes_touched <= 304, "{:?}", rep.eval);
     }
 
     #[test]

@@ -153,16 +153,6 @@ pub fn dtd_cost_model(dtd: &Dtd, has_index: bool) -> CostModel {
         .with_schema(LabelGraph::new(dtd.root(), edges))
 }
 
-/// Patch observed per-label cardinalities (runtime feedback from a
-/// profiled execution) into an existing model — the input to the
-/// engine's adaptive recompile when observed rows diverge from the
-/// static DTD estimates. Thin wrapper over [`CostModel::calibrated`] so
-/// the feedback path reads as a plancost concern: static estimates in,
-/// observed rows folded back, one recalibrated model out.
-pub fn calibrate(cost: &CostModel, observed: impl IntoIterator<Item = (String, u64)>) -> CostModel {
-    cost.calibrated(observed.into_iter().map(|(l, n)| (l, n as f64)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -25,7 +25,7 @@ pub const MAGIC: [u8; 8] = *b"SXVPKG00";
 /// Format version this build writes and reads. Bump on any layout
 /// change; readers refuse other versions cleanly (see `DESIGN.md` §15
 /// for the compatibility policy).
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Header size: magic + version + section count + reserved padding.
 pub const HEADER_BYTES: usize = 24;

@@ -182,8 +182,49 @@ mod tests {
     }
 
     #[test]
+    fn version_one_packages_are_refused() {
+        // Version 1 stored each role's build time; the layout changed,
+        // so old packages are re-packed, never read.
+        let mut bytes = packed();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        match load_package_bytes(&bytes) {
+            Err(Error::VersionMismatch { found: 1, supported: FORMAT_VERSION }) => {}
+            other => panic!("expected VersionMismatch, got {other:?}", other = other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn packing_one_input_twice_gives_identical_bytes() {
+        // Each pack below builds its own access view, so nothing that
+        // varies between builds (such as how long one took) may reach
+        // the bytes. The document is large enough for build times to
+        // differ from run to run.
+        let dtd = parse_dtd(DTD, "site").expect("dtd");
+        let spec = AccessSpec::parse(&dtd, SPEC, &[]).expect("spec");
+        let view = derive_view(&spec).expect("view");
+        let persons: String = (0..2000)
+            .map(|i| format!(r#"<person id="p{i}"><name>n{i}</name><secret>s</secret></person>"#))
+            .collect();
+        let xml = format!(
+            r#"<site><persons>{persons}</persons><items><item cat="a">l</item></items></site>"#
+        );
+        let doc = parse(&xml).expect("doc");
+        let index = DocIndex::new(&doc).expect("non-empty doc");
+        let pack = || {
+            let access = build_access_view(&spec, &view, &doc, Some(&index));
+            let roles =
+                [RoleArtifacts { name: "staff", spec_text: SPEC, binds: &[], access: &access }];
+            package_to_bytes(DTD, "site", &doc, &index, &roles).expect("pack")
+        };
+        let first = pack();
+        for run in 2..=4 {
+            assert!(pack() == first, "pack run {run} differs from the first");
+        }
+    }
+
+    #[test]
     fn unknown_section_kind_is_refused() {
-        // Version 1 has no ignorable sections: relabel entry 0 with a
+        // The format has no ignorable sections: relabel entry 0 with a
         // kind this reader has never heard of and the load must refuse,
         // not skip it.
         use crate::format::HEADER_BYTES;

@@ -302,7 +302,7 @@ fn parse_sections(bytes: &[u8]) -> Result<Vec<Section>> {
         let sum = u64::from_le_bytes(entry[24..32].try_into().unwrap());
         let name = section_name(kind);
         if name == "unknown" {
-            // Version 1 has no ignorable sections: a kind this reader
+            // The format has no ignorable sections: a kind this reader
             // does not know means the file was written by a different
             // format, whatever its version field claims.
             return Err(Error::Malformed(format!("unknown section kind {kind} (entry {i})")));
@@ -488,7 +488,6 @@ fn decode_role(buf: &Bytes, range: Range<usize>, n: usize) -> Result<LoadedRole>
         )));
     }
     let accessible_count = r.u64()? as usize;
-    let build_micros = r.u64()?;
     let root = r.u64()?;
     let root = (root != NONE64).then(|| NodeId::from_index(root as usize));
     let bitmap = |words: Vec<u64>, what: &str| -> Result<NodeBitmap> {
@@ -537,7 +536,6 @@ fn decode_role(buf: &Bytes, range: Range<usize>, n: usize) -> Result<LoadedRole>
         dummy_labels,
         visible_attrs,
         accessible_count,
-        build_micros,
         root,
     })?;
     Ok(LoadedRole { name, spec_text, binds, access: Arc::new(access) })

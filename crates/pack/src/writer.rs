@@ -290,7 +290,6 @@ fn encode_role(role: &RoleArtifacts<'_>) -> Vec<u8> {
     }
     rec.u64(av.len() as u64);
     rec.u64(av.accessible_count() as u64);
-    rec.u64(av.build_micros());
     rec.u64(av.root().map_or(NONE64, |r| r.index() as u64));
     rec.u64_list(av.members().words());
     rec.u64_list(av.dummies().words());

@@ -14,7 +14,11 @@
 //!
 //! * `POST /query` `{"role": R, "doc": D, "query": Q}` → `{"answers":
 //!   [...]}` where each answer line is byte-identical to the line
-//!   `sxv query` would print for the same role/doc/query.
+//!   `sxv query` would print for the same role/doc/query. The
+//!   `rewrite`, `optimize` and `annotate` approaches are checked
+//!   against the §3.3 materialized view; `naive`, the §6 baseline, can
+//!   answer differently, since its rewrite is sound only for unique
+//!   element names (the paper's footnote 3).
 //! * `GET /stats` → per-tenant request counts, latency percentiles and
 //!   per-role cache hit-rates.
 //! * `GET /healthz`, `POST /shutdown`.
@@ -612,8 +616,7 @@ fn stats_json(state: &ServerState<'_>) -> String {
         let access = state.engines[role_idx].access_stats();
         roles.push(format!(
             "{{\"role\": \"{}\", \"plan_cache\": {{\"hits\": {}, \"misses\": {}, \
-             \"entries\": {}, \"plans_compiled\": {}, \"plans_recompiled\": {}, \
-             \"hit_rate\": {:.4}}}, \
+             \"entries\": {}, \"plans_compiled\": {}, \"hit_rate\": {:.4}}}, \
              \"certify\": {{\"certified\": {}, \"failures\": {}, \"micros\": {}}}, \
              \"access_cache\": {{\"builds\": {}, \"hits\": {}, \"entries\": {}}}}}",
             json_escape(role),
@@ -621,7 +624,6 @@ fn stats_json(state: &ServerState<'_>) -> String {
             cache.misses,
             cache.entries,
             cache.plans_compiled,
-            cache.plans_recompiled,
             cache.hit_rate(),
             cache.plans_certified,
             cache.certify_failures,

@@ -50,8 +50,6 @@ pub struct AccessViewParts {
     pub visible_attrs: BTreeMap<String, Vec<String>>,
     /// §3.2-accessible node count.
     pub accessible_count: usize,
-    /// Original build wall-clock, microseconds.
-    pub build_micros: u64,
     /// The view root source node.
     pub root: Option<NodeId>,
 }
@@ -83,8 +81,6 @@ pub struct PackedAccessViewParts {
     pub visible_attrs: BTreeMap<String, Vec<String>>,
     /// §3.2-accessible node count.
     pub accessible_count: usize,
-    /// Original build wall-clock, microseconds.
-    pub build_micros: u64,
     /// The view root source node.
     pub root: Option<NodeId>,
 }
@@ -128,8 +124,6 @@ pub struct AccessView {
     child_ids: U32s,
     /// §3.2-accessible node count (for reporting).
     accessible_count: usize,
-    /// Wall-clock build time recorded by the builder, microseconds.
-    build_micros: u64,
     root: Option<NodeId>,
 }
 
@@ -149,7 +143,6 @@ impl AccessView {
             child_offsets: U32s::empty(),
             child_ids: U32s::empty(),
             accessible_count: 0,
-            build_micros: 0,
             root: None,
         }
     }
@@ -198,11 +191,6 @@ impl AccessView {
         self.accessible_count = n;
     }
 
-    /// Record the wall-clock build time (microseconds).
-    pub fn set_build_micros(&mut self, us: u64) {
-        self.build_micros = us;
-    }
-
     /// Sort the sparse side tables and build the view-children CSR.
     /// Must be called once after all recordings.
     pub fn finalize(&mut self) {
@@ -233,7 +221,6 @@ impl AccessView {
             dummy_labels,
             visible_attrs,
             accessible_count,
-            build_micros,
             root,
         } = parts;
         let malformed = |msg: String| Error::MalformedParts(msg);
@@ -288,7 +275,6 @@ impl AccessView {
             child_offsets: U32s::from_vec(child_offsets),
             child_ids: U32s::from_vec(child_ids),
             accessible_count,
-            build_micros,
             root,
         })
     }
@@ -314,7 +300,6 @@ impl AccessView {
             dummy_labels,
             visible_attrs,
             accessible_count,
-            build_micros,
             root,
         } = parts;
         let malformed = |msg: String| Error::MalformedParts(msg);
@@ -375,7 +360,6 @@ impl AccessView {
             child_offsets,
             child_ids,
             accessible_count,
-            build_micros,
             root,
         })
     }
@@ -550,11 +534,6 @@ impl AccessView {
         self.accessible_count
     }
 
-    /// Wall-clock build time recorded by the builder, microseconds.
-    pub fn build_micros(&self) -> u64 {
-        self.build_micros
-    }
-
     /// Approximate heap footprint in bytes (bitmaps, parent table, CSR
     /// and side tables).
     pub fn bytes(&self) -> usize {
@@ -713,7 +692,6 @@ mod tests {
             dummy_labels: av.dummy_label_table().to_vec(),
             visible_attrs: av.visible_attr_table().clone(),
             accessible_count: av.accessible_count(),
-            build_micros: av.build_micros(),
             root: av.root(),
         }
     }

@@ -411,22 +411,6 @@ impl CostModel {
         self.has_index
     }
 
-    /// A copy of this model with observed per-label cardinalities
-    /// patched in — the runtime feedback an adaptive planner feeds back
-    /// before recompiling. `elements` is raised to at least the summed
-    /// label counts so derived ratios stay internally consistent; the
-    /// schema graph carries over, so recompiled plans keep their
-    /// schema slices.
-    pub fn calibrated(&self, observed: impl IntoIterator<Item = (String, f64)>) -> CostModel {
-        let mut out = self.clone();
-        for (l, n) in observed {
-            out.labels.insert(l, n.max(0.0));
-        }
-        let sum: f64 = out.labels.values().sum();
-        out.elements = out.elements.max(sum.max(1.0));
-        out
-    }
-
     fn nodes(&self) -> f64 {
         self.elements + self.texts
     }
@@ -1017,16 +1001,6 @@ impl ExecSet {
             }
     }
 
-    /// Row count as observed by profiled execution (the virtual document
-    /// node counts as one row).
-    fn observed_rows(&self) -> u64 {
-        let n = match &self.rows {
-            Rows::Sorted(v) => v.len() as u64,
-            Rows::Dense(b) => b.count_ones() as u64,
-        };
-        n + self.doc as u64
-    }
-
     /// Materialize dense rows back into the sorted-vec representation.
     /// Every operator except `bitmap-filter` and union consumes sorted
     /// rows; [`run_ops`] calls this before dispatching to them.
@@ -1192,45 +1166,6 @@ impl CompiledQuery {
         let ex = Exec { doc, idx: index, access: None, lowered: false };
         let result = run_ops(ex, self.body(), ExecSet::document(), &mut stats).into_ids();
         (result, stats)
-    }
-
-    /// Execute at the root element recording the observed output
-    /// cardinality of every top-level operator, aligned with
-    /// [`CompiledQuery::ops`] (seeds included). This is the feedback the
-    /// engine's adaptive `Auto` policy compares against each operator's
-    /// `est_rows` to decide whether the plan deserves a recompile
-    /// against calibrated statistics.
-    pub fn execute_profiled(
-        &self,
-        doc: &Document,
-        index: Option<&DocIndex>,
-        access: Option<&AccessView>,
-    ) -> (Vec<NodeId>, EvalStats, Vec<u64>) {
-        let mut stats = EvalStats::default();
-        let ex = Exec { doc, idx: index, access, lowered: true };
-        let mut observed = Vec::with_capacity(self.ops.len());
-        let mut cur = match doc.root_opt() {
-            Some(root) => ExecSet::single(root),
-            None => ExecSet::empty(),
-        };
-        let mut ops = &self.ops[..];
-        if let Some(PlanNode { op: PlanOp::RootSeed, .. }) = self.ops.first() {
-            observed.push(cur.observed_rows());
-            ops = &ops[1..];
-        }
-        for node in ops {
-            if cur.is_empty() {
-                cur = ExecSet::empty();
-                observed.push(0);
-                continue;
-            }
-            if !matches!(node.op, PlanOp::BitmapFilter(_)) {
-                cur.make_sorted();
-            }
-            cur = run_op(ex, &node.op, &cur, &mut stats);
-            observed.push(cur.observed_rows());
-        }
-        (cur.into_ids(), stats, observed)
     }
 
     /// The pipeline after the seed marker.
@@ -2848,21 +2783,6 @@ mod tests {
         assert_eq!(want.len(), 14, "closure reaches all elements");
         assert_eq!(cq.execute(&d, Some(&idx)).0, want);
         assert_eq!(cq.execute(&d, None).0, want);
-    }
-
-    #[test]
-    fn execute_profiled_aligns_observed_with_ops() {
-        let d = hospital();
-        let idx = DocIndex::new(&d).unwrap();
-        let p = parse("//patient/name").unwrap();
-        let cq = compile(&p, PlanPolicy::Auto, &CostModel::from_index(&idx));
-        let (rows, _, observed) = cq.execute_profiled(&d, Some(&idx), None);
-        assert_eq!(rows, cq.execute(&d, Some(&idx)).0);
-        assert_eq!(observed.len(), cq.ops.len(), "one observation per op");
-        // Final op's observation is the answer cardinality.
-        assert_eq!(*observed.last().unwrap(), rows.len() as u64);
-        // 3 patients flow out of the fused seed scan.
-        assert_eq!(observed[cq.ops.len() - 2], 3);
     }
 
     #[test]

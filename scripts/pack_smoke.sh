@@ -3,15 +3,17 @@
 #
 #   1. generate a Table 1 (Adex) document and pack it with the §6
 #      `analyst` policy plus the stricter `advertiser` policy;
-#   2. byte-identity gate: `sxv query --package` must print exactly
+#   2. reproducibility gate: packing the same document and roles a
+#      second time must give a byte-identical file;
+#   3. byte-identity gate: `sxv query --package` must print exactly
 #      what the in-memory `sxv query` prints, for every Table 1 query
 #      × every approach (naive, rewrite, optimize, annotate) × both
 #      roles (both sides run the indexed `auto` plan, so this also
 #      gates the packaged index's interval columns);
-#   3. forward-compat gate: a package whose version field is bumped
+#   4. forward-compat gate: a package whose version field is bumped
 #      must be refused with a typed version error (exit != 0, no
 #      panic), and a truncated package likewise;
-#   4. run the cold-start bench in smoke mode, producing
+#   5. run the cold-start bench in smoke mode, producing
 #      BENCH_coldstart.json (which carries its own byte-identity
 #      assertion and re-executes fresh processes per probe).
 set -euo pipefail
@@ -41,6 +43,16 @@ echo "== generate + pack =="
 "$SXV" pack --dtd "$DTD" --root adex --doc "$WORK/adex.xml" \
   --role analyst="$SPEC" --role advertiser="$STRICT_SPEC" \
   --out "$WORK/adex.sxvpkg"
+
+echo "== reproducibility: packing twice gives identical bytes =="
+"$SXV" pack --dtd "$DTD" --root adex --doc "$WORK/adex.xml" \
+  --role analyst="$SPEC" --role advertiser="$STRICT_SPEC" \
+  --out "$WORK/again.sxvpkg"
+if ! cmp "$WORK/adex.sxvpkg" "$WORK/again.sxvpkg"; then
+  echo "FAIL: two packs of the same inputs differ" >&2
+  exit 1
+fi
+echo "ok: two packs are byte-identical ($(wc -c < "$WORK/adex.sxvpkg") bytes)"
 
 echo "== byte-identity: --package vs in-memory, Table 1 x approaches =="
 Q1='//buyer-info/contact-info'

@@ -474,13 +474,12 @@ fn cmd_query(opts: &Options) -> Result<(), String> {
         );
         eprintln!(
             "translation cache: hits={} misses={} entries={} hit_rate={:.1}% \
-             plans_compiled={} plans_recompiled={} (last query: {})",
+             plans_compiled={} (last query: {})",
             cache.hits,
             cache.misses,
             cache.entries,
             100.0 * cache.hit_rate(),
             cache.plans_compiled,
-            cache.plans_recompiled,
             if report.cache_hit { "hit" } else { "miss" },
         );
         eprintln!(

@@ -146,8 +146,9 @@ fn a_hit_allocates_nothing_that_grows_with_its_translation() {
                         .answer_report_policy(doc, Some(&index), &p, approach, PlanPolicy::Auto)
                         .expect("query answers")
                 };
-                // Warm up: the miss compiles, the first hit runs profiled
-                // and may replace the plan with a recompiled one.
+                // Warm up: the miss compiles the plan and builds the
+                // document's access view or annotated copy, which every
+                // later call shares.
                 for _ in 0..3 {
                     answer();
                 }

@@ -177,7 +177,6 @@ fn warm_queries_precompile_plans_and_report_in_stats() {
         let cache = r.get("plan_cache").unwrap();
         let compiled = cache.get("plans_compiled").unwrap().as_u64().unwrap();
         assert!(compiled >= 8, "each role pre-compiles its warm list: {stats}");
-        assert!(cache.get("plans_recompiled").is_some(), "{stats}");
     }
     shutdown(addr, handle);
 }
