@@ -20,12 +20,11 @@ pub enum Error {
         /// The node kind actually found.
         found: &'static str,
     },
-    /// A `NodeId` did not belong to the document it was used with.
-    InvalidNodeId(usize),
     /// The document has no root element (empty document).
     NoRoot,
-    /// Raw-parts construction (e.g. loading a persisted package) was
-    /// handed structurally inconsistent arrays.
+    /// Packed-column construction (loading a persisted package) was
+    /// handed inconsistent arrays: lengths that disagree, a duplicate
+    /// label or an out-of-bounds root.
     MalformedParts(String),
 }
 
@@ -38,7 +37,6 @@ impl fmt::Display for Error {
             Error::WrongNodeKind { expected, found } => {
                 write!(f, "wrong node kind: expected {expected}, found {found}")
             }
-            Error::InvalidNodeId(id) => write!(f, "invalid node id {id}"),
             Error::NoRoot => write!(f, "document has no root element"),
             Error::MalformedParts(msg) => write!(f, "malformed document parts: {msg}"),
         }
@@ -67,8 +65,7 @@ mod tests {
     }
 
     #[test]
-    fn display_invalid_id_and_no_root() {
-        assert_eq!(Error::InvalidNodeId(3).to_string(), "invalid node id 3");
+    fn display_no_root() {
         assert_eq!(Error::NoRoot.to_string(), "document has no root element");
     }
 }

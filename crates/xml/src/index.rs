@@ -19,31 +19,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-/// The flat arrays behind a [`DocIndex`], the input of
-/// [`DocIndex::from_raw_parts`] — the owned, fully-validated load path.
-/// Field meanings match the same-named [`DocIndex`] fields; post-order
-/// ranks are absent because they are determined by
-/// `post[v] = subtree_end[v] − depth[v]` (see [`DocIndex::post_rank`]).
-#[derive(Debug, Clone, Default)]
-pub struct DocIndexParts {
-    /// Largest node id inside each node's subtree.
-    pub subtree_end: Vec<u32>,
-    /// Depths in edges.
-    pub depth: Vec<u32>,
-    /// Per-label occurrence lists, indexed by [`LabelId::index`].
-    pub by_label: Vec<Vec<NodeId>>,
-    /// Label table at build time.
-    pub label_names: Vec<String>,
-    /// Every element node in document order.
-    pub elements: Vec<NodeId>,
-    /// Every text node in document order.
-    pub text_nodes: Vec<NodeId>,
-    /// All text content concatenated in document order.
-    pub text_buf: String,
-    /// Byte offsets of each text node's content plus one trailing sentinel.
-    pub text_offsets: Vec<u32>,
-}
-
 /// Pre-derived columns for [`DocIndex::from_packed`] — the zero-copy
 /// package load path. The nested `by_label` lists travel flattened as
 /// one CSR pair (`label_offsets`/`label_ids`), matching the on-disk
@@ -207,122 +182,6 @@ impl DocIndex {
             name_ids,
             elements: U32s::from_vec(elements),
             text_nodes: U32s::from_vec(text_nodes),
-            text_buf: Str::from_string(text_buf),
-            text_offsets: U32s::from_vec(text_offsets),
-            label_graph: OnceLock::new(),
-            conforms: ConformMemo::default(),
-        })
-    }
-
-    /// Rehydrate an index from flat arrays, skipping the traversal build
-    /// of [`DocIndex::new`]. Post-order ranks are not an input: they are
-    /// computed from the closed form `post[v] = subtree_end[v] − depth[v]`
-    /// — `v` finishes right after its last descendant (id
-    /// `subtree_end[v]`), and of the `subtree_end[v] + 1` nodes with ids
-    /// `<= subtree_end[v]`, exactly the `depth[v]` ancestors of `v`
-    /// finish later — so the caller ships one fewer doc-sized array.
-    ///
-    /// Validation is a constant number of O(n) scans: array lengths must
-    /// agree, every id must be in bounds, `depth[v] <= subtree_end[v]`
-    /// must hold (true of every real tree since a node's `depth[v]`
-    /// ancestors all have ids below `v <= subtree_end[v]`), occurrence
-    /// lists must be strictly increasing (binary searches depend on it),
-    /// and text offsets must be monotone, end at the buffer length, and
-    /// fall on UTF-8 boundaries. Semantic agreement with a particular
-    /// document is the caller's concern.
-    pub fn from_raw_parts(parts: DocIndexParts) -> Result<DocIndex> {
-        let DocIndexParts {
-            subtree_end,
-            depth,
-            by_label,
-            label_names,
-            elements,
-            text_nodes,
-            text_buf,
-            text_offsets,
-        } = parts;
-        let n = subtree_end.len();
-        let malformed = |msg: String| Error::MalformedParts(msg);
-        if depth.len() != n {
-            return Err(malformed(format!("{} subtree ends, {} depths", n, depth.len())));
-        }
-        if by_label.len() != label_names.len() {
-            return Err(malformed(format!(
-                "{} occurrence lists for {} labels",
-                by_label.len(),
-                label_names.len()
-            )));
-        }
-        if elements.len() + text_nodes.len() != n {
-            return Err(malformed(format!(
-                "{} elements + {} text nodes != {n} nodes",
-                elements.len(),
-                text_nodes.len()
-            )));
-        }
-        let sorted_in_bounds = |list: &[NodeId], what: &str| -> Result<()> {
-            if let Some(bad) = list.iter().find(|v| v.index() >= n) {
-                return Err(malformed(format!("{what}: id {} out of bounds ({n} nodes)", bad)));
-            }
-            if list.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(malformed(format!("{what}: ids are not strictly increasing")));
-            }
-            Ok(())
-        };
-        sorted_in_bounds(&elements, "element list")?;
-        sorted_in_bounds(&text_nodes, "text list")?;
-        for (i, list) in by_label.iter().enumerate() {
-            sorted_in_bounds(list, &format!("occurrence list for label {i}"))?;
-        }
-        if subtree_end.iter().enumerate().any(|(v, &e)| (e as usize) < v || e as usize >= n) {
-            return Err(malformed("subtree ends must satisfy v <= end < n".into()));
-        }
-        if subtree_end.iter().zip(&depth).any(|(&e, &d)| d > e) {
-            return Err(malformed("depths must not exceed subtree ends".into()));
-        }
-        if text_offsets.len() != text_nodes.len() + 1 {
-            return Err(malformed(format!(
-                "{} text offsets for {} text nodes (need one extra sentinel)",
-                text_offsets.len(),
-                text_nodes.len()
-            )));
-        }
-        if text_offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(malformed("text offsets are not monotone".into()));
-        }
-        if text_offsets.last().copied().unwrap_or(0) as usize != text_buf.len() {
-            return Err(malformed(format!(
-                "text offsets end at {:?} but the buffer has {} bytes",
-                text_offsets.last(),
-                text_buf.len()
-            )));
-        }
-        if text_offsets.iter().any(|&o| !text_buf.is_char_boundary(o as usize)) {
-            return Err(malformed("text offset not on a UTF-8 boundary".into()));
-        }
-        let mut name_ids = HashMap::with_capacity(label_names.len());
-        for (i, name) in label_names.iter().enumerate() {
-            if name_ids.insert(name.clone(), LabelId(i as u32)).is_some() {
-                return Err(malformed(format!("duplicate label {name:?} in symbol table")));
-            }
-        }
-        // Flatten the nested lists into the CSR layout the accessors use.
-        let mut label_offsets = Vec::with_capacity(by_label.len() + 1);
-        label_offsets.push(0u32);
-        let mut label_ids = Vec::with_capacity(by_label.iter().map(Vec::len).sum());
-        for list in &by_label {
-            label_ids.extend(list.iter().map(|v| v.index() as u32));
-            label_offsets.push(label_ids.len() as u32);
-        }
-        Ok(DocIndex {
-            subtree_end: U32s::from_vec(subtree_end),
-            depth: U32s::from_vec(depth),
-            label_offsets: U32s::from_vec(label_offsets),
-            label_ids: U32s::from_vec(label_ids),
-            label_names,
-            name_ids,
-            elements: U32s::from_vec(elements.iter().map(|v| v.index() as u32).collect()),
-            text_nodes: U32s::from_vec(text_nodes.iter().map(|v| v.index() as u32).collect()),
             text_buf: Str::from_string(text_buf),
             text_offsets: U32s::from_vec(text_offsets),
             label_graph: OnceLock::new(),
@@ -823,27 +682,27 @@ mod tests {
         }
     }
 
-    fn parts_of(idx: &DocIndex) -> DocIndexParts {
-        let by_label = (0..idx.label_table().len())
-            .map(|i| idx.label_list_id(LabelId::from_index(i)).to_vec())
-            .collect();
-        DocIndexParts {
-            subtree_end: idx.subtree_end_table().to_vec(),
-            depth: idx.depth_table().to_vec(),
-            by_label,
+    fn packed_parts_of(idx: &DocIndex) -> PackedDocIndexParts {
+        PackedDocIndexParts {
+            subtree_end: U32s::from_vec(idx.subtree_end_table().to_vec()),
+            depth: U32s::from_vec(idx.depth_table().to_vec()),
+            label_offsets: U32s::from_vec(idx.label_offset_table().to_vec()),
+            label_ids: U32s::from_vec(idx.label_id_table().to_vec()),
             label_names: idx.label_names.clone(),
-            elements: idx.element_nodes().to_vec(),
-            text_nodes: idx.text_list().to_vec(),
-            text_buf: idx.text_buffer().to_string(),
-            text_offsets: idx.text_offset_table().to_vec(),
+            elements: U32s::from_vec(
+                idx.element_nodes().iter().map(|v| v.index() as u32).collect(),
+            ),
+            text_nodes: U32s::from_vec(idx.text_list().iter().map(|v| v.index() as u32).collect()),
+            text_buf: Str::from_string(idx.text_buffer().to_string()),
+            text_offsets: U32s::from_vec(idx.text_offset_table().to_vec()),
         }
     }
 
     #[test]
-    fn from_raw_parts_roundtrips_all_queries() {
+    fn from_packed_roundtrips_all_queries() {
         let d = parse("<r><a><b>x</b><a><b>y</b></a></a><b>z</b>tail</r>").unwrap();
         let idx = DocIndex::new(&d).unwrap();
-        let back = DocIndex::from_raw_parts(parts_of(&idx)).unwrap();
+        let back = DocIndex::from_packed(packed_parts_of(&idx)).unwrap();
         for v in d.all_ids() {
             assert_eq!(back.subtree_end(v), idx.subtree_end(v), "{v}");
             assert_eq!(back.post_rank(v), idx.post_rank(v), "{v}");
@@ -855,34 +714,6 @@ mod tests {
         assert_eq!(back.element_nodes(), idx.element_nodes());
         assert_eq!(back.text_list(), idx.text_list());
         assert_eq!(back.node_count(), idx.node_count());
-    }
-
-    #[test]
-    fn from_packed_roundtrips_all_queries() {
-        let d = parse("<r><a><b>x</b><a><b>y</b></a></a><b>z</b>tail</r>").unwrap();
-        let idx = DocIndex::new(&d).unwrap();
-        let back = DocIndex::from_packed(PackedDocIndexParts {
-            subtree_end: U32s::from_vec(idx.subtree_end_table().to_vec()),
-            depth: U32s::from_vec(idx.depth_table().to_vec()),
-            label_offsets: U32s::from_vec(idx.label_offset_table().to_vec()),
-            label_ids: U32s::from_vec(idx.label_id_table().to_vec()),
-            label_names: idx.label_names.clone(),
-            elements: U32s::from_vec(
-                idx.element_nodes().iter().map(|v| v.index() as u32).collect(),
-            ),
-            text_nodes: U32s::from_vec(idx.text_list().iter().map(|v| v.index() as u32).collect()),
-            text_buf: Str::from_string(idx.text_buffer().to_string()),
-            text_offsets: U32s::from_vec(idx.text_offset_table().to_vec()),
-        })
-        .unwrap();
-        for v in d.all_ids() {
-            assert_eq!(back.subtree_end(v), idx.subtree_end(v), "{v}");
-            assert_eq!(back.post_rank(v), idx.post_rank(v), "{v}");
-            assert_eq!(back.depth(v), idx.depth(v), "{v}");
-            assert_eq!(back.string_value(v), idx.string_value(v), "{v}");
-        }
-        assert_eq!(back.label_list("b"), idx.label_list("b"));
-        assert_eq!(back.element_nodes(), idx.element_nodes());
         let counts: Vec<_> = back.labels().collect();
         assert_eq!(counts, idx.labels().collect::<Vec<_>>());
     }
@@ -891,84 +722,43 @@ mod tests {
     fn from_packed_rejects_bad_arity() {
         let d = doc();
         let idx = DocIndex::new(&d).unwrap();
-        let parts = || PackedDocIndexParts {
-            subtree_end: U32s::from_vec(idx.subtree_end_table().to_vec()),
-            depth: U32s::from_vec(idx.depth_table().to_vec()),
-            label_offsets: U32s::from_vec(idx.label_offset_table().to_vec()),
-            label_ids: U32s::from_vec(idx.label_id_table().to_vec()),
-            label_names: idx.label_names.clone(),
-            elements: U32s::from_vec(
-                idx.element_nodes().iter().map(|v| v.index() as u32).collect(),
-            ),
-            text_nodes: U32s::from_vec(idx.text_list().iter().map(|v| v.index() as u32).collect()),
-            text_buf: Str::from_string(idx.text_buffer().to_string()),
-            text_offsets: U32s::from_vec(idx.text_offset_table().to_vec()),
-        };
-        let mut p = parts();
+        let mut p = packed_parts_of(&idx);
         p.depth = U32s::from_vec(vec![0]);
         assert!(DocIndex::from_packed(p).is_err(), "depth arity");
-        let mut p = parts();
+        let mut p = packed_parts_of(&idx);
         p.label_offsets = U32s::from_vec(vec![0]);
         assert!(DocIndex::from_packed(p).is_err(), "label CSR arity");
-        let mut p = parts();
+        let mut p = packed_parts_of(&idx);
         p.label_ids = U32s::empty();
         assert!(DocIndex::from_packed(p).is_err(), "label CSR sentinel");
-        let mut p = parts();
+        let mut p = packed_parts_of(&idx);
         p.elements = U32s::empty();
         assert!(DocIndex::from_packed(p).is_err(), "element/text split");
-        let mut p = parts();
+        let mut p = packed_parts_of(&idx);
         p.text_offsets = U32s::empty();
         assert!(DocIndex::from_packed(p).is_err(), "text offset arity");
-        let mut p = parts();
+        let mut p = packed_parts_of(&idx);
         p.label_names[1] = p.label_names[0].clone();
         assert!(DocIndex::from_packed(p).is_err(), "duplicate label");
     }
 
     #[test]
-    fn from_raw_parts_rejects_inconsistent_arrays() {
-        let d = doc();
-        let idx = DocIndex::new(&d).unwrap();
-        type Mutation = Box<dyn Fn(&mut DocIndexParts)>;
-        let cases: Vec<(&str, Mutation)> = vec![
-            ("depth too short", Box::new(|p| p.depth.truncate(1))),
-            ("depth exceeds subtree end", Box::new(|p| p.depth[3] = 999)),
-            ("label lists vs names", Box::new(|p| p.label_names.push("extra".into()))),
-            ("element/text split", Box::new(|p| p.elements.truncate(1))),
-            ("unsorted elements", Box::new(|p| p.elements.swap(0, 1))),
-            ("element out of bounds", Box::new(|p| p.elements[0] = NodeId::from_index(999))),
-            ("unsorted label list", Box::new(|p| p.by_label[1].swap(0, 1))),
-            ("subtree end below id", Box::new(|p| p.subtree_end[3] = 0)),
-            ("subtree end out of bounds", Box::new(|p| p.subtree_end[0] = 999)),
-            ("offset arity", Box::new(|p| p.text_offsets.truncate(2))),
-            ("offsets not monotone", Box::new(|p| p.text_offsets.swap(0, 1))),
-            ("offset sentinel", Box::new(|p| *p.text_offsets.last_mut().unwrap() = 999)),
-            ("duplicate label name", Box::new(|p| p.label_names[1] = p.label_names[0].clone())),
-        ];
-        for (what, corrupt) in cases {
-            let mut parts = parts_of(&idx);
-            corrupt(&mut parts);
-            assert!(DocIndex::from_raw_parts(parts).is_err(), "{what} must be rejected");
-        }
-    }
-
-    #[test]
     fn tables_that_are_not_one_tree_have_no_label_graph() {
-        // Validation accepts these tables (each array is consistent on its
-        // own), but they describe no rooted tree: such an index must
-        // conform to no schema, so schema slices fall back to their chains.
+        // The loader accepts these tables (their arities agree), but they
+        // describe no rooted tree: such an index must conform to no
+        // schema, so schema slices fall back to their chains.
         let d = doc();
         let idx = DocIndex::new(&d).unwrap();
         let schema = idx.label_graph().unwrap().as_ref().clone();
-        type Mutation = Box<dyn Fn(&mut DocIndexParts)>;
-        let cases: Vec<(&str, Mutation)> = vec![
-            ("second root", Box::new(|p| p.depth[7] = 0)),
-            ("depth jumps two levels", Box::new(|p| p.depth[2] = 3)),
-            ("element under a text node", Box::new(|p| p.depth[4] = 4)),
+        let cases: [(&str, usize, u32); 3] = [
+            ("second root", 7, 0),
+            ("depth jumps two levels", 2, 3),
+            ("element under a text node", 4, 4),
         ];
-        for (what, corrupt) in cases {
-            let mut parts = parts_of(&idx);
-            corrupt(&mut parts);
-            let bad = DocIndex::from_raw_parts(parts).expect(what);
+        for (what, node, depth) in cases {
+            let mut parts = packed_parts_of(&idx);
+            parts.depth.make_mut()[node] = depth;
+            let bad = DocIndex::from_packed(parts).expect(what);
             assert!(bad.label_graph().is_none(), "{what}");
             assert!(!bad.conforms_to(&schema), "{what}");
         }

@@ -36,13 +36,11 @@ pub mod serializer;
 pub use bitmap::NodeBitmap;
 pub use column::{Bytes, Str, U32s};
 pub use error::{Error, Result};
-pub use index::{DocIndex, DocIndexParts, PackedDocIndexParts};
+pub use index::{DocIndex, PackedDocIndexParts};
 pub use iter::{Ancestors, Children, Descendants};
 pub use json::json_escape;
 pub use label_graph::LabelGraph;
-pub use node::{
-    DocId, Document, DocumentParts, LabelId, Node, NodeId, NodeKind, PackedDocumentParts,
-};
+pub use node::{DocId, Document, LabelId, NodeId, PackedDocumentParts};
 pub use parser::parse;
 pub use serializer::{
     to_string, to_string_pretty, write_document, write_escaped_attr, write_escaped_text,

@@ -93,7 +93,7 @@ impl LabelId {
 
 /// The payload of a node: an element with a label, or a text leaf.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NodeKind {
+enum NodeKind {
     /// An element node labelled with an element-type name.
     Element {
         /// Element-type name (the paper's `Ele` labels), interned in the
@@ -118,27 +118,10 @@ impl NodeKind {
 
 /// A single tree node: payload plus structural links.
 #[derive(Debug, Clone)]
-pub struct Node {
-    pub(crate) kind: NodeKind,
-    pub(crate) parent: Option<NodeId>,
-    pub(crate) children: Vec<NodeId>,
-}
-
-impl Node {
-    /// The node's payload.
-    pub fn kind(&self) -> &NodeKind {
-        &self.kind
-    }
-
-    /// True iff this is an element node.
-    pub fn is_element(&self) -> bool {
-        matches!(self.kind, NodeKind::Element { .. })
-    }
-
-    /// True iff this is a text node.
-    pub fn is_text(&self) -> bool {
-        matches!(self.kind, NodeKind::Text(_))
-    }
+struct Node {
+    kind: NodeKind,
+    parent: Option<NodeId>,
+    children: Vec<NodeId>,
 }
 
 /// Child links stored as one compressed-sparse-row pair: node `i`'s
@@ -205,43 +188,6 @@ impl CompactNodes {
         let hi = owners.partition_point(|&o| o <= want);
         lo..hi
     }
-}
-
-/// Flat column arrays describing a whole document, the input of
-/// [`Document::from_raw_parts`] — the *generating* columns a persisted
-/// package stores, loaded without any per-node allocation.
-///
-/// `node_labels[i]`/`parents[i]` describe node `i`; text content comes
-/// as one shared blob sliced by offsets (in document order of the text
-/// nodes), and attributes as one flat pair list tagged with owning node
-/// ids. Everything else — child CSR links, text-node ranks, attribute
-/// offsets — is derived from these columns by counting sorts inside
-/// [`Document::from_raw_parts`]. `parents` uses [`Document::NO_PARENT`]
-/// for the root and `node_labels` uses [`Document::TEXT_LABEL`] for
-/// text nodes; parents must precede their children (`parents[i] < i`),
-/// which every pre-order tree satisfies.
-#[derive(Debug, Clone, Default)]
-pub struct DocumentParts {
-    /// Label symbol table; `node_labels` entries index into it.
-    pub labels: Vec<String>,
-    /// Per-node label ids; [`Document::TEXT_LABEL`] marks a text node.
-    pub node_labels: Vec<u32>,
-    /// Per-node parent ids; [`Document::NO_PARENT`] marks "no parent".
-    pub parents: Vec<u32>,
-    /// Byte offsets into `text_blob`, one per text node (in ascending
-    /// node-id order) plus a trailing sentinel; may be empty only for
-    /// documents with no text nodes. The i-th text node's content is
-    /// `text_blob[text_offsets[i]..text_offsets[i + 1]]`.
-    pub text_offsets: Vec<u32>,
-    /// Concatenated text content of every text node, in document order.
-    pub text_blob: String,
-    /// Owning element id per attribute, non-decreasing (an element with
-    /// k attributes appears k times in a row).
-    pub attr_nodes: Vec<u32>,
-    /// `(name, value)` per attribute, parallel to `attr_nodes`.
-    pub attr_entries: Vec<(String, String)>,
-    /// The root id, `None` only for empty documents.
-    pub root: Option<NodeId>,
 }
 
 /// Fully-derived document columns for [`Document::from_packed`] — the
@@ -366,214 +312,26 @@ impl Document {
         self.root
     }
 
-    /// Borrow a node. Only available for materialized (builder- or
-    /// parser-built) documents; bulk-loaded documents keep payloads in
-    /// columns and answer through the typed accessors ([`Document::label`],
-    /// [`Document::text_opt`], [`Document::attributes`], ...).
-    ///
-    /// # Panics
-    /// Panics if `id` is out of bounds — ids must come from this document —
-    /// or if this document uses compact column storage.
-    pub fn node(&self, id: NodeId) -> &Node {
-        assert!(
-            self.compact.is_none(),
-            "Document::node on compact column storage; use the typed accessors"
-        );
-        &self.nodes[id.index()]
-    }
-
-    /// Checked lookup variant of [`Document::node`].
-    ///
-    /// # Panics
-    /// Panics if this document uses compact column storage (see
-    /// [`Document::node`]).
-    pub fn try_node(&self, id: NodeId) -> Result<&Node> {
-        assert!(
-            self.compact.is_none(),
-            "Document::try_node on compact column storage; use the typed accessors"
-        );
-        self.nodes.get(id.index()).ok_or(Error::InvalidNodeId(id.index()))
-    }
-
-    /// Sentinel in [`DocumentParts::parents`] for "no parent" (the root).
+    /// Sentinel in [`PackedDocumentParts::parents`] for "no parent" (the
+    /// root).
     pub const NO_PARENT: u32 = u32::MAX;
 
-    /// Sentinel in [`DocumentParts::node_labels`] marking a text node.
+    /// Sentinel in [`PackedDocumentParts::node_labels`] marking a text
+    /// node.
     pub const TEXT_LABEL: u32 = u32::MAX;
 
-    /// Build a document from flat column arrays in one shot — the loading
-    /// path for persisted packages. Everything stays columnar: child links
-    /// in CSR form (derived from `parents` by a counting sort), text in
-    /// one shared blob, attributes in one flat list, so construction
-    /// performs **no per-node allocation** (the label interning table —
-    /// O(distinct labels) — is the only per-entry work).
-    ///
-    /// Validation is a constant number of O(n) scans with no allocation
-    /// beyond the derived columns (child CSR, text ranks, attribute
-    /// offsets): array lengths must agree, parents must precede their
-    /// children (`parents[i] < i` — the pre-order layout every builder
-    /// tree satisfies, and what makes the derivations single-pass), text
-    /// offsets must be monotone, exhaust the blob, and land on char
-    /// boundaries, and every id (labels, attribute owners, root) must be
-    /// in bounds and of the right node kind. Siblings' subtree
-    /// interleaving is not checked here; use
-    /// [`Document::in_document_order`] when that matters.
-    pub fn from_raw_parts(parts: DocumentParts) -> Result<Document> {
-        let DocumentParts {
-            labels,
-            node_labels,
-            parents,
-            text_offsets,
-            text_blob,
-            attr_nodes,
-            attr_entries,
-            root,
-        } = parts;
-        let n = node_labels.len();
-        let malformed = |msg: String| Error::MalformedParts(msg);
-        if parents.len() != n {
-            return Err(malformed(format!("{} node labels but {} parents", n, parents.len())));
-        }
-        if let Some(bad) =
-            parents.iter().enumerate().find(|&(i, &p)| p != Self::NO_PARENT && p as usize >= i)
-        {
-            return Err(malformed(format!(
-                "parent {} of node {} does not precede it (pre-order layout required)",
-                bad.1, bad.0
-            )));
-        }
-        if let Some(&bad) =
-            node_labels.iter().find(|&&l| l != Self::TEXT_LABEL && l as usize >= labels.len())
-        {
-            return Err(malformed(format!(
-                "label id {bad} out of bounds ({} labels)",
-                labels.len()
-            )));
-        }
-        let text_count = node_labels.iter().filter(|&&l| l == Self::TEXT_LABEL).count();
-        if !(text_count == 0 && text_offsets.is_empty()) && text_offsets.len() != text_count + 1 {
-            return Err(malformed(format!(
-                "text offsets: expected {} entries for {text_count} text nodes, got {}",
-                text_count + 1,
-                text_offsets.len()
-            )));
-        }
-        if text_offsets.first().is_some_and(|&o| o != 0) {
-            return Err(malformed("text offsets do not start at 0".into()));
-        }
-        if text_offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(malformed("text offsets are not monotone".into()));
-        }
-        if text_offsets.last().copied().unwrap_or(0) as usize != text_blob.len() {
-            return Err(malformed(format!(
-                "text offsets end at {} but the text blob has {} bytes",
-                text_offsets.last().copied().unwrap_or(0),
-                text_blob.len()
-            )));
-        }
-        if let Some(&bad) = text_offsets.iter().find(|&&o| !text_blob.is_char_boundary(o as usize))
-        {
-            return Err(malformed(format!("text offset {bad} is not a char boundary")));
-        }
-        if attr_nodes.len() != attr_entries.len() {
-            return Err(malformed(format!(
-                "{} attribute owners but {} attribute entries",
-                attr_nodes.len(),
-                attr_entries.len()
-            )));
-        }
-        if attr_nodes.windows(2).any(|w| w[0] > w[1]) {
-            return Err(malformed("attribute owner ids are not non-decreasing".into()));
-        }
-        if let Some(&bad) = attr_nodes
-            .iter()
-            .find(|&&a| a as usize >= n || node_labels[a as usize] == Self::TEXT_LABEL)
-        {
-            return Err(malformed(format!(
-                "attribute owner {bad} is out of bounds or not an element"
-            )));
-        }
-        match root {
-            Some(r) if r.index() >= n => {
-                return Err(malformed(format!("root id {} out of bounds ({n} nodes)", r.index())));
-            }
-            Some(r) if parents[r.index()] != Self::NO_PARENT => {
-                return Err(malformed(format!("root id {} has a parent", r.index())));
-            }
-            None if n > 0 => {
-                return Err(malformed(format!("no root for a {n}-node document")));
-            }
-            _ => {}
-        }
-        let mut label_ids = HashMap::with_capacity(labels.len());
-        for (i, name) in labels.iter().enumerate() {
-            if label_ids.insert(name.clone(), LabelId(i as u32)).is_some() {
-                return Err(malformed(format!("duplicate label {name:?} in symbol table")));
-            }
-        }
-        // Child CSR by counting sort over `parents`: because ids are
-        // pre-order, node `i`'s children are exactly the `j` with
-        // `parents[j] == i`, in ascending-`j` (= document) order — the
-        // same order the append builders produce.
-        let mut child_offsets = vec![0u32; n + 1];
-        for &p in &parents {
-            if p != Self::NO_PARENT {
-                child_offsets[p as usize + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            child_offsets[i + 1] += child_offsets[i];
-        }
-        let mut child_ids = vec![0u32; child_offsets[n] as usize];
-        let mut cursor: Vec<u32> = child_offsets.clone();
-        for (i, &p) in parents.iter().enumerate() {
-            if p != Self::NO_PARENT {
-                let slot = &mut cursor[p as usize];
-                child_ids[*slot as usize] = i as u32;
-                *slot += 1;
-            }
-        }
-        // Text ids: the i-th text node (ascending id) owns blob slice i.
-        let text_ids: Vec<u32> = node_labels
-            .iter()
-            .enumerate()
-            .filter(|&(_, &l)| l == Self::TEXT_LABEL)
-            .map(|(i, _)| i as u32)
-            .collect();
-        Ok(Document {
-            id: DocId::fresh(),
-            nodes: Vec::new(),
-            root,
-            labels,
-            label_ids,
-            csr_children: Some(CsrChildren {
-                offsets: U32s::from_vec(child_offsets),
-                ids: U32s::from_vec(child_ids),
-            }),
-            compact: Some(CompactNodes {
-                labels: U32s::from_vec(node_labels),
-                parents: U32s::from_vec(parents),
-                text_ids: U32s::from_vec(text_ids),
-                text_blob: Str::from_string(text_blob),
-                text_offsets: U32s::from_vec(text_offsets),
-                attr_nodes: U32s::from_vec(attr_nodes),
-                attr_entries,
-            }),
-        })
-    }
-
     /// Assemble a document from pre-derived, pre-validated packed
-    /// columns — the zero-copy package load path. Unlike
-    /// [`Document::from_raw_parts`], which re-derives child links and
-    /// validates every per-node invariant, this constructor only checks
-    /// O(1) arity facts (array lengths agree) and interns the label
-    /// table; the columns themselves are trusted. Package loading runs
-    /// it on buffer-borrowed columns whose integrity is established by
+    /// columns — the zero-copy package load path, and the only way to
+    /// build a document from columns. It only checks O(1) arity facts
+    /// (array lengths agree) and interns the label table; the columns
+    /// themselves are trusted. Package loading runs it on
+    /// buffer-borrowed columns whose integrity is established by
     /// per-section checksums — a corrupted-on-purpose package that
     /// passes its checksums can produce wrong answers or index panics,
     /// the same trust model a database engine extends to its own data
     /// files, but never undefined behaviour (every access stays
-    /// bounds-checked).
+    /// bounds-checked). DESIGN.md §15 lists the structural invariants
+    /// the columns must satisfy.
     pub fn from_packed(parts: PackedDocumentParts) -> Result<Document> {
         let PackedDocumentParts {
             labels,
@@ -975,7 +733,9 @@ impl Document {
     pub fn element_count(&self) -> usize {
         match &self.compact {
             Some(c) => c.labels.as_slice().iter().filter(|&&l| l != Self::TEXT_LABEL).count(),
-            None => self.nodes.iter().filter(|n| n.is_element()).count(),
+            None => {
+                self.nodes.iter().filter(|n| matches!(n.kind, NodeKind::Element { .. })).count()
+            }
         }
     }
 
@@ -1143,32 +903,30 @@ mod tests {
         assert!(Document::new().doc_id().as_u64() > 0);
     }
 
-    #[test]
-    fn try_node_bounds_check() {
-        let (d, ..) = small_doc();
-        assert!(d.try_node(NodeId::from_index(99)).is_err());
-        assert!(d.try_node(NodeId::from_index(0)).is_ok());
-    }
-
-    /// Flat column parts equivalent to `small_doc()`:
+    /// Packed columns equivalent to `small_doc()`:
     /// `<a x="1"><b>hi</b><c/></a>`, ids a=0 b=1 t=2 c=3.
-    fn small_parts() -> DocumentParts {
-        DocumentParts {
+    fn small_packed() -> Document {
+        let col = |v: &[u32]| U32s::from_vec(v.to_vec());
+        Document::from_packed(PackedDocumentParts {
             labels: vec!["a".into(), "b".into(), "c".into()],
-            node_labels: vec![0, 1, Document::TEXT_LABEL, 2],
-            parents: vec![Document::NO_PARENT, 0, 1, 0],
-            text_offsets: vec![0, 2],
-            text_blob: "hi".into(),
-            attr_nodes: vec![0],
+            node_labels: col(&[0, 1, Document::TEXT_LABEL, 2]),
+            parents: col(&[Document::NO_PARENT, 0, 1, 0]),
+            child_offsets: col(&[0, 2, 3, 3, 3]),
+            child_ids: col(&[1, 3, 2]),
+            text_ids: col(&[2]),
+            text_offsets: col(&[0, 2]),
+            text_blob: Str::from_string("hi".into()),
+            attr_nodes: col(&[0]),
             attr_entries: vec![("x".into(), "1".into())],
             root: Some(NodeId(0)),
-        }
+        })
+        .unwrap()
     }
 
     #[test]
-    fn from_raw_parts_behaves_like_builder_doc() {
+    fn from_packed_behaves_like_builder_doc() {
         let built = small_doc().0;
-        let loaded = Document::from_raw_parts(small_parts()).unwrap();
+        let loaded = small_packed();
         assert_eq!(loaded.len(), built.len());
         assert!(loaded.in_document_order());
         assert_eq!(loaded.root().unwrap(), built.root().unwrap());
@@ -1189,12 +947,12 @@ mod tests {
         assert_eq!(loaded.string_value(loaded.root().unwrap()), "hi");
         assert!(matches!(loaded.label(NodeId(2)), Err(Error::WrongNodeKind { .. })));
         assert!(matches!(loaded.text(NodeId(0)), Err(Error::WrongNodeKind { .. })));
-        assert_ne!(loaded.doc_id(), built.doc_id(), "raw-parts docs get fresh identity");
+        assert_ne!(loaded.doc_id(), built.doc_id(), "packed docs get fresh identity");
     }
 
     #[test]
-    fn from_raw_parts_append_materializes_csr_children() {
-        let mut d = Document::from_raw_parts(small_parts()).unwrap();
+    fn from_packed_append_materializes_csr_children() {
+        let mut d = small_packed();
         let root = d.root().unwrap();
         let extra = d.append_element(root, "z");
         assert_eq!(d.children(root), &[NodeId(1), NodeId(3), extra]);
@@ -1205,8 +963,8 @@ mod tests {
     }
 
     #[test]
-    fn from_raw_parts_set_attribute_materializes_nodes() {
-        let mut d = Document::from_raw_parts(small_parts()).unwrap();
+    fn from_packed_set_attribute_materializes_nodes() {
+        let mut d = small_packed();
         let root = d.root().unwrap();
         d.set_attribute(root, "x", "2").unwrap();
         d.set_attribute(NodeId(3), "y", "3").unwrap();
@@ -1214,59 +972,5 @@ mod tests {
         assert_eq!(d.attribute(NodeId(3), "y"), Some("3"));
         assert_eq!(d.attributes(NodeId(1)), &[]);
         assert_eq!(d.children(root), &[NodeId(1), NodeId(3)], "structure unchanged");
-    }
-
-    #[test]
-    fn from_raw_parts_rejects_inconsistent_arrays() {
-        type Mutation = Box<dyn Fn(&mut DocumentParts)>;
-        let bad_cases: Vec<(&str, Mutation)> = vec![
-            ("parents too short", Box::new(|p| p.parents.truncate(2))),
-            ("parent out of bounds", Box::new(|p| p.parents[1] = 77)),
-            ("parent does not precede child", Box::new(|p| p.parents[1] = 2)),
-            ("self parent", Box::new(|p| p.parents[1] = 1)),
-            ("root has a parent", Box::new(|p| p.parents[0] = 0)),
-            ("label out of bounds", Box::new(|p| p.labels.truncate(1))),
-            ("root out of bounds", Box::new(|p| p.root = Some(NodeId(44)))),
-            ("missing root", Box::new(|p| p.root = None)),
-            ("duplicate label", Box::new(|p| p.labels[2] = "a".into())),
-            ("text offsets wrong arity", Box::new(|p| p.text_offsets = vec![0])),
-            ("text offsets not monotone", Box::new(|p| p.text_offsets = vec![2, 0])),
-            ("text offsets nonzero start", Box::new(|p| p.text_offsets = vec![1, 2])),
-            ("text offsets miss blob end", Box::new(|p| p.text_offsets = vec![0, 1])),
-            (
-                "text offset splits a char",
-                Box::new(|p| {
-                    p.text_blob = "é".into();
-                    p.text_offsets = vec![0, 1, 2];
-                    p.node_labels[1] = Document::TEXT_LABEL;
-                }),
-            ),
-            (
-                "text count mismatch",
-                Box::new(|p| {
-                    p.node_labels[3] = Document::TEXT_LABEL;
-                }),
-            ),
-            ("attr arrays disagree", Box::new(|p| p.attr_nodes.clear())),
-            (
-                "attr owners decreasing",
-                Box::new(|p| {
-                    p.attr_nodes = vec![1, 0];
-                    p.attr_entries.push(("y".into(), "2".into()));
-                }),
-            ),
-            ("attr owner out of bounds", Box::new(|p| p.attr_nodes = vec![9])),
-            ("attr owner is text", Box::new(|p| p.attr_nodes = vec![2])),
-        ];
-        for (what, corrupt) in bad_cases {
-            let mut parts = small_parts();
-            corrupt(&mut parts);
-            match Document::from_raw_parts(parts) {
-                Err(Error::MalformedParts(_)) => {}
-                other => panic!("{what}: expected MalformedParts, got {other:?}"),
-            }
-        }
-        let empty = Document::from_raw_parts(DocumentParts::default());
-        assert!(empty.unwrap().is_empty(), "empty documents load without a root");
     }
 }

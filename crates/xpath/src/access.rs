@@ -15,50 +15,20 @@
 //! occurrence-list slice AND-ed against a dense [`NodeBitmap`].
 //!
 //! The artifact is built once per (spec, doc) by `sxv-core` (which owns
-//! the σ expansion mirroring materialization) and cached by the engine;
-//! this module only defines the queryable structure the plan executor
-//! consumes.
+//! the σ expansion mirroring materialization) and cached by the engine,
+//! or loaded from a package by [`AccessView::from_packed`], its only load
+//! path; this module only defines the queryable structure the plan
+//! executor consumes.
 
 use crate::error::{Error, Result};
 use crate::plan::AxisTest;
 use std::collections::BTreeMap;
 use sxv_xml::{Document, NodeBitmap, NodeId, U32s};
 
-/// The flat arrays behind an [`AccessView`], the input of
-/// [`AccessView::from_raw_parts`] — the shape a persisted package
-/// stores. Field meanings match the same-named [`AccessView`] fields;
-/// `dummy_lists` is absent because it is derived from `dummy_labels`,
-/// and the view-children CSR is absent because it is derived from
-/// `view_parent` by the same counting sort [`AccessView::finalize`]
-/// uses.
-#[derive(Debug, Clone)]
-pub struct AccessViewParts {
-    /// Document node count the artifact covers.
-    pub len: usize,
-    /// Non-dummy member bitmap (must cover `len` ids).
-    pub members: NodeBitmap,
-    /// Dummy-source bitmap (must cover `len` ids).
-    pub dummies: NodeBitmap,
-    /// View element bitmap (must cover `len` ids).
-    pub view_elements: NodeBitmap,
-    /// Per-node view parent, `u32::MAX` for "none"; always a strict
-    /// document ancestor, so `view_parent[v] < v`.
-    pub view_parent: Vec<u32>,
-    /// Dummy label per dummy source, sorted by node id.
-    pub dummy_labels: Vec<(NodeId, String)>,
-    /// Visible attributes per view label.
-    pub visible_attrs: BTreeMap<String, Vec<String>>,
-    /// §3.2-accessible node count.
-    pub accessible_count: usize,
-    /// The view root source node.
-    pub root: Option<NodeId>,
-}
-
 /// Pre-derived columns for [`AccessView::from_packed`] — the zero-copy
-/// package load path. Unlike [`AccessViewParts`], the view-children CSR
-/// travels pre-derived (it is stored fat in the package), so assembly
-/// needs no counting sort; the per-node columns may be buffer-borrowed
-/// views.
+/// package load path. The view-children CSR travels pre-derived (it is
+/// stored fat in the package), so assembly needs no counting sort; the
+/// per-node columns may be buffer-borrowed views.
 #[derive(Debug)]
 pub struct PackedAccessViewParts {
     /// Document node count the artifact covers.
@@ -69,7 +39,8 @@ pub struct PackedAccessViewParts {
     pub dummies: NodeBitmap,
     /// View element bitmap (must cover `len` ids).
     pub view_elements: NodeBitmap,
-    /// Per-node view parent, `u32::MAX` for "none".
+    /// Per-node view parent, `u32::MAX` for "none"; always a strict
+    /// document ancestor, so `view_parent[v] < v`.
     pub view_parent: U32s,
     /// View-children CSR offsets (`len + 1` entries).
     pub child_offsets: U32s,
@@ -202,81 +173,6 @@ impl AccessView {
         let (offsets, ids) = view_children_csr(self.len, self.view_parent.as_slice());
         self.child_offsets = U32s::from_vec(offsets);
         self.child_ids = U32s::from_vec(ids);
-    }
-
-    /// Rehydrate an artifact from flat arrays (the persisted-package
-    /// load path), skipping the σ-expansion build entirely. The derived
-    /// `dummy_lists` occurrence index is rebuilt from `dummy_labels` in
-    /// one pass and the view-children CSR from `view_parent` by the
-    /// [`AccessView::finalize`] counting sort; everything else is
-    /// validated with a constant number of O(n) scans and moved into
-    /// place without per-node work.
-    pub fn from_raw_parts(parts: AccessViewParts) -> Result<AccessView> {
-        let AccessViewParts {
-            len,
-            members,
-            dummies,
-            view_elements,
-            view_parent,
-            dummy_labels,
-            visible_attrs,
-            accessible_count,
-            root,
-        } = parts;
-        let malformed = |msg: String| Error::MalformedParts(msg);
-        for (bitmap, what) in
-            [(&members, "members"), (&dummies, "dummies"), (&view_elements, "view elements")]
-        {
-            if bitmap.len() != len {
-                return Err(malformed(format!(
-                    "{what} bitmap covers {} ids, artifact covers {len}",
-                    bitmap.len()
-                )));
-            }
-        }
-        if view_parent.len() != len {
-            return Err(malformed(format!(
-                "view parent table has {} entries for {len} nodes",
-                view_parent.len()
-            )));
-        }
-        if view_parent.iter().enumerate().any(|(i, &p)| p != NO_PARENT && p as usize >= i) {
-            return Err(malformed(
-                "view parent must be a strict document ancestor (parent id < node id)".into(),
-            ));
-        }
-        if dummy_labels.windows(2).any(|w| w[0].0 >= w[1].0) {
-            return Err(malformed("dummy labels are not sorted by node id".into()));
-        }
-        if dummy_labels.iter().any(|(id, _)| id.index() >= len) {
-            return Err(malformed(format!("dummy source out of bounds ({len} nodes)")));
-        }
-        if let Some(r) = root {
-            if r.index() >= len {
-                return Err(malformed(format!("root {} out of bounds ({len} nodes)", r.index())));
-            }
-        }
-        let mut dummy_lists: BTreeMap<String, Vec<NodeId>> = BTreeMap::new();
-        // dummy_labels is id-sorted, so each per-label list comes out in
-        // document order without a sort.
-        for (id, label) in &dummy_labels {
-            dummy_lists.entry(label.clone()).or_default().push(*id);
-        }
-        let (child_offsets, child_ids) = view_children_csr(len, &view_parent);
-        Ok(AccessView {
-            len,
-            members,
-            dummies,
-            view_elements,
-            view_parent: U32s::from_vec(view_parent),
-            dummy_labels,
-            dummy_lists,
-            visible_attrs,
-            child_offsets: U32s::from_vec(child_offsets),
-            child_ids: U32s::from_vec(child_ids),
-            accessible_count,
-            root,
-        })
     }
 
     /// Assemble an artifact from pre-derived, pre-validated packed
@@ -559,9 +455,7 @@ fn id_to_u32(id: NodeId) -> u32 {
 /// View-children CSR from the parent table by counting sort: count each
 /// parent's children, prefix-sum into offsets, then fill. Iterating
 /// children in ascending id order fills each parent's CSR slot in
-/// document order. Shared by [`AccessView::finalize`] (builder path)
-/// and [`AccessView::from_raw_parts`] (package-load path), so the
-/// persisted format only ships `view_parent`.
+/// document order.
 fn view_children_csr(len: usize, view_parent: &[u32]) -> (Vec<u32>, Vec<u32>) {
     let mut offsets = vec![0u32; len + 1];
     for &p in view_parent {
@@ -682,13 +576,17 @@ mod tests {
         assert!(is_dummy_label("dummy7"));
     }
 
-    fn parts_of(av: &AccessView) -> AccessViewParts {
-        AccessViewParts {
+    fn packed_parts_of(av: &AccessView) -> PackedAccessViewParts {
+        PackedAccessViewParts {
             len: av.len(),
             members: av.members().clone(),
             dummies: av.dummies().clone(),
             view_elements: av.elements().clone(),
-            view_parent: av.view_parent_table().to_vec(),
+            view_parent: U32s::from_vec(av.view_parent_table().to_vec()),
+            child_offsets: U32s::from_vec(av.child_offset_table().to_vec()),
+            child_ids: U32s::from_vec(
+                av.child_id_table().iter().map(|v| v.index() as u32).collect(),
+            ),
             dummy_labels: av.dummy_label_table().to_vec(),
             visible_attrs: av.visible_attr_table().clone(),
             accessible_count: av.accessible_count(),
@@ -697,9 +595,9 @@ mod tests {
     }
 
     #[test]
-    fn from_raw_parts_roundtrips_executor_surface() {
+    fn from_packed_roundtrips_executor_surface() {
         let (doc, av) = sample();
-        let back = AccessView::from_raw_parts(parts_of(&av)).unwrap();
+        let back = AccessView::from_packed(packed_parts_of(&av)).unwrap();
         assert_eq!(back.root(), av.root());
         assert_eq!(back.len(), av.len());
         assert_eq!(back.member_count(), av.member_count());
@@ -717,35 +615,5 @@ mod tests {
         let a = NodeId::from_index(2);
         assert!(back.attr_visible(&doc, a, "id"));
         assert!(!back.attr_visible(&doc, a, "secret"));
-    }
-
-    #[test]
-    fn from_raw_parts_rejects_inconsistent_arrays() {
-        let (_, av) = sample();
-        type Mutation = Box<dyn Fn(&mut AccessViewParts)>;
-        let cases: Vec<(&str, Mutation)> = vec![
-            ("members bitmap domain", Box::new(|p| p.members = NodeBitmap::new(3))),
-            ("dummies bitmap domain", Box::new(|p| p.dummies = NodeBitmap::new(99))),
-            ("parent table arity", Box::new(|p| p.view_parent.truncate(2))),
-            ("parent out of bounds", Box::new(|p| p.view_parent[2] = 77)),
-            ("parent not an ancestor", Box::new(|p| p.view_parent[2] = 2)),
-            (
-                "dummy table unsorted",
-                Box::new(|p| p.dummy_labels.push((NodeId::from_index(0), "dummy9".into()))),
-            ),
-            (
-                "dummy out of bounds",
-                Box::new(|p| p.dummy_labels = vec![(NodeId::from_index(50), "dummy9".into())]),
-            ),
-            ("root out of bounds", Box::new(|p| p.root = Some(NodeId::from_index(50)))),
-        ];
-        for (what, corrupt) in cases {
-            let mut parts = parts_of(&av);
-            corrupt(&mut parts);
-            match AccessView::from_raw_parts(parts) {
-                Err(Error::MalformedParts(_)) => {}
-                other => panic!("{what}: expected MalformedParts, got {other:?}"),
-            }
-        }
     }
 }

@@ -17,8 +17,9 @@ pub enum Error {
         /// Byte offset into the query where the limit was crossed.
         offset: usize,
     },
-    /// Raw-parts construction (e.g. loading a persisted package) was
-    /// handed structurally inconsistent arrays.
+    /// Packed-column construction (loading a persisted package) was
+    /// handed inconsistent arrays: lengths that disagree, unsorted or
+    /// out-of-bounds dummy sources, or an out-of-bounds root.
     MalformedParts(String),
 }
 

@@ -40,9 +40,8 @@ mod lowering;
 pub mod parser;
 pub mod plan;
 pub mod simplify;
-pub mod subq;
 
-pub use access::{is_dummy_label, AccessView, AccessViewParts, PackedAccessViewParts};
+pub use access::{is_dummy_label, AccessView, PackedAccessViewParts};
 pub use ast::{Path, Qualifier};
 pub use certify::{
     certify, certify_traced, AbsState, CertFinding, CertifyContext, ContextSets, PlanCertificate,
@@ -58,4 +57,3 @@ pub use plan::{
     PlanNode, PlanOp, PlanPolicy, PlanSummary, QualPlan, SchemaSlice, EQUIVALENCE_QUERIES,
 };
 pub use simplify::{factored_union, simplify};
-pub use subq::{postorder, SubExpr};

@@ -591,7 +591,7 @@ impl Pass<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{eval_at_document, eval_at_root};
+    use crate::eval::eval_at_root;
     use crate::parser::parse;
     use crate::plan::{compile, CostModel, PlanPolicy};
     use sxv_xml::{parse as parse_xml, DocIndex, Document};
@@ -669,9 +669,6 @@ mod tests {
             let want = eval_at_root(&d, &p);
             assert_eq!(plan.execute(&d, Some(&idx)).0, want, "{q} (slice)");
             assert_eq!(plan.execute(&d, None).0, want, "{q} (no index: chain)");
-            // At the document node the lowering's root context does not
-            // hold: the chain runs.
-            assert_eq!(plan.execute_at_document(&d, Some(&idx)).0, eval_at_document(&d, &p), "{q}");
         }
     }
 

@@ -45,6 +45,13 @@
 //! The executor also switches result sets between sorted-vec and dense
 //! bitmap representations by density, so `//`-expansions feed the
 //! bitmap filter without materializing node lists.
+//!
+//! Both compilers run one lowering of the fragment-`C` grammar, with its
+//! cardinality estimates. They differ in three leaves only: the child
+//! step (`child-walk` / `child-merge-join`, or `view-child`), the
+//! `//axis` head (`descendant-slice`; over the view, slice plus
+//! `bitmap-filter` from a seed context and `view-descendant` elsewhere)
+//! and the generic `//` expand (`descendant-expand` or `view-expand`).
 
 use crate::access::{is_dummy_label, AccessView};
 use crate::ast::{Path, Qualifier};
@@ -167,10 +174,10 @@ pub struct FusedScan {
 /// and parent→child label edges lie inside `schema`.
 ///
 /// The operator keeps the run. It executes the run instead of the scan
-/// when no index is attached, when the executing document leaves
-/// `schema` ([`DocIndex::conforms_to`], memoized per index), and at the
-/// document node ([`CompiledQuery::execute_at_document`]). The certifier
-/// interprets the run, so the lowering moves no abstract state.
+/// when no index is attached, and when the executing document leaves
+/// `schema` ([`DocIndex::conforms_to`], memoized per index). The
+/// certifier interprets the run, so the lowering moves no abstract
+/// state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchemaSlice {
     /// The scan: a descendant slice of the run's final label, plus the
@@ -442,75 +449,240 @@ pub struct CompiledQuery {
 /// with a schema graph in `cost`, schema-covered runs become
 /// [`SchemaSlice`]s before fusion.
 pub fn compile(p: &Path, policy: PlanPolicy, cost: &CostModel) -> CompiledQuery {
-    let mut ops = vec![PlanNode { op: PlanOp::RootSeed, est_rows: 1 }];
-    lower(p, 1.0, policy, cost, &mut ops);
+    let mut ops = Lowering { target: Target::Document, policy, cost }.pipeline(p);
     if let (PlanPolicy::Auto, Some(schema)) = (policy, &cost.schema) {
         ops = lower_schema_runs(ops, schema);
     }
     CompiledQuery { translated: p.clone(), policy, ops: fuse_ops(ops) }
 }
 
-fn clamp_est(est: f64, cost: &CostModel) -> u64 {
-    est.clamp(0.0, cost.nodes().max(1.0)).round() as u64
+/// Lower a *view* query into a plan executed directly over the document
+/// and filtered by an [`AccessView`]
+/// ([`CompiledQuery::execute_with_access`]). Axis steps become view-tree
+/// operators; the dominant seed-context `//axis` shapes lower to a
+/// document `descendant-slice` AND-ed against the membership bitmap
+/// (fused at execution time), which is exact because every view node is
+/// a view descendant of the root and a member's view label is its
+/// document label.
+pub fn compile_annotate(p: &Path, policy: PlanPolicy, cost: &CostModel) -> CompiledQuery {
+    let ops = Lowering { target: Target::View, policy, cost }.pipeline(p);
+    CompiledQuery { translated: p.clone(), policy, ops: fuse_ops(ops) }
 }
 
-/// Append the pipeline for `p` to `out`; returns the estimated output
-/// cardinality given `est_in` context rows.
-fn lower(
-    p: &Path,
-    est_in: f64,
+/// The tree a plan's axis steps navigate.
+#[derive(Clone, Copy)]
+enum Target {
+    /// The document itself ([`compile`]).
+    Document,
+    /// The §3.3 view, through an [`AccessView`] ([`compile_annotate`]).
+    View,
+}
+
+/// One lowering of a [`Path`] into plan operators. The grammar walk and
+/// its estimates are shared; the target picks the operator at three
+/// leaves only: the child step, the `//axis` head and the generic `//`
+/// expand.
+struct Lowering<'c> {
+    target: Target,
     policy: PlanPolicy,
-    cost: &CostModel,
-    out: &mut Vec<PlanNode>,
-) -> f64 {
-    match p {
-        Path::Empty => est_in,
-        Path::EmptySet => {
-            out.push(PlanNode { op: PlanOp::EmptySet, est_rows: 0 });
-            0.0
-        }
-        Path::Doc => {
-            out.push(PlanNode { op: PlanOp::DocSeed, est_rows: 1 });
-            1.0
-        }
-        Path::Label(l) => child(AxisTest::Label(l.clone()), est_in, policy, cost, out),
-        Path::Wildcard => child(AxisTest::AnyElement, est_in, policy, cost, out),
-        Path::Text => child(AxisTest::Text, est_in, policy, cost, out),
-        Path::Step(p1, p2) => {
-            let mid = lower(p1, est_in, policy, cost, out);
-            lower(p2, mid, policy, cost, out)
-        }
-        Path::Descendant(inner) => lower_descendant(inner, policy, cost, out),
-        Path::Union(p1, p2) => {
-            let mut arm1 = Vec::new();
-            let e1 = lower(p1, est_in, policy, cost, &mut arm1);
-            let mut arm2 = Vec::new();
-            let e2 = lower(p2, est_in, policy, cost, &mut arm2);
-            let est = (e1 + e2).min(cost.nodes());
-            out.push(PlanNode {
-                op: PlanOp::UnionMerge(vec![arm1, arm2]),
-                est_rows: clamp_est(est, cost),
-            });
-            est
-        }
-        Path::Filter(p1, q) => {
-            let base = lower(p1, est_in, policy, cost, out);
-            let qp = lower_qual(q, policy, cost);
-            let est = base * selectivity(&qp);
-            out.push(PlanNode { op: PlanOp::QualifierProbe(qp), est_rows: clamp_est(est, cost) });
-            est
-        }
-        Path::Closure(inner) => {
-            let mut body = Vec::new();
-            let e_body = lower(inner, est_in, policy, cost, &mut body);
-            let est = closure_est(est_in, e_body, cost);
-            out.push(PlanNode {
-                op: PlanOp::ClosureExpand { body },
-                est_rows: clamp_est(est, cost),
-            });
-            est
+    cost: &'c CostModel,
+}
+
+impl Lowering<'_> {
+    /// The whole plan: the root seed, then `p` lowered from it.
+    fn pipeline(&self, p: &Path) -> Vec<PlanNode> {
+        let mut ops = vec![PlanNode { op: PlanOp::RootSeed, est_rows: 1 }];
+        self.path(p, 1.0, true, &mut ops);
+        ops
+    }
+
+    fn push(&self, op: PlanOp, est: f64, out: &mut Vec<PlanNode>) {
+        out.push(PlanNode { op, est_rows: clamp_est(est, self.cost) });
+    }
+
+    /// Append the pipeline for `p` to `out`. Returns the estimated output
+    /// cardinality given `est_in` context rows, and whether the output
+    /// context is still a *seed* (the root element or document node
+    /// only), which gates the view's slice-plus-bitmap `//axis`.
+    fn path(&self, p: &Path, est_in: f64, seed: bool, out: &mut Vec<PlanNode>) -> (f64, bool) {
+        match p {
+            Path::Empty => (est_in, seed),
+            Path::EmptySet => {
+                self.push(PlanOp::EmptySet, 0.0, out);
+                (0.0, false)
+            }
+            Path::Doc => {
+                self.push(PlanOp::DocSeed, 1.0, out);
+                (1.0, true)
+            }
+            Path::Label(l) => (self.child(AxisTest::Label(l.clone()), est_in, out), false),
+            Path::Wildcard => (self.child(AxisTest::AnyElement, est_in, out), false),
+            Path::Text => (self.child(AxisTest::Text, est_in, out), false),
+            Path::Step(p1, p2) => {
+                let (mid, seed) = self.path(p1, est_in, seed, out);
+                self.path(p2, mid, seed, out)
+            }
+            Path::Descendant(inner) => (self.descendant(inner, seed, out), false),
+            Path::Union(p1, p2) => {
+                let (mut arm1, mut arm2) = (Vec::new(), Vec::new());
+                let (e1, _) = self.path(p1, est_in, seed, &mut arm1);
+                let (e2, _) = self.path(p2, est_in, seed, &mut arm2);
+                (self.union(arm1, arm2, e1 + e2, out), false)
+            }
+            Path::Filter(p1, q) => {
+                let (base, seed) = self.path(p1, est_in, seed, out);
+                (self.filter(base, q, out), seed)
+            }
+            Path::Closure(inner) => {
+                // After one iteration the context is arbitrary, so the
+                // body lowers off-seed: over the view, closure steps
+                // navigate the view CSR, never the fused document slice.
+                let mut body = Vec::new();
+                let (e_body, _) = self.path(inner, est_in, false, &mut body);
+                let est = closure_est(est_in, e_body, self.cost);
+                self.push(PlanOp::ClosureExpand { body }, est, out);
+                (est, false)
+            }
         }
     }
+
+    /// `//inner`: axis heads become one scan ([`Lowering::descendant_axis`]);
+    /// complex heads recurse the way the evaluators do.
+    fn descendant(&self, inner: &Path, seed: bool, out: &mut Vec<PlanNode>) -> f64 {
+        let axis = match inner {
+            Path::Label(l) => AxisTest::Label(l.clone()),
+            Path::Wildcard => AxisTest::AnyElement,
+            Path::Text => AxisTest::Text,
+            Path::Step(a, b) => {
+                let mid = self.descendant(a, seed, out);
+                return self.path(b, mid, false, out).0;
+            }
+            Path::Union(a, b) => {
+                let (mut arm1, mut arm2) = (Vec::new(), Vec::new());
+                let e1 = self.descendant(a, seed, &mut arm1);
+                let e2 = self.descendant(b, seed, &mut arm2);
+                return self.union(arm1, arm2, e1 + e2, out);
+            }
+            Path::Filter(base, q) => {
+                let b = self.descendant(base, seed, out);
+                return self.filter(b, q, out);
+            }
+            // ε, ∅, doc(), nested //: materialize descendant-or-self and
+            // let the generic pipeline continue.
+            _ => {
+                let expanded = self.cost.nodes();
+                let op = match self.target {
+                    Target::Document => PlanOp::DescendantExpand { or_self: true },
+                    Target::View => PlanOp::ViewExpand { or_self: true },
+                };
+                self.push(op, expanded, out);
+                return self.path(inner, expanded, false, out).0;
+            }
+        };
+        self.descendant_axis(axis, seed, out)
+    }
+
+    /// `//axis`. Over the document it is an interval slice, one streaming
+    /// operator whether or not execution has an index (the executor
+    /// degrades it to a subtree scan). Over the view, non-dummy heads from
+    /// a seed context take the same slice AND-ed against the membership
+    /// bitmap; everywhere else the view-descendant chain walk is used.
+    fn descendant_axis(&self, axis: AxisTest, seed: bool, out: &mut Vec<PlanNode>) -> f64 {
+        let occ = self.cost.occurrence(&axis);
+        match self.target {
+            Target::Document => self.push(PlanOp::DescendantSlice(axis), occ, out),
+            Target::View if seed && !matches!(&axis, AxisTest::Label(l) if is_dummy_label(l)) => {
+                // A document slice over-approximates the view axis only by
+                // non-member nodes: every member under the root is a view
+                // descendant of it, and members keep their document label.
+                let filter = match &axis {
+                    AxisTest::AnyElement => AccessFilter::Element,
+                    _ => AccessFilter::Member,
+                };
+                self.push(PlanOp::DescendantSlice(axis), occ, out);
+                self.push(PlanOp::BitmapFilter(filter), occ, out);
+            }
+            Target::View => self.push(PlanOp::ViewDescendant(axis), occ, out),
+        }
+        occ
+    }
+
+    /// One child step. Over the document the walk/merge decision is made
+    /// here, at plan time; view children lists are materialized, so a
+    /// view step always walks them.
+    fn child(&self, axis: AxisTest, est_in: f64, out: &mut Vec<PlanNode>) -> f64 {
+        let occ = self.cost.occurrence(&axis);
+        let est = occ.min(est_in * self.cost.fanout.max(1.0));
+        let op = match self.target {
+            Target::View => PlanOp::ViewChild(axis),
+            Target::Document if self.merges(occ, est_in) => PlanOp::ChildMergeJoin(axis),
+            Target::Document => PlanOp::ChildWalk(axis),
+        };
+        self.push(op, est, out);
+        est
+    }
+
+    /// Whether a document child step over `est_in` context rows merges
+    /// its `occ`-long occurrence list instead of walking.
+    fn merges(&self, occ: f64, est_in: f64) -> bool {
+        match self.policy {
+            PlanPolicy::ForceWalk => false,
+            PlanPolicy::ForceJoin => true,
+            PlanPolicy::Auto => {
+                // A merge examines every occurrence (paying one binary
+                // probe into the context each); a walk traverses every
+                // child link under the context. Same trade-off join
+                // evaluators made per evaluation — priced once, here.
+                let probe = est_in.max(1.0).log2() + 1.0;
+                let fanout = self.cost.fanout.max(1.0);
+                self.cost.has_index && occ * probe < est_in.max(1.0) * fanout
+            }
+        }
+    }
+
+    /// `a ∪ b` from the arms' sub-pipelines and summed estimates.
+    fn union(
+        &self,
+        arm1: Vec<PlanNode>,
+        arm2: Vec<PlanNode>,
+        est: f64,
+        out: &mut Vec<PlanNode>,
+    ) -> f64 {
+        let est = est.min(self.cost.nodes());
+        self.push(PlanOp::UnionMerge(vec![arm1, arm2]), est, out);
+        est
+    }
+
+    /// `[q]` over `base` estimated rows.
+    fn filter(&self, base: f64, q: &Qualifier, out: &mut Vec<PlanNode>) -> f64 {
+        let qp = self.qual(q);
+        let est = base * selectivity(&qp);
+        self.push(PlanOp::QualifierProbe(qp), est, out);
+        est
+    }
+
+    fn qual(&self, q: &Qualifier) -> QualPlan {
+        let probe = |p: &Path| {
+            let mut ops = Vec::new();
+            self.path(p, 1.0, false, &mut ops);
+            ops
+        };
+        match q {
+            Qualifier::True => QualPlan::True,
+            Qualifier::False => QualPlan::False,
+            Qualifier::Path(p) => QualPlan::Exists(probe(p)),
+            Qualifier::Eq(p, c) => QualPlan::Eq(probe(p), c.clone()),
+            Qualifier::Attr(name) => QualPlan::Attr(name.clone()),
+            Qualifier::AttrEq(name, value) => QualPlan::AttrEq(name.clone(), value.clone()),
+            Qualifier::And(a, b) => QualPlan::And(Box::new(self.qual(a)), Box::new(self.qual(b))),
+            Qualifier::Or(a, b) => QualPlan::Or(Box::new(self.qual(a)), Box::new(self.qual(b))),
+            Qualifier::Not(inner) => QualPlan::Not(Box::new(self.qual(inner))),
+        }
+    }
+}
+
+fn clamp_est(est: f64, cost: &CostModel) -> u64 {
+    est.clamp(0.0, cost.nodes().max(1.0)).round() as u64
 }
 
 /// Assumed closure iteration budget for cardinality estimates — the
@@ -521,120 +693,6 @@ const CLOSURE_ROUNDS: f64 = 4.0;
 
 fn closure_est(est_in: f64, e_body: f64, cost: &CostModel) -> f64 {
     (est_in + e_body * CLOSURE_ROUNDS).min(cost.nodes()).max(est_in)
-}
-
-/// `//inner`: axis heads become interval slices (a single streaming
-/// operator whether or not execution has an index — the historical
-/// expand-then-filter walk lowering materialized every descendant first
-/// and is strictly dominated by the slice's degraded subtree scan);
-/// complex heads recurse the way the evaluators do.
-fn lower_descendant(
-    inner: &Path,
-    policy: PlanPolicy,
-    cost: &CostModel,
-    out: &mut Vec<PlanNode>,
-) -> f64 {
-    let axis = match inner {
-        Path::Label(l) => Some(AxisTest::Label(l.clone())),
-        Path::Wildcard => Some(AxisTest::AnyElement),
-        Path::Text => Some(AxisTest::Text),
-        _ => None,
-    };
-    if let Some(axis) = axis {
-        let occ = cost.occurrence(&axis);
-        out.push(PlanNode { op: PlanOp::DescendantSlice(axis), est_rows: clamp_est(occ, cost) });
-        return occ;
-    }
-    match inner {
-        Path::Step(a, b) => {
-            let mid = lower_descendant(a, policy, cost, out);
-            lower(b, mid, policy, cost, out)
-        }
-        Path::Union(a, b) => {
-            let mut arm1 = Vec::new();
-            let e1 = lower_descendant(a, policy, cost, &mut arm1);
-            let mut arm2 = Vec::new();
-            let e2 = lower_descendant(b, policy, cost, &mut arm2);
-            let est = (e1 + e2).min(cost.nodes());
-            out.push(PlanNode {
-                op: PlanOp::UnionMerge(vec![arm1, arm2]),
-                est_rows: clamp_est(est, cost),
-            });
-            est
-        }
-        Path::Filter(base, q) => {
-            let b = lower_descendant(base, policy, cost, out);
-            let qp = lower_qual(q, policy, cost);
-            let est = b * selectivity(&qp);
-            out.push(PlanNode { op: PlanOp::QualifierProbe(qp), est_rows: clamp_est(est, cost) });
-            est
-        }
-        // ε, ∅, doc(), nested //: materialize descendant-or-self and let
-        // the generic pipeline continue.
-        _ => {
-            let expanded = cost.nodes();
-            out.push(PlanNode {
-                op: PlanOp::DescendantExpand { or_self: true },
-                est_rows: clamp_est(expanded, cost),
-            });
-            lower(inner, expanded, policy, cost, out)
-        }
-    }
-}
-
-/// One child step, with the walk/merge decision made here — at plan time.
-fn child(
-    axis: AxisTest,
-    est_in: f64,
-    policy: PlanPolicy,
-    cost: &CostModel,
-    out: &mut Vec<PlanNode>,
-) -> f64 {
-    let occ = cost.occurrence(&axis);
-    let est = occ.min(est_in * cost.fanout.max(1.0));
-    let merge = match policy {
-        PlanPolicy::ForceWalk => false,
-        PlanPolicy::ForceJoin => true,
-        PlanPolicy::Auto => {
-            // A merge examines every occurrence (paying one binary probe
-            // into the context each); a walk traverses every child link
-            // under the context. Same trade-off join evaluators made per
-            // evaluation — priced once, here.
-            let probe = est_in.max(1.0).log2() + 1.0;
-            cost.has_index && occ * probe < est_in.max(1.0) * cost.fanout.max(1.0)
-        }
-    };
-    let op = if merge { PlanOp::ChildMergeJoin(axis) } else { PlanOp::ChildWalk(axis) };
-    out.push(PlanNode { op, est_rows: clamp_est(est, cost) });
-    est
-}
-
-fn lower_qual(q: &Qualifier, policy: PlanPolicy, cost: &CostModel) -> QualPlan {
-    match q {
-        Qualifier::True => QualPlan::True,
-        Qualifier::False => QualPlan::False,
-        Qualifier::Path(p) => {
-            let mut ops = Vec::new();
-            lower(p, 1.0, policy, cost, &mut ops);
-            QualPlan::Exists(ops)
-        }
-        Qualifier::Eq(p, c) => {
-            let mut ops = Vec::new();
-            lower(p, 1.0, policy, cost, &mut ops);
-            QualPlan::Eq(ops, c.clone())
-        }
-        Qualifier::Attr(name) => QualPlan::Attr(name.clone()),
-        Qualifier::AttrEq(name, value) => QualPlan::AttrEq(name.clone(), value.clone()),
-        Qualifier::And(a, b) => QualPlan::And(
-            Box::new(lower_qual(a, policy, cost)),
-            Box::new(lower_qual(b, policy, cost)),
-        ),
-        Qualifier::Or(a, b) => QualPlan::Or(
-            Box::new(lower_qual(a, policy, cost)),
-            Box::new(lower_qual(b, policy, cost)),
-        ),
-        Qualifier::Not(inner) => QualPlan::Not(Box::new(lower_qual(inner, policy, cost))),
-    }
 }
 
 /// Planned qualifier selectivity (crude, but consistent and documented:
@@ -654,24 +712,6 @@ fn selectivity(q: &QualPlan) -> f64 {
         }
         QualPlan::Not(inner) => 1.0 - selectivity(inner),
     }
-}
-
-// ---------------------------------------------------------------------
-// Annotation plans
-// ---------------------------------------------------------------------
-
-/// Lower a *view* query into a plan executed directly over the document
-/// and filtered by an [`AccessView`]
-/// ([`CompiledQuery::execute_with_access`]). Axis steps become view-tree
-/// operators; the dominant seed-context `//axis` shapes lower to a
-/// document `descendant-slice` AND-ed against the membership bitmap
-/// (fused at execution time), which is exact because every view node is
-/// a view descendant of the root and a member's view label is its
-/// document label.
-pub fn compile_annotate(p: &Path, policy: PlanPolicy, cost: &CostModel) -> CompiledQuery {
-    let mut ops = vec![PlanNode { op: PlanOp::RootSeed, est_rows: 1 }];
-    lower_annotate(p, 1.0, true, policy, cost, &mut ops);
-    CompiledQuery { translated: p.clone(), policy, ops: fuse_ops(ops) }
 }
 
 // ---------------------------------------------------------------------
@@ -763,185 +803,6 @@ fn fuse_qual(q: QualPlan) -> QualPlan {
         QualPlan::Or(a, b) => QualPlan::Or(Box::new(fuse_qual(*a)), Box::new(fuse_qual(*b))),
         QualPlan::Not(inner) => QualPlan::Not(Box::new(fuse_qual(*inner))),
         leaf => leaf,
-    }
-}
-
-/// Append the annotation pipeline for `p`; returns the estimated output
-/// cardinality and whether the output context is still a *seed* (the
-/// root element or document node only), which gates the fused
-/// slice-plus-bitmap lowering of `//axis`.
-fn lower_annotate(
-    p: &Path,
-    est_in: f64,
-    from_seed: bool,
-    policy: PlanPolicy,
-    cost: &CostModel,
-    out: &mut Vec<PlanNode>,
-) -> (f64, bool) {
-    match p {
-        Path::Empty => (est_in, from_seed),
-        Path::EmptySet => {
-            out.push(PlanNode { op: PlanOp::EmptySet, est_rows: 0 });
-            (0.0, false)
-        }
-        Path::Doc => {
-            out.push(PlanNode { op: PlanOp::DocSeed, est_rows: 1 });
-            (1.0, true)
-        }
-        Path::Label(l) => (view_child(AxisTest::Label(l.clone()), est_in, cost, out), false),
-        Path::Wildcard => (view_child(AxisTest::AnyElement, est_in, cost, out), false),
-        Path::Text => (view_child(AxisTest::Text, est_in, cost, out), false),
-        Path::Step(p1, p2) => {
-            let (mid, seed) = lower_annotate(p1, est_in, from_seed, policy, cost, out);
-            lower_annotate(p2, mid, seed, policy, cost, out)
-        }
-        Path::Descendant(inner) => {
-            (lower_descendant_annotate(inner, from_seed, policy, cost, out), false)
-        }
-        Path::Union(p1, p2) => {
-            let mut arm1 = Vec::new();
-            let (e1, _) = lower_annotate(p1, est_in, from_seed, policy, cost, &mut arm1);
-            let mut arm2 = Vec::new();
-            let (e2, _) = lower_annotate(p2, est_in, from_seed, policy, cost, &mut arm2);
-            let est = (e1 + e2).min(cost.nodes());
-            out.push(PlanNode {
-                op: PlanOp::UnionMerge(vec![arm1, arm2]),
-                est_rows: clamp_est(est, cost),
-            });
-            (est, false)
-        }
-        Path::Filter(p1, q) => {
-            let (base, seed) = lower_annotate(p1, est_in, from_seed, policy, cost, out);
-            let qp = lower_qual_annotate(q, policy, cost);
-            let est = base * selectivity(&qp);
-            out.push(PlanNode { op: PlanOp::QualifierProbe(qp), est_rows: clamp_est(est, cost) });
-            (est, seed)
-        }
-        Path::Closure(inner) => {
-            // After one iteration the context is arbitrary, so the body
-            // lowers off-seed: closure steps navigate the view CSR
-            // (view-child / view-descendant), never the fused document
-            // slice.
-            let mut body = Vec::new();
-            let (e_body, _) = lower_annotate(inner, est_in, false, policy, cost, &mut body);
-            let est = closure_est(est_in, e_body, cost);
-            out.push(PlanNode {
-                op: PlanOp::ClosureExpand { body },
-                est_rows: clamp_est(est, cost),
-            });
-            (est, false)
-        }
-    }
-}
-
-/// `//inner` over the view. From a seed context, non-dummy axis heads
-/// lower to the fused document slice + membership bitmap; everywhere
-/// else the view-descendant chain walk is used.
-fn lower_descendant_annotate(
-    inner: &Path,
-    from_seed: bool,
-    policy: PlanPolicy,
-    cost: &CostModel,
-    out: &mut Vec<PlanNode>,
-) -> f64 {
-    let axis = match inner {
-        Path::Label(l) => Some(AxisTest::Label(l.clone())),
-        Path::Wildcard => Some(AxisTest::AnyElement),
-        Path::Text => Some(AxisTest::Text),
-        _ => None,
-    };
-    if let Some(axis) = axis {
-        let occ = cost.occurrence(&axis);
-        let dummy = matches!(&axis, AxisTest::Label(l) if is_dummy_label(l));
-        if from_seed && !dummy {
-            // A document slice over-approximates the view axis only by
-            // non-member nodes: every member under the root is a view
-            // descendant of it, and members keep their document label.
-            let filter = match &axis {
-                AxisTest::AnyElement => AccessFilter::Element,
-                _ => AccessFilter::Member,
-            };
-            out.push(PlanNode {
-                op: PlanOp::DescendantSlice(axis),
-                est_rows: clamp_est(occ, cost),
-            });
-            out.push(PlanNode { op: PlanOp::BitmapFilter(filter), est_rows: clamp_est(occ, cost) });
-        } else {
-            out.push(PlanNode { op: PlanOp::ViewDescendant(axis), est_rows: clamp_est(occ, cost) });
-        }
-        return occ;
-    }
-    match inner {
-        Path::Step(a, b) => {
-            let mid = lower_descendant_annotate(a, from_seed, policy, cost, out);
-            lower_annotate(b, mid, false, policy, cost, out).0
-        }
-        Path::Union(a, b) => {
-            let mut arm1 = Vec::new();
-            let e1 = lower_descendant_annotate(a, from_seed, policy, cost, &mut arm1);
-            let mut arm2 = Vec::new();
-            let e2 = lower_descendant_annotate(b, from_seed, policy, cost, &mut arm2);
-            let est = (e1 + e2).min(cost.nodes());
-            out.push(PlanNode {
-                op: PlanOp::UnionMerge(vec![arm1, arm2]),
-                est_rows: clamp_est(est, cost),
-            });
-            est
-        }
-        Path::Filter(base, q) => {
-            let b = lower_descendant_annotate(base, from_seed, policy, cost, out);
-            let qp = lower_qual_annotate(q, policy, cost);
-            let est = b * selectivity(&qp);
-            out.push(PlanNode { op: PlanOp::QualifierProbe(qp), est_rows: clamp_est(est, cost) });
-            est
-        }
-        // ε, ∅, doc(), nested //: materialize view descendant-or-self
-        // and let the generic pipeline continue.
-        _ => {
-            let expanded = cost.nodes();
-            out.push(PlanNode {
-                op: PlanOp::ViewExpand { or_self: true },
-                est_rows: clamp_est(expanded, cost),
-            });
-            lower_annotate(inner, expanded, false, policy, cost, out).0
-        }
-    }
-}
-
-/// One view child step (always a CSR walk; view children lists are
-/// materialized, so there is no walk/merge choice to make).
-fn view_child(axis: AxisTest, est_in: f64, cost: &CostModel, out: &mut Vec<PlanNode>) -> f64 {
-    let occ = cost.occurrence(&axis);
-    let est = occ.min(est_in * cost.fanout.max(1.0));
-    out.push(PlanNode { op: PlanOp::ViewChild(axis), est_rows: clamp_est(est, cost) });
-    est
-}
-
-fn lower_qual_annotate(q: &Qualifier, policy: PlanPolicy, cost: &CostModel) -> QualPlan {
-    match q {
-        Qualifier::True => QualPlan::True,
-        Qualifier::False => QualPlan::False,
-        Qualifier::Path(p) => {
-            let mut ops = Vec::new();
-            lower_annotate(p, 1.0, false, policy, cost, &mut ops);
-            QualPlan::Exists(ops)
-        }
-        Qualifier::Eq(p, c) => {
-            let mut ops = Vec::new();
-            lower_annotate(p, 1.0, false, policy, cost, &mut ops);
-            QualPlan::Eq(ops, c.clone())
-        }
-        Qualifier::Attr(name) => QualPlan::Attr(name.clone()),
-        Qualifier::AttrEq(name, value) => QualPlan::AttrEq(name.clone(), value.clone()),
-        Qualifier::And(a, b) => QualPlan::And(
-            Box::new(lower_qual_annotate(a, policy, cost)),
-            Box::new(lower_qual_annotate(b, policy, cost)),
-        ),
-        Qualifier::Or(a, b) => QualPlan::Or(
-            Box::new(lower_qual_annotate(a, policy, cost)),
-            Box::new(lower_qual_annotate(b, policy, cost)),
-        ),
-        Qualifier::Not(inner) => QualPlan::Not(Box::new(lower_qual_annotate(inner, policy, cost))),
     }
 }
 
@@ -1105,14 +966,11 @@ impl ExecSet {
 
 /// Everything the executor reads per call: the document, the optional
 /// structural index, and (annotation plans only) the access view.
-/// `lowered` lets schema slices take their scan: false at the document
-/// node, whose context the lowering did not assume.
 #[derive(Clone, Copy)]
 struct Exec<'a> {
     doc: &'a Document,
     idx: Option<&'a DocIndex>,
     access: Option<&'a AccessView>,
-    lowered: bool,
 }
 
 impl<'a> Exec<'a> {
@@ -1123,7 +981,7 @@ impl<'a> Exec<'a> {
     /// Whether `s` may run its scan: an index is attached and the
     /// document conforms to the schema the run was proved against.
     fn slice_ok(&self, s: &SchemaSlice) -> bool {
-        self.lowered && self.idx.is_some_and(|idx| idx.conforms_to(&s.schema))
+        self.idx.is_some_and(|idx| idx.conforms_to(&s.schema))
     }
 }
 
@@ -1145,26 +1003,11 @@ impl CompiledQuery {
         access: Option<&AccessView>,
     ) -> (Vec<NodeId>, EvalStats) {
         let mut stats = EvalStats::default();
-        let ex = Exec { doc, idx: index, access, lowered: true };
+        let ex = Exec { doc, idx: index, access };
         let result = match doc.root_opt() {
             Some(root) => run_ops(ex, self.body(), ExecSet::single(root), &mut stats).into_ids(),
             None => Vec::new(),
         };
-        (result, stats)
-    }
-
-    /// Execute at the virtual document node (standard XPath document
-    /// semantics for absolute and descendant queries). Schema slices run
-    /// their chains here: their lowering assumed the root-element
-    /// context.
-    pub fn execute_at_document(
-        &self,
-        doc: &Document,
-        index: Option<&DocIndex>,
-    ) -> (Vec<NodeId>, EvalStats) {
-        let mut stats = EvalStats::default();
-        let ex = Exec { doc, idx: index, access: None, lowered: false };
-        let result = run_ops(ex, self.body(), ExecSet::document(), &mut stats).into_ids();
         (result, stats)
     }
 
@@ -2458,15 +2301,17 @@ mod tests {
 
     #[test]
     fn document_context_matches_walk() {
+        // `doc()/p` runs `p` from the virtual document node.
         let d = hospital();
         let idx = DocIndex::new(&d).unwrap();
         for q in ["//hospital", "/hospital/dept", "//patient", "//.", "hospital"] {
             let p = parse(q).unwrap();
             let reference = eval_at_document(&d, &p);
+            let at_doc = Path::step(Path::Doc, p);
             for policy in PlanPolicy::ALL {
-                let cq = compile(&p, policy, &CostModel::from_index(&idx));
-                assert_eq!(reference, cq.execute_at_document(&d, Some(&idx)).0, "{q} ({policy})");
-                assert_eq!(reference, cq.execute_at_document(&d, None).0, "{q} ({policy}, scan)");
+                let cq = compile(&at_doc, policy, &CostModel::from_index(&idx));
+                assert_eq!(reference, cq.execute(&d, Some(&idx)).0, "{q} ({policy})");
+                assert_eq!(reference, cq.execute(&d, None).0, "{q} ({policy}, scan)");
             }
         }
     }
@@ -2677,6 +2522,88 @@ mod tests {
         assert!(json.contains("\"filter\": \"member\""), "{json}");
     }
 
+    /// Calls `f` on every operator of `ops`, nested pipelines included,
+    /// with the operator that follows it in its own pipeline.
+    fn each_op(ops: &[PlanNode], f: &mut dyn FnMut(&PlanOp, Option<&PlanOp>)) {
+        fn each_qual(q: &QualPlan, f: &mut dyn FnMut(&PlanOp, Option<&PlanOp>)) {
+            match q {
+                QualPlan::Exists(ops) | QualPlan::Eq(ops, _) => each_op(ops, f),
+                QualPlan::And(a, b) | QualPlan::Or(a, b) => {
+                    each_qual(a, f);
+                    each_qual(b, f);
+                }
+                QualPlan::Not(inner) => each_qual(inner, f),
+                _ => {}
+            }
+        }
+        for (i, node) in ops.iter().enumerate() {
+            f(&node.op, ops.get(i + 1).map(|next| &next.op));
+            match &node.op {
+                PlanOp::UnionMerge(arms) => arms.iter().for_each(|arm| each_op(arm, f)),
+                PlanOp::ClosureExpand { body } => each_op(body, f),
+                PlanOp::QualifierProbe(q) => each_qual(q, f),
+                PlanOp::Fused(FusedScan { qual: Some(q), .. }) => each_qual(q, f),
+                PlanOp::SchemaSlice(sl) => {
+                    each_op(&sl.chain, f);
+                    if let Some(q) = &sl.scan.qual {
+                        each_qual(q, f);
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn document_and_view_plans_keep_to_their_operators() {
+        // One lowering serves both targets and picks the operator at
+        // each axis leaf. A view plan that stepped through document
+        // children, or sliced without the membership bitmap, would reach
+        // hidden nodes; a document plan has no access view to consult.
+        let d = hospital();
+        let idx = DocIndex::new(&d).unwrap();
+        let costs = [CostModel::from_index(&idx), CostModel::uninformed()];
+        let more =
+            ["//dummy1/patient", "dept/(clinicalTrial/patientInfo)*/patient", "/hospital//name"];
+        for q in EQUIVALENCE_QUERIES.iter().chain(&more) {
+            let p = parse(q).unwrap();
+            for policy in PlanPolicy::ALL {
+                for cost in &costs {
+                    let plan = compile(&p, policy, cost);
+                    each_op(&plan.ops, &mut |op, _| {
+                        let view_op = matches!(
+                            op,
+                            PlanOp::BitmapFilter(_)
+                                | PlanOp::ViewChild(_)
+                                | PlanOp::ViewDescendant(_)
+                                | PlanOp::ViewExpand { .. }
+                                | PlanOp::Fused(FusedScan { filter: Some(_), .. })
+                        );
+                        assert!(!view_op, "{q} ({policy}): {}", plan.explain_text());
+                    });
+                    let plan = compile_annotate(&p, policy, cost);
+                    each_op(&plan.ops, &mut |op, next| {
+                        let doc_op = matches!(
+                            op,
+                            PlanOp::ChildWalk(_)
+                                | PlanOp::ChildMergeJoin(_)
+                                | PlanOp::DescendantExpand { .. }
+                                | PlanOp::SchemaSlice(_)
+                        );
+                        let unfiltered = match op {
+                            PlanOp::DescendantSlice(_) => {
+                                !matches!(next, Some(PlanOp::BitmapFilter(_)))
+                            }
+                            PlanOp::Fused(f) => f.filter.is_none(),
+                            _ => false,
+                        };
+                        assert!(!doc_op && !unfiltered, "{q} ({policy}): {}", plan.explain_text());
+                    });
+                }
+            }
+        }
+    }
+
     #[test]
     fn dense_rows_survive_expansion_and_filtering() {
         // A document wide enough to cross the dense threshold.
@@ -2742,7 +2669,7 @@ mod tests {
             policy: PlanPolicy::Auto,
             ops: doc_ops,
         };
-        let (_, stats2) = cq2.execute_at_document(&d, Some(&idx));
+        let (_, stats2) = cq2.execute(&d, Some(&idx));
         assert_eq!(stats2.qualifier_checks, 1);
     }
 
@@ -2793,7 +2720,6 @@ mod tests {
         for policy in PlanPolicy::ALL {
             let cq = compile(&p, policy, &CostModel::from_index(&idx));
             assert!(cq.execute(&d, Some(&idx)).0.is_empty(), "{policy}");
-            assert!(cq.execute_at_document(&d, Some(&idx)).0.is_empty(), "{policy}");
             let empty = compile(&parse("∅").unwrap(), policy, &CostModel::uninformed());
             assert_eq!(empty.summary().est_rows, 0, "{policy}");
             assert!(empty.execute(&hospital(), None).0.is_empty(), "{policy}");

@@ -13,9 +13,10 @@
 #   4. forward-compat gate: a package whose version field is bumped
 #      must be refused with a typed version error (exit != 0, no
 #      panic), and a truncated package likewise;
-#   5. run the cold-start bench in smoke mode, producing
-#      BENCH_coldstart.json (which carries its own byte-identity
-#      assertion and re-executes fresh processes per probe).
+#   5. run the cold-start bench in smoke mode, writing
+#      target/smoke/BENCH_coldstart.json (it carries its own byte-identity
+#      assertion and re-executes fresh processes per probe). The
+#      committed BENCH_coldstart.json is left as it is.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -111,7 +112,8 @@ if "$SXV" query --package "$WORK/cut.sxvpkg" --role analyst --query "$Q1" \
 fi
 echo "ok: truncated package refused: $(cat "$WORK/cut.err")"
 
-echo "== cold-start smoke (BENCH_coldstart.json) =="
-"$COLDSTART" --smoke --json BENCH_coldstart.json --dir "$WORK/cs"
+echo "== cold-start smoke (target/smoke/BENCH_coldstart.json) =="
+mkdir -p target/smoke
+"$COLDSTART" --smoke --json target/smoke/BENCH_coldstart.json --dir "$WORK/cs"
 
 echo "pack smoke passed."

@@ -8,8 +8,9 @@
 #      (role, query, doc);
 #   3. assert /stats reports every tenant that saw traffic;
 #   4. shut the daemon down cleanly;
-#   5. run the load generator in smoke mode, producing BENCH_serve.json
-#      (which carries its own in-process correctness gate).
+#   5. run the load generator in smoke mode, writing
+#      target/smoke/BENCH_serve.json (it carries its own in-process
+#      correctness gate). The committed BENCH_serve.json is left as it is.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -134,17 +135,18 @@ wait "$SERVER_PID"
 SERVER_PID=""
 echo "ok: daemon shut down cleanly"
 
-"$LOADGEN" --smoke --json BENCH_serve.json
+mkdir -p target/smoke
+"$LOADGEN" --smoke --json target/smoke/BENCH_serve.json
 python3 - <<'EOF'
 import json
-d = json.load(open("BENCH_serve.json"))
+d = json.load(open("target/smoke/BENCH_serve.json"))
 assert d["correctness"]["mismatches"] == 0
 assert d["correctness"]["checked"] >= 16
 assert len(d["tenants"]) == 4, d["tenants"]
 for t in d["tenants"]:
     assert t["ok"] > 0 and t["p99_us"] > 0, t
 assert d["overall"]["ok"] == d["overall"]["sent"], d["overall"]
-print(f"ok: BENCH_serve.json — {d['overall']['ok']} requests, "
+print(f"ok: target/smoke/BENCH_serve.json — {d['overall']['ok']} requests, "
       f"overall p99 {d['overall']['p99_us']}us")
 EOF
 
