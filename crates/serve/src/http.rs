@@ -127,22 +127,22 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Write one JSON response (adds Content-Length; flushes).
+/// Write one JSON response (adds Content-Length). Status line, headers
+/// and body leave in one `write_all` from one buffer, so the peer wakes
+/// once per reply, not once for the head and again for the body.
 pub fn write_json(
     stream: &mut TcpStream,
     status: u16,
     body: &str,
     close: bool,
 ) -> std::io::Result<()> {
-    let head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{}\r\n",
+    let reply = format!(
+        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{}\r\n{body}",
         reason(status),
         body.len(),
         if close { "Connection: close\r\n" } else { "" },
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    stream.write_all(reply.as_bytes())
 }
 
 /// A persistent blocking HTTP/1.1 client connection (load generator and

@@ -23,24 +23,26 @@
 //!   per-role cache hit-rates.
 //! * `GET /healthz`, `POST /shutdown`.
 //!
-//! Admission control: requests pass through a bounded queue
-//! ([`queue::Bounded`]) drained by a fixed worker pool. A full queue
-//! sheds with 503 immediately; a request whose deadline passes while
-//! queued is answered 504 without doing the work. Overload therefore
-//! degrades into fast explicit failures instead of collapsing latency.
+//! Admission control: each query executes on its connection's thread
+//! once a gate grants it one of `workers` slots; at most `queue_capacity`
+//! requests wait for one. A request arriving to a full waiting line sheds
+//! with 503 immediately; one whose deadline passes before it gets a slot
+//! is answered 504 without doing the work, and one whose execution
+//! panics gets 500. Overload degrades into fast explicit failures.
 
+mod gate;
 pub mod http;
 pub mod json;
-pub mod queue;
 pub mod stats;
 
+use crate::gate::{Gate, Refused, Slot};
 use crate::http::{read_request, write_json, ReadError, Request};
 use crate::json::{json_escape, Json};
-use crate::queue::{Bounded, PushError};
 use crate::stats::{elapsed_us, TenantStats};
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 use sxv_core::{
@@ -58,6 +60,10 @@ const MAX_CONNECTIONS: usize = 256;
 /// process open forever).
 const READ_POLL: Duration = Duration::from_millis(500);
 
+/// Stack of each connection thread, which executes its queries: the 2 MiB the XPath
+/// parser's `MAX_DEPTH` is sized for, fixed so `RUST_MIN_STACK` cannot shrink it.
+const REQUEST_STACK_BYTES: usize = 2 << 20;
+
 /// Everything the daemon needs to start.
 pub struct ServeConfig {
     /// `(role name, access spec)` tenant policies; the security view of
@@ -67,11 +73,11 @@ pub struct ServeConfig {
     pub docs: Vec<(String, Document)>,
     /// Bind address, e.g. `127.0.0.1:0` (port 0 picks a free port).
     pub addr: String,
-    /// Query worker threads (≥ 1).
+    /// Most queries executing at once (≥ 1), each on its connection's thread.
     pub workers: usize,
-    /// Admission queue capacity; 0 sheds every request (useful in tests).
+    /// Most requests waiting for a slot; 0 sheds every request (503).
     pub queue_capacity: usize,
-    /// Per-request deadline in milliseconds, measured from admission.
+    /// Per-request deadline in ms from admission; without a slot by then, 504.
     pub timeout_ms: u64,
     /// Seconds between periodic per-tenant stats log lines (0 disables).
     pub stats_interval_secs: u64,
@@ -168,24 +174,7 @@ impl std::fmt::Display for ArtifactMismatch {
 
 impl std::error::Error for ArtifactMismatch {}
 
-/// One admitted query waiting for a worker.
-struct Job {
-    role_idx: usize,
-    doc_idx: usize,
-    query: String,
-    approach: Approach,
-    admitted: Instant,
-    deadline: Instant,
-    reply: mpsc::SyncSender<Reply>,
-}
-
-/// What a worker sends back to the connection handler.
-struct Reply {
-    status: u16,
-    body: String,
-}
-
-/// Shared server state (everything handlers and workers touch).
+/// Shared server state (everything connection handlers touch).
 struct ServerState<'a> {
     engines: Vec<SecureEngine<'a>>,
     role_names: Vec<String>,
@@ -195,8 +184,8 @@ struct ServerState<'a> {
     /// Structural index per doc (aligned with `docs`).
     indexes: Vec<DocIndex>,
     tenants: Vec<TenantStats>, // role-major: role_idx * docs.len() + doc_idx
-    queue: Bounded<Job>,
-    shutdown: AtomicBool,
+    /// Admission; closed at shutdown.
+    gate: Gate,
     connections: AtomicUsize,
     started: Instant,
     timeout: Duration,
@@ -214,7 +203,8 @@ impl ServerState<'_> {
 /// `ready` once the listener is up, so in-process callers (tests, the
 /// load generator) can boot the server on a background thread and learn
 /// the ephemeral port. Blocks the calling thread for the server's
-/// lifetime; returns after a clean shutdown has joined every worker.
+/// lifetime; returns after a clean shutdown has answered every admitted
+/// request and joined every connection thread.
 pub fn run(config: ServeConfig, ready: mpsc::Sender<SocketAddr>) -> Result<(), String> {
     if config.roles.is_empty() {
         return Err("serve needs at least one --role".into());
@@ -329,8 +319,7 @@ pub fn run(config: ServeConfig, ready: mpsc::Sender<SocketAddr>) -> Result<(), S
         doc_index,
         indexes,
         tenants: (0..tenant_count).map(|_| TenantStats::default()).collect(),
-        queue: Bounded::new(config.queue_capacity),
-        shutdown: AtomicBool::new(false),
+        gate: Gate::new(config.workers, config.queue_capacity),
         connections: AtomicUsize::new(0),
         started: Instant::now(),
         timeout: Duration::from_millis(config.timeout_ms),
@@ -351,16 +340,13 @@ pub fn run(config: ServeConfig, ready: mpsc::Sender<SocketAddr>) -> Result<(), S
     ready.send(addr).ok();
 
     std::thread::scope(|scope| {
-        for _ in 0..config.workers {
-            scope.spawn(|| worker_loop(&state));
-        }
         if config.stats_interval_secs > 0 {
             scope.spawn(|| stats_logger(&state, config.stats_interval_secs));
         }
         // Accept loop; handlers are scoped threads so shutdown joins
         // everything before `run` returns.
         for conn in listener.incoming() {
-            if state.shutdown.load(Ordering::SeqCst) {
+            if state.gate.is_closed() {
                 break;
             }
             let Ok(stream) = conn else { continue };
@@ -370,49 +356,41 @@ pub fn run(config: ServeConfig, ready: mpsc::Sender<SocketAddr>) -> Result<(), S
                 continue;
             }
             state.connections.fetch_add(1, Ordering::SeqCst);
-            scope.spawn(|| {
+            let handler = || {
                 handle_connection(&state, stream, addr);
                 state.connections.fetch_sub(1, Ordering::SeqCst);
-            });
+            };
+            let thread = std::thread::Builder::new().stack_size(REQUEST_STACK_BYTES);
+            // On failure the unspawned handler drops, closing the stream.
+            if let Err(e) = thread.spawn_scoped(scope, handler) {
+                eprintln!("sxv serve: cannot start a connection thread: {e}");
+                state.connections.fetch_sub(1, Ordering::SeqCst);
+            }
         }
-        state.queue.shutdown();
     });
     eprintln!("sxv serve: shut down after {:?}", state.started.elapsed());
     Ok(())
 }
 
-/// Worker: drain the admission queue until shutdown.
-fn worker_loop(state: &ServerState<'_>) {
-    while let Some(job) = state.queue.pop() {
-        let tenant = state.tenant(job.role_idx, job.doc_idx);
-        // Deadline check happens here — after queueing delay — so a
-        // request that waited out its budget is shed without paying for
-        // evaluation. There is no mid-execution cancellation; an
-        // admitted-in-time query runs to completion.
-        if Instant::now() >= job.deadline {
-            tenant.record_timed_out();
-            let body = "{\"error\": \"deadline expired before execution\"}".to_string();
-            job.reply.send(Reply { status: 504, body }).ok();
-            continue;
-        }
-        let reply = execute(state, &job);
-        job.reply.send(reply).ok();
-    }
+/// One admitted `/query` request.
+struct Job<'q> {
+    role_idx: usize,
+    doc_idx: usize,
+    query: &'q str,
+    approach: Approach,
+    admitted: Instant,
 }
 
 /// Execute one admitted query and build the HTTP reply.
-fn execute(state: &ServerState<'_>, job: &Job) -> Reply {
+fn execute(state: &ServerState<'_>, job: &Job<'_>) -> (u16, String) {
     let tenant = state.tenant(job.role_idx, job.doc_idx);
     let engine = &state.engines[job.role_idx];
     let (doc_name, doc) = &state.docs[job.doc_idx];
-    let query = match parse_xpath(&job.query) {
+    let query = match parse_xpath(job.query) {
         Ok(q) => q,
         Err(e) => {
             tenant.record_error();
-            return Reply {
-                status: 400,
-                body: format!("{{\"error\": \"query parse: {}\"}}", json_escape(&e.to_string())),
-            };
+            return (400, error_body(&format!("query parse: {e}")));
         }
     };
     let index = Some(&state.indexes[job.doc_idx]);
@@ -425,19 +403,17 @@ fn execute(state: &ServerState<'_>, job: &Job) -> Reply {
                 .collect();
             let latency_us = elapsed_us(job.admitted);
             tenant.record_ok(latency_us, report.cache_hit, u64::from(report.plan.fused_scan));
-            Reply {
-                status: 200,
-                body: format!(
-                    "{{\"role\": \"{}\", \"doc\": \"{}\", \"count\": {}, \
-                     \"plan_cache_hit\": {}, \"latency_us\": {}, \"answers\": [{}]}}",
-                    json_escape(&state.role_names[job.role_idx]),
-                    json_escape(doc_name),
-                    answers.len(),
-                    report.cache_hit,
-                    latency_us,
-                    answers.join(", "),
-                ),
-            }
+            let body = format!(
+                "{{\"role\": \"{}\", \"doc\": \"{}\", \"count\": {}, \
+                 \"plan_cache_hit\": {}, \"latency_us\": {}, \"answers\": [{}]}}",
+                json_escape(&state.role_names[job.role_idx]),
+                json_escape(doc_name),
+                answers.len(),
+                report.cache_hit,
+                latency_us,
+                answers.join(", "),
+            );
+            (200, body)
         }
         Err(e) => {
             tenant.record_error();
@@ -447,18 +423,37 @@ fn execute(state: &ServerState<'_>, job: &Job) -> Reply {
                 sxv_core::Error::Uncertified { .. } => 403,
                 _ => 400,
             };
-            Reply { status, body: format!("{{\"error\": \"{}\"}}", json_escape(&e.to_string())) }
+            (status, error_body(&e.to_string()))
         }
     }
+}
+
+/// Answer one admitted request in its slot, containing a panic as a 500
+/// error on `tenant`; the engine caches and tenant counters recover from
+/// a poisoned lock, so the daemon serves on.
+fn answer_in_slot(
+    slot: Slot<'_>,
+    tenant: &TenantStats,
+    answer: impl FnOnce() -> (u16, String),
+) -> (u16, String) {
+    let reply = catch_unwind(AssertUnwindSafe(answer));
+    drop(slot);
+    reply.unwrap_or_else(|_| {
+        tenant.record_error();
+        (500, error_body("query execution failed"))
+    })
+}
+
+/// The JSON body of an error reply.
+fn error_body(msg: &str) -> String {
+    format!("{{\"error\": \"{}\"}}", json_escape(msg))
 }
 
 /// Serve one connection (keep-alive) until close, error, or shutdown.
 fn handle_connection(state: &ServerState<'_>, stream: TcpStream, addr: SocketAddr) {
     stream.set_read_timeout(Some(READ_POLL)).ok();
     stream.set_nodelay(true).ok();
-    let Ok(peer) = stream.try_clone() else { return };
-    let mut reader = std::io::BufReader::new(peer);
-    let mut stream = stream;
+    let mut reader = std::io::BufReader::new(stream);
     loop {
         let req = match read_request(&mut reader) {
             Ok(req) => req,
@@ -473,29 +468,28 @@ fn handle_connection(state: &ServerState<'_>, stream: TcpStream, addr: SocketAdd
                 // (A client pausing mid-request past the poll interval
                 // loses the request — acceptable for a trusted-client
                 // daemon; all our clients write requests atomically.)
-                if state.shutdown.load(Ordering::SeqCst) {
+                if state.gate.is_closed() {
                     return;
                 }
                 continue;
             }
             Err(ReadError::Io(_)) => return,
             Err(ReadError::Malformed(m)) => {
-                let body = format!("{{\"error\": \"{}\"}}", json_escape(&m));
-                let _ = write_json(&mut stream, 400, &body, true);
+                let _ = write_json(reader.get_mut(), 400, &error_body(&m), true);
                 return;
             }
             Err(ReadError::TooLarge(what)) => {
-                let body = format!("{{\"error\": \"{what} too large\"}}");
-                let _ = write_json(&mut stream, 413, &body, true);
+                let body = error_body(&format!("{what} too large"));
+                let _ = write_json(reader.get_mut(), 413, &body, true);
                 return;
             }
         };
         let close = req.close;
         let (status, body) = route(state, &req, addr);
-        if write_json(&mut stream, status, &body, close).is_err() {
+        if write_json(reader.get_mut(), status, &body, close).is_err() {
             return;
         }
-        if close || state.shutdown.load(Ordering::SeqCst) {
+        if close || state.gate.is_closed() {
             return;
         }
     }
@@ -507,8 +501,7 @@ fn route(state: &ServerState<'_>, req: &Request, addr: SocketAddr) -> (u16, Stri
         ("GET", "/healthz") => (200, "{\"ok\": true}".into()),
         ("GET", "/stats") => (200, stats_json(state)),
         ("POST", "/shutdown") => {
-            state.shutdown.store(true, Ordering::SeqCst);
-            state.queue.shutdown();
+            state.gate.close();
             // Unblock the accept loop so `run` can join and return.
             TcpStream::connect(addr).ok();
             (200, "{\"ok\": true, \"shutting_down\": true}".into())
@@ -519,61 +512,56 @@ fn route(state: &ServerState<'_>, req: &Request, addr: SocketAddr) -> (u16, Stri
     }
 }
 
-/// Parse, admit, and await one `/query` request.
+/// Parse, admit and answer one `/query` request on the calling
+/// connection thread.
 fn handle_query(state: &ServerState<'_>, body: &[u8]) -> (u16, String) {
-    let err = |status: u16, msg: &str| (status, format!("{{\"error\": \"{}\"}}", json_escape(msg)));
     let Ok(text) = std::str::from_utf8(body) else {
-        return err(400, "body is not utf-8");
+        return (400, error_body("body is not utf-8"));
     };
     let parsed = match Json::parse(text) {
         Ok(v) => v,
-        Err(e) => return err(400, &format!("body is not valid JSON: {e}")),
+        Err(e) => return (400, error_body(&format!("body is not valid JSON: {e}"))),
     };
     let Some(role) = parsed.get("role").and_then(Json::as_str) else {
-        return err(400, "missing string field \"role\"");
+        return (400, error_body("missing string field \"role\""));
     };
     let Some(doc) = parsed.get("doc").and_then(Json::as_str) else {
-        return err(400, "missing string field \"doc\"");
+        return (400, error_body("missing string field \"doc\""));
     };
     let Some(query) = parsed.get("query").and_then(Json::as_str) else {
-        return err(400, "missing string field \"query\"");
+        return (400, error_body("missing string field \"query\""));
     };
     let approach = match parsed.get("approach").and_then(Json::as_str).map(str::parse::<Approach>) {
         None => Approach::Optimize,
         Some(Ok(approach)) => approach,
-        Some(Err(e)) => return err(400, &e),
+        Some(Err(e)) => return (400, error_body(&e)),
     };
     let Some(&role_idx) = state.role_index.get(role) else {
-        return err(404, &format!("unknown role {role:?}"));
+        return (404, error_body(&format!("unknown role {role:?}")));
     };
     let Some(&doc_idx) = state.doc_index.get(doc) else {
-        return err(404, &format!("unknown doc {doc:?}"));
+        return (404, error_body(&format!("unknown doc {doc:?}")));
     };
 
+    let tenant = state.tenant(role_idx, doc_idx);
     let admitted = Instant::now();
-    let (tx, rx) = mpsc::sync_channel(1);
-    let job = Job {
-        role_idx,
-        doc_idx,
-        query: query.to_string(),
-        approach,
-        admitted,
-        deadline: admitted + state.timeout,
-        reply: tx,
-    };
-    match state.queue.try_push(job) {
-        Ok(()) => {}
-        Err(PushError::Full) => {
-            state.tenant(role_idx, doc_idx).record_rejected();
-            return err(503, "queue full, request shed");
+    // There is no mid-execution cancellation: the deadline is checked
+    // when the request gets its slot, and a query admitted in time runs
+    // to completion.
+    let slot = match state.gate.enter(admitted + state.timeout) {
+        Ok(slot) => slot,
+        Err(Refused::Full) => {
+            tenant.record_rejected();
+            return (503, error_body("queue full, request shed"));
         }
-        Err(PushError::Shutdown) => return err(503, "server is shutting down"),
-    }
-    match rx.recv() {
-        Ok(reply) => (reply.status, reply.body),
-        // The worker dropped the sender without replying (panic).
-        Err(_) => err(500, "worker failed"),
-    }
+        Err(Refused::Closed) => return (503, error_body("server is shutting down")),
+        Err(Refused::Expired) => {
+            tenant.record_timed_out();
+            return (504, error_body("deadline expired before execution"));
+        }
+    };
+    let job = Job { role_idx, doc_idx, query, approach, admitted };
+    answer_in_slot(slot, tenant, || execute(state, &job))
 }
 
 /// Build the `/stats` JSON document.
@@ -637,7 +625,7 @@ fn stats_json(state: &ServerState<'_>) -> String {
         "{{\"uptime_secs\": {:.1}, \"queue_depth\": {}, \"open_connections\": {}, \
          \"warmed\": {}, \"tenants\": [{}], \"roles\": [{}]}}",
         state.started.elapsed().as_secs_f64(),
-        state.queue.len(),
+        state.gate.waiting(),
         state.connections.load(Ordering::SeqCst),
         state.warmed,
         tenants.join(", "),
@@ -651,7 +639,7 @@ fn stats_logger(state: &ServerState<'_>, interval_secs: u64) {
     let mut elapsed = Duration::ZERO;
     loop {
         std::thread::sleep(tick);
-        if state.shutdown.load(Ordering::SeqCst) {
+        if state.gate.is_closed() {
             return;
         }
         elapsed += tick;
@@ -702,5 +690,27 @@ pub fn parse_answers(body: &str) -> Result<Vec<String>, String> {
             .map(|a| a.as_str().map(str::to_string).ok_or_else(|| "non-string answer".into()))
             .collect(),
         _ => Err(format!("no answers array in {body}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn panicking_query_answers_500_and_frees_its_slot() {
+        let gate = Gate::new(1, 1);
+        let tenant = TenantStats::default();
+        let later = || Instant::now() + Duration::from_secs(60);
+        let slot = gate.enter(later()).expect("a free slot");
+        let (status, body) = answer_in_slot(slot, &tenant, || panic!("executor bug"));
+        assert_eq!((status, body.as_str()), (500, "{\"error\": \"query execution failed\"}"));
+        assert_eq!(tenant.requests.load(Ordering::Relaxed), 1);
+        assert_eq!(tenant.errors.load(Ordering::Relaxed), 1);
+        // With one worker, a slot the panic leaked would block this enter.
+        let slot = gate.enter(later()).expect("the freed slot");
+        let reply = answer_in_slot(slot, &tenant, || (200, "{}".to_string()));
+        assert_eq!(reply, (200, "{}".to_string()));
+        assert_eq!(tenant.errors.load(Ordering::Relaxed), 1);
     }
 }

@@ -20,11 +20,11 @@ pub struct TenantStats {
     pub requests: AtomicU64,
     /// Requests answered successfully (HTTP 200).
     pub ok: AtomicU64,
-    /// Requests that failed inside the engine (HTTP 400/500).
+    /// Requests that failed or panicked in the engine (HTTP 400/403/500).
     pub errors: AtomicU64,
-    /// Requests shed at admission because the queue was full (HTTP 503).
+    /// Requests shed at admission: the waiting line was full (HTTP 503).
     pub rejected: AtomicU64,
-    /// Requests whose deadline expired before a worker ran them (504).
+    /// Requests whose deadline expired before they got a slot (504).
     pub timed_out: AtomicU64,
     /// Translation-plan cache hits observed on this tenant's answers.
     pub plan_hits: AtomicU64,
@@ -78,7 +78,7 @@ impl TenantStats {
         self.errors.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one request shed at admission (queue full).
+    /// Record one request shed at admission (waiting line full).
     pub fn record_rejected(&self) {
         self.requests.fetch_add(1, Ordering::Relaxed);
         self.rejected.fetch_add(1, Ordering::Relaxed);

@@ -14,7 +14,9 @@
 # quartiles, the median ratio change/parent, and the pairs the change
 # won (by the metric's `better` direction; ties count for neither side).
 # Exits 1 if any run failed or reported anything but `"correct": true,
-# "failed": 0`, 2 on bad usage. Close other work while it runs: the
+# "failed": 0`, 2 on bad usage. Killed by INT or TERM, it stops its
+# running build or benchmark run, together with the processes that one
+# started, and exits 130 or 143. Close other work while it runs: the
 # benchmark pins its timed rounds to the machine's CPUs.
 set -uo pipefail
 
@@ -38,23 +40,54 @@ if [ "$seconds" != "$(run_seconds "$change")" ]; then
   exit 2
 fi
 
+results=$(mktemp)
+out=$(mktemp)
+stderr=$(mktemp)
+trap 'rm -f "$results" "$out" "$stderr"' EXIT
+
+# Each child runs under `setsid`, in a session of its own, so a signal
+# can stop it and whatever it started (cargo's rustc processes) without
+# touching any process outside this script. The script waits with
+# `wait`, which a trapped signal interrupts at once.
+child=
+# args: pid of the child just started; returns its exit status.
+wait_child() {
+  child=$1
+  wait "$child"
+  local status=$?
+  child=
+  return "$status"
+}
+# args: exit status; stops the running child and exits.
+stop() {
+  trap - INT TERM
+  if [ -n "$child" ]; then
+    kill -TERM -- "-$child" 2>/dev/null || kill -TERM "$child" 2>/dev/null
+    wait "$child" 2>/dev/null
+  fi
+  echo "perf_ab: interrupted" >&2
+  exit "$1"
+}
+trap 'stop 130' INT
+trap 'stop 143' TERM
+
 for tree in "$parent" "$change"; do
   echo "# building $tree/perfbench" >&2
-  CARGO_TARGET_DIR="$tree/perfbench/target" cargo build --release --quiet --offline \
-    --manifest-path "$tree/perfbench/Cargo.toml" || exit 1
+  CARGO_TARGET_DIR="$tree/perfbench/target" setsid cargo build --release --quiet --offline \
+    --manifest-path "$tree/perfbench/Cargo.toml" &
+  wait_child $! || exit 1
 done
-
-results=$(mktemp)
-stderr=$(mktemp)
-trap 'rm -f "$results" "$stderr"' EXIT
 
 # args: side tree seed; appends "side<TAB>seed<TAB>wall-ns<TAB>result-line".
 # A run's stderr is shown only when it prints no result line.
 run_one() {
   local side=$1 tree=$2 seed=$3 start line
   start=$(date +%s%N)
-  line=$(cd "$tree" && perfbench/target/release/sxv-perfbench --workload "$workload" \
-    --seed "$seed" --seconds "$seconds" --trace 0 2>"$stderr" | tail -n 1)
+  cd "$tree" || exit 1
+  setsid perfbench/target/release/sxv-perfbench --workload "$workload" \
+    --seed "$seed" --seconds "$seconds" --trace 0 >"$out" 2>"$stderr" &
+  wait_child $!
+  line=$(tail -n 1 "$out")
   printf '%s\t%s\t%s\t%s\n' "$side" "$seed" "$(($(date +%s%N) - start))" "$line" >>"$results"
   case $line in
     '{'*) ;;
