@@ -1,6 +1,7 @@
 //! Golden-file snapshots of `sxv explain` over the paper's Table 1
 //! queries (§6) under the Adex policy of `assets/adex_section6.spec`,
-//! the recursive BOM contractor view, and the hospital nurse view.
+//! the recursive BOM contractor view, and the hospital nurse view, and
+//! of the `sxv rewrite` translations of the five shipped policies.
 //!
 //! Explain prints the engine's cached `auto` plan, the one every serving
 //! surface runs. It is costed from DTD-derived expected cardinalities,
@@ -50,6 +51,70 @@ const NURSE: [(&str, &str, &str, &[&str], i32); 5] = [
 ];
 
 const NURSE_POLICY: [&str; 3] = ["assets/hospital.dtd", "hospital", "assets/hospital_nurse.spec"];
+
+/// The five shipped policies and their queries (kept in sync with
+/// `scripts/parity.sh`): `sxv rewrite` flags, then queries.
+const TRANSLATED: [(&[&str], &[&str]); 5] = [
+    (
+        &["--dtd", "assets/adex.dtd", "--root", "adex", "--spec", "assets/adex_section6.spec"],
+        &[
+            "//buyer-info/contact-info",
+            "//house/r-e.warranty | //apartment/r-e.warranty",
+            "//buyer-info[//company-id and //contact-info]",
+            "//real-estate[//r-e.asking-price and //r-e.unit-type]",
+            "//*",
+            "head/*",
+            "//ad-instance[real-estate]",
+        ],
+    ),
+    (
+        &[
+            "--dtd",
+            "assets/hospital.dtd",
+            "--root",
+            "hospital",
+            "--spec",
+            "assets/hospital_nurse.spec",
+            "--bind",
+            "wardNo=6",
+        ],
+        &[
+            "//bill",
+            "//patient/name",
+            "//patient[wardNo='6']",
+            "//dept/patientInfo",
+            "//treatment/*",
+            "//test",
+            "dept",
+            "//*",
+        ],
+    ),
+    (
+        &[
+            "--dtd",
+            "assets/hospital.dtd",
+            "--root",
+            "hospital",
+            "--spec",
+            "assets/hospital_doctor.spec",
+        ],
+        &["//bill", "//patient/name", "//treatment", "//test", "dept", "//*"],
+    ),
+    (
+        &["--dtd", "assets/auction.dtd", "--root", "site", "--spec", "assets/auction_bidder.spec"],
+        &[
+            "//open-auction/current",
+            "//bid/amount",
+            "//closed-auction/final-price",
+            "//category/cat-name",
+            "//*",
+        ],
+    ),
+    (
+        &["--dtd", "assets/bom.dtd", "--root", "bom", "--spec", "assets/bom_contractor.spec"],
+        &["//partno", "//part/name", "assembly/part/subpart//partno", "//part[name]/partno", "//*"],
+    ),
+];
 
 fn explain_policy(policy: [&str; 3], query: &str, extra: &[&str], code: i32) -> String {
     let [dtd, root, spec] = policy;
@@ -201,6 +266,40 @@ fn b1_rewrite_verify_trace_matches_snapshot() {
 #[test]
 fn b1_json_plan_matches_snapshot() {
     check_snapshot("explain_b1.json", &explain_bom(BOM[0].1, &["--format", "json"]));
+}
+
+#[test]
+fn translations_match_snapshot() {
+    // `sxv rewrite` prints the free `rewrite` and `optimize` functions'
+    // translations, which no plan snapshot reaches: every policy × query,
+    // optimized and `--no-optimize`, then the recursive BOM view through
+    // the §4.2 unfolding oracle (`--height`).
+    let mut runs: Vec<Vec<&str>> = Vec::new();
+    for (policy, queries) in TRANSLATED {
+        for &query in queries {
+            for extra in [&[][..], &["--no-optimize"]] {
+                runs.push([policy, &["--query", query], extra].concat());
+            }
+        }
+    }
+    let (bom, bom_queries) = TRANSLATED[4];
+    for &query in bom_queries {
+        for extra in [&[][..], &["--no-optimize"]] {
+            runs.push([bom, &["--query", query, "--height", "8"], extra].concat());
+        }
+    }
+    let mut transcript = String::new();
+    for args in runs {
+        let out = Command::new(env!("CARGO_BIN_EXE_sxv"))
+            .arg("rewrite")
+            .args(&args)
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "rewrite {args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        transcript.push_str(&format!("## rewrite {}\n", args.join(" ")));
+        transcript.push_str(std::str::from_utf8(&out.stdout).expect("utf-8 translation"));
+    }
+    check_snapshot("translations.txt", &transcript);
 }
 
 #[test]
