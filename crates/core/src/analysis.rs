@@ -86,11 +86,6 @@ impl TypeAccessibility {
         self.can_inacc.contains(name)
     }
 
-    /// The type occurs at all under the root (in either classification).
-    pub fn is_reachable(&self, name: &str) -> bool {
-        self.can_acc.contains(name) || self.can_inacc.contains(name)
-    }
-
     /// Every occurrence is accessible (modulo ancestor qualifiers) — a
     /// child annotated `Y` under such a type is redundant.
     pub fn definitely_accessible(&self, name: &str) -> bool {
@@ -600,7 +595,7 @@ mod tests {
         let dtd = parse_dtd("<!ELEMENT r (a)><!ELEMENT a EMPTY><!ELEMENT z EMPTY>", "r").unwrap();
         let spec = AccessSpec::builder(&dtd).build().unwrap();
         let acc = TypeAccessibility::compute(&spec);
-        assert!(!acc.is_reachable("z"));
+        assert!(!acc.can_be_accessible("z") && !acc.can_be_inaccessible("z"));
         assert!(!acc.definitely_inaccessible("z"), "unreachable ≠ denied");
     }
 

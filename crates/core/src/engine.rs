@@ -586,11 +586,11 @@ impl<'a> SecureEngine<'a> {
                 // Kleene-closure expressions — the §4.2 unfolding oracle
                 // (`rewrite_with_height`) stays out of the serving path.
                 let rewritten = self.view_graph.as_ref().map_err(Error::clone)?.rewrite(p)?;
-                if approach == Approach::Optimize {
+                Ok(if approach == Approach::Optimize {
                     optimize_over(self.spec.dtd(), &self.dtd_graph, &rewritten)
                 } else {
-                    Ok(rewritten)
-                }
+                    rewritten
+                })
             }
         }
     }

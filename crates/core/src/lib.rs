@@ -30,6 +30,9 @@
 //!   queries using DTD structural constraints (co-existence / exclusive /
 //!   non-existence) and an approximate containment test based on
 //!   qualifier-aware graph simulation over image graphs (Prop. 5.1).
+//!   It runs `rewrite`'s dynamic program over the document-DTD graph,
+//!   with Fig. 10's rules for unions, attribute tests and qualifiers in
+//!   place of Fig. 6's: one DP serves both algorithms.
 //! * **The §6 baseline**: [`NaiveBaseline`] annotates document elements
 //!   with `accessibility` attributes and rewrites queries by widening `/`
 //!   to `//` and appending `[@accessibility='1']`.

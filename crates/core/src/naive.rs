@@ -17,7 +17,7 @@
 //! every widened axis and checking an attribute on every candidate — is
 //! what Table 1 measures against the DTD-aware rewriting.
 
-use crate::accessibility;
+use crate::accessibility::compute_accessibility;
 use crate::spec::AccessSpec;
 use sxv_xml::Document;
 use sxv_xpath::{Path, Qualifier};
@@ -33,11 +33,11 @@ impl NaiveBaseline {
     /// `accessibility="1"` or `"0"` according to `spec` (the baseline's
     /// offline preparation step).
     pub fn annotate(spec: &AccessSpec, doc: &Document) -> Document {
-        let access = accessibility::compute(spec, doc);
+        let access = compute_accessibility(spec, doc, None);
         let mut out = doc.clone();
         for id in doc.all_ids() {
             if doc.is_element(id) {
-                let flag = if access.is_accessible(id) { "1" } else { "0" };
+                let flag = if access.contains(id) { "1" } else { "0" };
                 out.set_attribute(id, ACCESS_ATTR, flag).expect("element node accepts attributes");
             }
         }

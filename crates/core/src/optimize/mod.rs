@@ -2,23 +2,28 @@
 //!
 //! Rewrites an XPath query into an equivalent but cheaper query over
 //! instances of a document DTD, by "evaluating" the query over the DTD
-//! graph (cases 1–7 of Fig. 10):
+//! graph (cases 1–7 of Fig. 10). That evaluation is `rewrite`'s
+//! per-target dynamic program (see the `crate::rewrite` module docs),
+//! run over the document-DTD graph, whose σ edges are the child labels
+//! themselves; this module supplies the rules where Fig. 10 departs
+//! from Fig. 6:
 //!
-//! * dead sub-queries prune to `∅` (non-existence constraints — the §6
-//!   example Q4 collapses to the empty query via the exclusive
-//!   constraint);
-//! * wildcards and `//` expand into the precise label paths the DTD
-//!   allows (`recProc`, shared with the rewriting module);
 //! * qualifiers simplify against co-existence / exclusive / non-existence
-//!   constraints ([`constraints::QualEval::evaluate`] — the §6 example Q3
-//!   drops its qualifier entirely);
+//!   constraints (case 7, [`constraints::QualEval::evaluate`] — the §6
+//!   example Q3 drops its qualifier entirely, and Q4 collapses to the
+//!   empty query via the exclusive constraint);
 //! * union arms that are (approximately but soundly) contained in their
-//!   sibling are dropped, using the Prop. 5.1 simulation on image graphs.
+//!   sibling are dropped (case 6), using the Prop. 5.1 simulation on
+//!   image graphs;
+//! * attribute tests stay as written, since every declared attribute is
+//!   visible over the document;
+//! * `//` unions the alternatives that reach one target in visit order.
 //!
-//! Like the rewriting module, the dynamic program tables results *per
-//! target node* rather than merging all reached nodes into one expression
-//! (see the `crate::rewrite` module docs for why the merged
-//! combination can be unsound).
+//! The shared cases do the rest: dead labels prune to `∅`
+//! (non-existence constraints), and wildcards and `//` expand into the
+//! precise label paths the DTD allows (`recProc`). Before the DP runs,
+//! every filter `p[q]` is rewritten to `p/ε[q]`, so the shared filter
+//! case meets qualifiers only at `ε`, the form case 7 is stated for.
 //!
 //! Recursive document DTDs are outside Fig. 10's DAG setting (§5.1
 //! restricts to non-recursive DTDs and refers back to §4.2), but the
@@ -37,9 +42,8 @@ pub mod image;
 pub mod simulate;
 
 use crate::error::Result;
-use crate::rewrite::{continue_from_text, kleene_reach, Target, ViewGraph};
+use crate::rewrite::{merge_tables, Rules, Table, ViewGraph};
 use constraints::QualEval;
-use std::collections::{BTreeMap, HashMap};
 use sxv_dtd::{Dtd, DtdGraph};
 use sxv_xpath::{Path, Qualifier};
 
@@ -47,8 +51,7 @@ use sxv_xpath::{Path, Qualifier};
 /// Recursive DTDs are handled directly: `//` expands through Kleene
 /// closures instead of requiring a height-bounded unfolding.
 pub fn optimize(dtd: &Dtd, p: &Path) -> Result<Path> {
-    let graph = ViewGraph::from_dtd(dtd);
-    optimize_over(dtd, &graph, p)
+    Ok(optimize_over(dtd, &ViewGraph::from_dtd(dtd), p))
 }
 
 /// Optimize over a recursive document DTD by unfolding it to the height
@@ -56,8 +59,7 @@ pub fn optimize(dtd: &Dtd, p: &Path) -> Result<Path> {
 /// Kept as a differential-testing oracle for the direct closure-based
 /// expansion; also valid for DAG DTDs, where it bounds path lengths.
 pub fn optimize_with_height(dtd: &Dtd, p: &Path, height: usize) -> Result<Path> {
-    let graph = ViewGraph::from_dtd_unfolded(dtd, height)?;
-    optimize_over(dtd, &graph, p)
+    Ok(optimize_over(dtd, &ViewGraph::from_dtd_unfolded(dtd, height)?, p))
 }
 
 /// Approximate XPath containment in the presence of a (DAG) DTD —
@@ -76,11 +78,8 @@ pub fn approx_contained(dtd: &Dtd, p1: &Path, p2: &Path) -> bool {
 /// Optimize `p` over `graph`, the document-DTD graph of `dtd`. The engine
 /// passes the graph it built once, so `recProc` tables carry over from
 /// one query to the next; [`optimize`] passes a fresh one.
-pub(crate) fn optimize_over(dtd: &Dtd, graph: &ViewGraph, p: &Path) -> Result<Path> {
-    let normalized = normalize_filters(p);
-    let mut o = Optimizer { eval: QualEval { graph, dtd }, graph, memo: HashMap::new() };
-    let table = o.opt(&normalized, graph.root_node());
-    Ok(Path::union_all(table.into_values()))
+pub(crate) fn optimize_over(dtd: &Dtd, graph: &ViewGraph, p: &Path) -> Path {
+    graph.translate(&normalize_filters(p), &Fig10(QualEval { graph, dtd }))
 }
 
 /// Rewrite `p[q]` (general base) to `p/ε[q]`, so the DP only meets
@@ -118,217 +117,42 @@ fn normalize_qual(q: &Qualifier) -> Qualifier {
     }
 }
 
-type Table = BTreeMap<Target, Path>;
+/// Fig. 10 over a document-DTD graph: `//` unions its alternatives in
+/// visit order, case (6) drops a union arm contained in its sibling,
+/// attribute tests stay as written (every declared attribute is visible
+/// over the document), and case (7) decides each qualifier against the
+/// DTD's constraints.
+struct Fig10<'a>(QualEval<'a>);
 
-struct Optimizer<'a> {
-    eval: QualEval<'a>,
-    graph: &'a ViewGraph,
-    /// Memo for the DP: (sub-query address, node) → table. Per call:
-    /// addresses are reused from one query to the next.
-    memo: HashMap<(usize, usize), Table>,
-}
-
-impl<'a> Optimizer<'a> {
-    /// `opt(p', A)` as a per-target table.
-    fn opt(&mut self, p: &Path, node: usize) -> Table {
-        let key = (p as *const Path as usize, node);
-        if let Some(hit) = self.memo.get(&key) {
-            return hit.clone();
-        }
-        let mut out = Table::new();
-        match p {
-            // Case (1).
-            Path::Empty => {
-                out.insert(Target::Node(node), Path::Empty);
-            }
-            Path::EmptySet => {}
-            Path::Doc => {
-                out.insert(Target::Node(self.graph.doc_node()), Path::Doc);
-            }
-            // Case (2): prune labels the DTD forbids.
-            Path::Label(l) => {
-                for c in self.graph.children_of(node) {
-                    if self.graph.label_of(c) == l {
-                        out.insert(Target::Node(c), Path::label(l.clone()));
-                    }
-                }
-            }
-            // Case (3): expand the wildcard into the allowed labels.
-            Path::Wildcard => {
-                for c in self.graph.children_of(node) {
-                    out.insert(Target::Node(c), Path::label(self.graph.label_of(c).to_string()));
-                }
-            }
-            // text() survives only at str-production nodes.
-            Path::Text => {
-                if self.graph.has_text(node) {
-                    out.insert(Target::TextOf(node), Path::Text);
-                }
-            }
-            // Case (4).
-            Path::Step(p1, p2) => {
-                let first = self.opt(p1, node);
-                for (t, q1) in first {
-                    match t {
-                        Target::Node(v) => {
-                            for (w, q2) in self.opt(p2, v) {
-                                merge(&mut out, w, Path::step(q1.clone(), q2));
-                            }
-                        }
-                        Target::TextOf(_) => {
-                            let q2 = continue_from_text(p2);
-                            let composed = Path::step(q1, q2);
-                            if !composed.is_empty_set() {
-                                merge(&mut out, t, composed);
-                            }
-                        }
-                    }
-                }
-            }
-            // Case (5): expand `//` through the precomputed recrw paths.
-            Path::Descendant(p1) => {
-                let graph = self.graph;
-                // descendant-or-self includes text nodes: a nullable `p1`
-                // keeps them, so str-production nodes contribute their text
-                // children too (mirrors the rewrite module's `//` case).
-                let text_cont = continue_from_text(p1);
-                for &(b, ref prefix) in graph.rec_proc(node) {
-                    if prefix.is_empty_set() {
-                        continue;
-                    }
-                    for (w, q) in self.opt(p1, b) {
-                        merge(&mut out, w, Path::step(prefix.clone(), q));
-                    }
-                    if graph.has_text(b) && !text_cont.is_empty_set() {
-                        merge(
-                            &mut out,
-                            Target::TextOf(b),
-                            Path::step(prefix.clone(), Path::step(Path::Text, text_cont.clone())),
-                        );
-                    }
-                }
-            }
-            // Kleene closure: discover the graph whose edge x→y is p1's
-            // per-target optimization at x, then Kleene-eliminate it
-            // (shared with the rewrite module's closure translation).
-            // Text targets are closure endpoints — text is a leaf.
-            Path::Closure(p1) => {
-                let mut nodes: Vec<usize> = vec![node];
-                let mut edges: HashMap<(usize, usize), Path> = HashMap::new();
-                let mut texts: Vec<(usize, usize, Path)> = Vec::new();
-                let mut i = 0;
-                while i < nodes.len() {
-                    let x = nodes[i];
-                    i += 1;
-                    for (t, q) in self.opt(p1, x) {
-                        match t {
-                            Target::Node(y) => {
-                                match edges.remove(&(x, y)) {
-                                    Some(prev) => {
-                                        edges.insert((x, y), Path::union(prev, q));
-                                    }
-                                    None => {
-                                        edges.insert((x, y), q);
-                                    }
-                                }
-                                if !nodes.contains(&y) {
-                                    nodes.push(y);
-                                }
-                            }
-                            Target::TextOf(ty) => texts.push((x, ty, q)),
-                        }
-                    }
-                }
-                let reach_expr = kleene_reach(&nodes, &edges, node);
-                for (&y, e) in &reach_expr {
-                    if !e.is_empty_set() {
-                        merge(&mut out, Target::Node(y), e.clone());
-                    }
-                }
-                for (x, ty, q) in texts {
-                    let prefix = &reach_expr[&x];
-                    if !prefix.is_empty_set() {
-                        merge(&mut out, Target::TextOf(ty), Path::step(prefix.clone(), q));
-                    }
-                }
-            }
-            // Case (6): containment-based union reduction.
-            Path::Union(p1, p2) => {
-                let t1 = self.opt(p1, node);
-                let t2 = self.opt(p2, node);
-                let o1 = Path::union_all(t1.values().cloned());
-                let o2 = Path::union_all(t2.values().cloned());
-                if self.eval.contained_in(&o1, &o2, node) {
-                    out = t2;
-                } else if self.eval.contained_in(&o2, &o1, node) {
-                    out = t1;
-                } else {
-                    out = t1;
-                    for (w, q) in t2 {
-                        merge(&mut out, w, q);
-                    }
-                }
-            }
-            // Case (7): qualifier evaluation against DTD constraints.
-            Path::Filter(base, q) => {
-                debug_assert!(matches!(**base, Path::Empty), "filters normalized to ε[q]");
-                let opt_q = self.opt_qual(q, node);
-                match opt_q {
-                    Qualifier::False => {}
-                    Qualifier::True => {
-                        out.insert(Target::Node(node), Path::Empty);
-                    }
-                    simplified => {
-                        out.insert(Target::Node(node), Path::filter(Path::Empty, simplified));
-                    }
-                }
-            }
-        }
-        self.memo.insert(key, out.clone());
-        out
+impl Rules for Fig10<'_> {
+    fn descendant(&self, alternatives: Vec<Path>) -> Path {
+        Path::union_all(alternatives)
     }
 
-    /// Optimize a qualifier: recursively optimize its paths (pruning dead
-    /// branches), then apply the constraint/containment simplifications.
-    fn opt_qual(&mut self, q: &Qualifier, node: usize) -> Qualifier {
-        let structural = match q {
-            Qualifier::Path(p) => {
-                let t = self.opt(p, node);
-                Qualifier::path(Path::union_all(t.into_values()))
-            }
-            Qualifier::Eq(p, c) => {
-                let t = self.opt(p, node);
-                let u = Path::union_all(t.into_values());
-                if u.is_empty_set() {
-                    Qualifier::False
-                } else {
-                    Qualifier::Eq(u, c.clone())
-                }
-            }
-            Qualifier::And(a, b) => Qualifier::and(self.opt_qual(a, node), self.opt_qual(b, node)),
-            Qualifier::Or(a, b) => Qualifier::or(self.opt_qual(a, node), self.opt_qual(b, node)),
-            Qualifier::Not(inner) => Qualifier::not(self.opt_qual(inner, node)),
-            other => other.clone(),
-        };
-        // `evaluate` re-runs truth analysis on the *original* shape too —
-        // co-existence facts are easier to see before path expansion — so
-        // try both and prefer a definite answer.
-        match self.eval.truth(q, node) {
+    fn union(&self, t1: Table, t2: Table, node: usize) -> Table {
+        let o1 = Path::union_all(t1.values().cloned());
+        let o2 = Path::union_all(t2.values().cloned());
+        if self.0.contained_in(&o1, &o2, node) {
+            t2
+        } else if self.0.contained_in(&o2, &o1, node) {
+            t1
+        } else {
+            merge_tables(t1, t2)
+        }
+    }
+
+    fn keeps_attribute(&self, _: usize, _: &str) -> bool {
+        true
+    }
+
+    /// `evaluate` re-runs truth analysis on the *original* shape too —
+    /// co-existence facts are easier to see before path expansion — so
+    /// try both and prefer a definite answer.
+    fn decide(&self, q: &Qualifier, translated: Qualifier, node: usize) -> Qualifier {
+        match self.0.truth(q, node) {
             Some(true) => Qualifier::True,
             Some(false) => Qualifier::False,
-            None => self.eval.evaluate(&structural, node),
-        }
-    }
-}
-
-fn merge(table: &mut Table, target: Target, q: Path) {
-    match table.get(&target) {
-        Some(existing) => {
-            let merged = Path::union(existing.clone(), q);
-            table.insert(target, merged);
-        }
-        None => {
-            table.insert(target, q);
+            None => self.0.evaluate(&translated, node),
         }
     }
 }

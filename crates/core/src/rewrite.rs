@@ -1,13 +1,23 @@
-//! Algorithm `rewrite` — §4, Fig. 6 of the paper.
+//! Algorithm `rewrite` — §4, Fig. 6 of the paper — and the dynamic
+//! program it shares with `optimize` (§5.2, Fig. 10).
 //!
 //! Transforms an XPath query `p` posed over a security view into an
 //! equivalent query `p_t` over the original document, so that
 //! `p(T_v) = p_t(T)` for every instance `T` — querying the view without
 //! ever materializing it.
 //!
-//! The dynamic program computes, for every sub-query `p'` and view-DTD
-//! node `A`, the *local translation* of `p'` at `A`. Two refinements over
-//! the letter of Fig. 6:
+//! The dynamic program computes, for every sub-query `p'` and graph node
+//! `A`, the *local translation* of `p'` at `A`. `optimize` "evaluates" a
+//! query over the document-DTD graph the way `rewrite` evaluates it over
+//! the view-DTD graph, so one memoized DP (`ViewGraph::translate`)
+//! serves both. The `Rules` trait names the four places where Fig. 10
+//! departs from Fig. 6: how the alternatives by which `//` reaches one
+//! target combine, how union arms combine (Fig. 10 case 6 drops an arm
+//! contained in its sibling), whether an attribute test stays as
+//! written, and how a translated qualifier is decided (case 7). This
+//! module holds Fig. 6's rules; `crate::optimize` holds Fig. 10's.
+//!
+//! Two refinements over the letter of Fig. 6:
 //!
 //! * **Per-target tables.** Fig. 6 stores one `rw(p', A)` and one
 //!   `reach(p', A)` set, and combines steps as
@@ -23,7 +33,7 @@
 //!   symbolic per-node accumulation over the DAG in topological order, so
 //!   each intermediate node's path expression is built once and reused
 //!   (`recrw(a, g) = (l_b ∪ ε)/l_c/(l_e ∪ l_f)/l_g` for Fig. 7(a)).
-//!   It depends only on the view, so [`ViewGraph`] computes each node's
+//!   It depends only on the graph, so [`ViewGraph`] computes each node's
 //!   table once and every query translated over the graph shares it.
 //!
 //! **Recursive views** (§4.2): over a cyclic view DTD `//` has
@@ -278,7 +288,7 @@ impl ViewGraph {
     }
 
     /// Is `attr` visible on (view) elements at this node?
-    pub fn attribute_visible(&self, node: usize, attr: &str) -> bool {
+    fn attribute_visible(&self, node: usize, attr: &str) -> bool {
         self.attrs[node].iter().any(|a| a == attr)
     }
 
@@ -345,9 +355,15 @@ impl ViewGraph {
 
     /// Rewrite a query evaluated at the view root (per-target tables).
     pub fn rewrite(&self, p: &Path) -> Result<Path> {
-        let mut ctx = Rewriter { graph: self, memo: HashMap::new() };
-        let table = ctx.rw_path(p, self.root)?;
-        Ok(Path::union_all(table.into_values()))
+        Ok(self.translate(p, &Fig6(self)))
+    }
+
+    /// Translate `p`, evaluated at the root, by the per-target dynamic
+    /// program under `rules`: Fig. 6's for [`ViewGraph::rewrite`],
+    /// Fig. 10's for `optimize`.
+    pub(crate) fn translate(&self, p: &Path, rules: &impl Rules) -> Path {
+        let mut dp = Dp { graph: self, rules, memo: HashMap::new() };
+        Path::union_all(dp.path(p, self.root).into_values())
     }
 
     fn sigma_edge(&self, a: usize, b: usize) -> &Path {
@@ -627,63 +643,111 @@ pub enum Target {
 }
 
 /// Per-target translation table: target → document query.
-type Table = BTreeMap<Target, Path>;
+pub(crate) type Table = BTreeMap<Target, Path>;
 
-struct Rewriter<'a> {
+/// The four places where `optimize` (§5.2, Fig. 10) departs from
+/// `rewrite` (§4, Fig. 6). Every other case is the one dynamic program
+/// of [`ViewGraph::translate`].
+pub(crate) trait Rules {
+    /// Combine the alternatives by which `//` reaches one target, given
+    /// in visit order.
+    fn descendant(&self, alternatives: Vec<Path>) -> Path;
+    /// Combine the tables of a union's two arms at `node`.
+    fn union(&self, t1: Table, t2: Table, node: usize) -> Table;
+    /// Does a test of attribute `attr` at `node` stay as written? If
+    /// not, the test is false.
+    fn keeps_attribute(&self, node: usize, attr: &str) -> bool;
+    /// Decide qualifier `q` at `node`, given its translation.
+    fn decide(&self, q: &Qualifier, translated: Qualifier, node: usize) -> Qualifier;
+}
+
+/// Fig. 6 over a view graph: `//` factors the prefixes that reach one
+/// target, a union keeps both arms, an attribute the view hides is
+/// absent from the user's perspective (its test is false; visible
+/// attributes live on the same document nodes), and a translated
+/// qualifier stands as it is.
+struct Fig6<'a>(&'a ViewGraph);
+
+impl Rules for Fig6<'_> {
+    fn descendant(&self, alternatives: Vec<Path>) -> Path {
+        factored_union(alternatives)
+    }
+
+    fn union(&self, t1: Table, t2: Table, _: usize) -> Table {
+        merge_tables(t1, t2)
+    }
+
+    fn keeps_attribute(&self, node: usize, attr: &str) -> bool {
+        self.0.attribute_visible(node, attr)
+    }
+
+    fn decide(&self, _: &Qualifier, translated: Qualifier, _: usize) -> Qualifier {
+        translated
+    }
+}
+
+/// One translation: the graph, its rules and the memo of the DP.
+struct Dp<'a, R> {
     graph: &'a ViewGraph,
-    /// Memo for the DP: (sub-query address, node) → table. Per call:
-    /// addresses are reused from one query to the next.
+    rules: &'a R,
+    /// (sub-query address, node) → table. Per call: addresses are
+    /// reused from one query to the next.
     memo: HashMap<(usize, usize), Table>,
 }
 
-impl<'a> Rewriter<'a> {
-    fn rw_path(&mut self, p: &Path, node: usize) -> Result<Table> {
+impl<R: Rules> Dp<'_, R> {
+    /// The per-target table of `p` at `node`. Case numbers are Fig. 10's.
+    fn path(&mut self, p: &Path, node: usize) -> Table {
         let key = (p as *const Path as usize, node);
         if let Some(hit) = self.memo.get(&key) {
-            return Ok(hit.clone());
+            return hit.clone();
         }
+        let graph = self.graph;
         let mut out = Table::new();
         match p {
+            // Case (1).
             Path::Empty => {
                 out.insert(Target::Node(node), Path::Empty);
             }
             Path::EmptySet => {}
             Path::Doc => {
-                out.insert(Target::Node(self.graph.doc_node), Path::Doc);
+                out.insert(Target::Node(graph.doc_node), Path::Doc);
             }
+            // Cases (2) and (3): a label or wildcard reaches the children
+            // it names, each through its σ edge; labels the graph does not
+            // allow prune to ∅.
             Path::Label(l) => {
-                for &c in &self.graph.children[node] {
-                    if self.graph.labels[c] == *l {
-                        merge(&mut out, Target::Node(c), self.graph.sigma_edge(node, c).clone());
+                for &c in &graph.children[node] {
+                    if graph.labels[c] == *l {
+                        merge(&mut out, Target::Node(c), graph.sigma_edge(node, c).clone());
                     }
                 }
             }
             Path::Wildcard => {
-                for &c in &self.graph.children[node] {
-                    merge(&mut out, Target::Node(c), self.graph.sigma_edge(node, c).clone());
+                for &c in &graph.children[node] {
+                    merge(&mut out, Target::Node(c), graph.sigma_edge(node, c).clone());
                 }
             }
             // text() lands on the text content of a `str`-production node;
             // over the document the same node's text children are selected.
             Path::Text => {
-                if self.graph.has_text[node] {
+                if graph.has_text[node] {
                     out.insert(Target::TextOf(node), Path::Text);
                 }
             }
+            // Case (4).
             Path::Step(p1, p2) => {
-                let first = self.rw_path(p1, node)?;
-                for (t, q1) in first {
+                for (t, q1) in self.path(p1, node) {
                     match t {
                         Target::Node(v) => {
-                            for (w, q2) in self.rw_path(p2, v)? {
+                            for (w, q2) in self.path(p2, v) {
                                 merge(&mut out, w, Path::step(q1.clone(), q2));
                             }
                         }
                         // From a text node only ε (and qualifiers on the
                         // text itself) can continue; everything else is ∅.
                         Target::TextOf(_) => {
-                            let q2 = continue_from_text(p2);
-                            let composed = Path::step(q1, q2);
+                            let composed = Path::step(q1, continue_from_text(p2));
                             if !composed.is_empty_set() {
                                 merge(&mut out, t, composed);
                             }
@@ -691,8 +755,8 @@ impl<'a> Rewriter<'a> {
                     }
                 }
             }
+            // Case (5): `//` through the precomputed `recProc` paths.
             Path::Descendant(p1) => {
-                let graph = self.graph;
                 let mut branches: BTreeMap<Target, Vec<Path>> = BTreeMap::new();
                 // `//` expands to descendant-or-self, which includes *text*
                 // nodes; when `p1` is nullable (e.g. `//(l | ε)`) those text
@@ -704,7 +768,7 @@ impl<'a> Rewriter<'a> {
                     if prefix.is_empty_set() {
                         continue;
                     }
-                    for (w, q) in self.rw_path(p1, b)? {
+                    for (w, q) in self.path(p1, b) {
                         branches.entry(w).or_default().push(Path::step(prefix.clone(), q));
                     }
                     if graph.has_text[b] && !text_cont.is_empty_set() {
@@ -714,18 +778,19 @@ impl<'a> Rewriter<'a> {
                         ));
                     }
                 }
-                for (w, alts) in branches {
-                    merge(&mut out, w, factored_union(alts));
-                }
+                out = branches
+                    .into_iter()
+                    .map(|(w, alts)| (w, self.rules.descendant(alts)))
+                    .collect();
             }
+            // Case (6).
             Path::Union(p1, p2) => {
-                out = self.rw_path(p1, node)?;
-                for (w, q) in self.rw_path(p2, node)? {
-                    merge(&mut out, w, q);
-                }
+                let t1 = self.path(p1, node);
+                let t2 = self.path(p2, node);
+                out = self.rules.union(t1, t2, node);
             }
             Path::Closure(p1) => {
-                // `(p1)*` over the view: discover the graph whose edge
+                // `(p1)*` over the graph: discover the graph whose edge
                 // x→y is p1's per-target translation at x, then Kleene-
                 // eliminate it — the same machinery recProc uses for
                 // cyclic σ graphs. Text targets are closure endpoints
@@ -737,7 +802,7 @@ impl<'a> Rewriter<'a> {
                 while i < nodes.len() {
                     let x = nodes[i];
                     i += 1;
-                    for (t, q) in self.rw_path(p1, x)? {
+                    for (t, q) in self.path(p1, x) {
                         match t {
                             Target::Node(y) => {
                                 match edges.remove(&(x, y)) {
@@ -769,10 +834,12 @@ impl<'a> Rewriter<'a> {
                     }
                 }
             }
+            // Case (7), for the `ε[q]` that `optimize` normalizes every
+            // filter to; `rewrite` filters any base.
             Path::Filter(base, q) => {
-                for (t, qb) in self.rw_path(base, node)? {
+                for (t, qb) in self.path(base, node) {
                     let rq = match t {
-                        Target::Node(v) => self.rw_qual(q, v)?,
+                        Target::Node(v) => self.qual(q, v),
                         Target::TextOf(_) => text_qual(q),
                     };
                     let filtered = Path::filter(qb, rq);
@@ -783,52 +850,51 @@ impl<'a> Rewriter<'a> {
             }
         }
         self.memo.insert(key, out.clone());
-        Ok(out)
+        out
     }
 
-    fn rw_qual(&mut self, q: &Qualifier, node: usize) -> Result<Qualifier> {
-        Ok(match q {
+    /// Translate qualifier `q` at `node`, then let the rules decide it.
+    fn qual(&mut self, q: &Qualifier, node: usize) -> Qualifier {
+        let translated = match q {
             Qualifier::True | Qualifier::False => q.clone(),
-            // Attribute tests: an attribute hidden by the view is absent
-            // from the user's perspective, so its test is false; visible
-            // attributes live on the same document nodes and pass through.
             Qualifier::Attr(a) | Qualifier::AttrEq(a, _) => {
-                if self.graph.attribute_visible(node, a) {
+                if self.rules.keeps_attribute(node, a) {
                     q.clone()
                 } else {
                     Qualifier::False
                 }
             }
             Qualifier::Path(p) => {
-                let table = self.rw_path(p, node)?;
-                Qualifier::path(Path::union_all(table.into_values()))
+                Qualifier::path(Path::union_all(self.path(p, node).into_values()))
             }
             Qualifier::Eq(p, c) => {
-                let table = self.rw_path(p, node)?;
-                let union = Path::union_all(table.into_values());
+                let union = Path::union_all(self.path(p, node).into_values());
                 if union.is_empty_set() {
                     Qualifier::False
                 } else {
                     Qualifier::Eq(union, c.clone())
                 }
             }
-            Qualifier::And(a, b) => Qualifier::and(self.rw_qual(a, node)?, self.rw_qual(b, node)?),
-            Qualifier::Or(a, b) => Qualifier::or(self.rw_qual(a, node)?, self.rw_qual(b, node)?),
-            Qualifier::Not(inner) => Qualifier::not(self.rw_qual(inner, node)?),
-        })
+            Qualifier::And(a, b) => Qualifier::and(self.qual(a, node), self.qual(b, node)),
+            Qualifier::Or(a, b) => Qualifier::or(self.qual(a, node), self.qual(b, node)),
+            Qualifier::Not(inner) => Qualifier::not(self.qual(inner, node)),
+        };
+        self.rules.decide(q, translated, node)
     }
 }
 
+/// Add `q` to `target`'s entry as one more union arm.
 fn merge(table: &mut Table, target: Target, q: Path) {
-    match table.get(&target) {
-        Some(existing) => {
-            let merged = Path::union(existing.clone(), q);
-            table.insert(target, merged);
-        }
-        None => {
-            table.insert(target, q);
-        }
+    let slot = table.entry(target).or_insert(Path::EmptySet);
+    *slot = Path::union(std::mem::replace(slot, Path::EmptySet), q);
+}
+
+/// Both arms of a union, target by target.
+pub(crate) fn merge_tables(mut t1: Table, t2: Table) -> Table {
+    for (w, q) in t2 {
+        merge(&mut t1, w, q);
     }
+    t1
 }
 
 #[cfg(test)]

@@ -146,20 +146,6 @@ impl NodeBitmap {
         }
     }
 
-    /// Word-parallel difference: `self &= !other`.
-    ///
-    /// Length handling is explicit: ids beyond `self`'s domain are never
-    /// members of `self`, so a longer `other` has nothing extra to
-    /// remove and its tail words are deliberately ignored; a shorter
-    /// `other` subtracts nothing from `self`'s tail. Unlike
-    /// [`NodeBitmap::or_assign`], the truncating `zip` is exactly the
-    /// set-difference semantics.
-    pub fn and_not_assign(&mut self, other: &NodeBitmap) {
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            *w &= !o;
-        }
-    }
-
     /// Word-parallel complement over `0..len` (trailing bits beyond
     /// `len` stay clear so counts and iteration remain exact).
     pub fn negate(&mut self) {
@@ -265,9 +251,6 @@ mod tests {
         let mut or = a.clone();
         or.or_assign(&b);
         assert_eq!(or.to_ids(), ids(&[1, 5, 64, 100, 101]));
-        let mut diff = a.clone();
-        diff.and_not_assign(&b);
-        assert_eq!(diff.to_ids(), ids(&[1, 100]));
     }
 
     #[test]
@@ -290,16 +273,6 @@ mod tests {
         let mut inter = NodeBitmap::from_ids(200, &ids(&[3, 70, 199]));
         inter.and_assign(&NodeBitmap::from_ids(10, &ids(&[3])));
         assert_eq!(inter.to_ids(), ids(&[3]));
-
-        // and_not_assign: a longer other removes only ids inside self's
-        // domain; a shorter one leaves self's tail alone.
-        let mut diff = NodeBitmap::from_ids(10, &ids(&[1, 9]));
-        diff.and_not_assign(&NodeBitmap::from_ids(200, &ids(&[9, 64])));
-        assert_eq!(diff.to_ids(), ids(&[1]));
-        assert_eq!(diff.len(), 10, "difference never changes self's domain");
-        let mut keep = NodeBitmap::from_ids(200, &ids(&[5, 150]));
-        keep.and_not_assign(&NodeBitmap::from_ids(10, &ids(&[5])));
-        assert_eq!(keep.to_ids(), ids(&[150]));
     }
 
     #[test]

@@ -331,12 +331,6 @@ impl DocIndex {
         self.depth.as_slice()[v.index()]
     }
 
-    /// Number of nodes (elements + text) in the subtree of `v`, `v`
-    /// included — the interval width, an O(1) cost estimate for scans.
-    pub fn subtree_size(&self, v: NodeId) -> usize {
-        self.subtree_end.as_slice()[v.index()] as usize - v.index() + 1
-    }
-
     /// The interned id of `label` at index-build time, if it occurs.
     pub fn label_id(&self, label: &str) -> Option<LabelId> {
         self.name_ids.get(label).copied()
@@ -408,11 +402,6 @@ impl DocIndex {
     /// All text nodes inside the subtree of `v`, in document order.
     pub fn text_descendants(&self, v: NodeId) -> &[NodeId] {
         slice_in_range(self.text_nodes.as_ids(), v, self.subtree_end(v))
-    }
-
-    /// Total occurrences of a label in the document.
-    pub fn label_count(&self, label: &str) -> usize {
-        self.label_list(label).len()
     }
 
     /// XPath string value of `v` without walking the subtree: the text
@@ -567,7 +556,6 @@ mod tests {
         assert_eq!(idx.labelled_descendants("b", outer_a).len(), 2);
         assert_eq!(idx.labelled_descendants("a", outer_a).len(), 1, "nested a only");
         assert_eq!(idx.labelled_descendants("zzz", root).len(), 0);
-        assert_eq!(idx.label_count("b"), 3);
     }
 
     #[test]
@@ -600,7 +588,7 @@ mod tests {
     fn empty_document() {
         let d = Document::new();
         let idx = DocIndex::new(&d).unwrap();
-        assert_eq!(idx.label_count("a"), 0);
+        assert!(idx.label_list("a").is_empty());
         assert!(idx.element_nodes().is_empty());
         assert!(idx.label_graph().is_none(), "no root, no graph");
         assert!(!idx.conforms_to(&LabelGraph::new("a", Vec::<(&str, &str)>::new())));
@@ -769,7 +757,6 @@ mod tests {
         let d = doc();
         let idx = DocIndex::new(&d).unwrap();
         let root = d.root().unwrap();
-        assert_eq!(idx.subtree_size(root), d.len());
         assert_eq!(idx.label_list("b").len(), 3);
         assert_eq!(idx.label_list("nope").len(), 0);
         assert_eq!(idx.element_nodes().len(), d.element_count());

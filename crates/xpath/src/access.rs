@@ -354,27 +354,6 @@ impl AccessView {
         self.dummy_lists.get(label).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Is `v` a proper *view* descendant of `anc`? Walks the view-parent
-    /// chain (which strictly descends in node id, so it terminates fast
-    /// and can stop early once it passes below `anc`).
-    pub fn is_view_descendant(&self, v: NodeId, anc: NodeId) -> bool {
-        // Every view node is a view descendant of the root.
-        if Some(anc) == self.root {
-            return v != anc && self.in_view(v);
-        }
-        let mut cur = self.view_parent(v);
-        while let Some(p) = cur {
-            if p == anc {
-                return true;
-            }
-            if p < anc {
-                return false;
-            }
-            cur = self.view_parent(p);
-        }
-        false
-    }
-
     /// Does the *view* node sourced at `v` match `test`? (A member's
     /// view label is its document label; a dummy's is its minted name.)
     pub fn test_matches(&self, doc: &Document, v: NodeId, test: &AxisTest) -> bool {
@@ -528,23 +507,6 @@ mod tests {
         assert_eq!(av.dummy_list("dummy1"), &[b]);
         assert_eq!(av.member_count(), 3);
         assert_eq!(av.dummy_count(), 1);
-    }
-
-    #[test]
-    fn view_descendant_chain_walk() {
-        let (_, av) = sample();
-        let (r, hide, a, t) = (
-            NodeId::from_index(0),
-            NodeId::from_index(1),
-            NodeId::from_index(2),
-            NodeId::from_index(3),
-        );
-        assert!(av.is_view_descendant(t, r));
-        assert!(av.is_view_descendant(t, a));
-        assert!(av.is_view_descendant(a, r));
-        assert!(!av.is_view_descendant(a, a));
-        assert!(!av.is_view_descendant(hide, r), "non-members are not view nodes");
-        assert!(!av.is_view_descendant(r, a));
     }
 
     #[test]

@@ -95,11 +95,6 @@ impl EvalStats {
         self.interval_probes += other.interval_probes;
     }
 
-    /// Zero every counter (reuse one struct across evaluations).
-    pub fn reset(&mut self) {
-        *self = EvalStats::default();
-    }
-
     /// Run one qualifier check, counting it — the shared helper every
     /// evaluator's `Filter` branch goes through, so the counting
     /// discipline lives in exactly one place.
@@ -309,7 +304,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_reset_absorb_and_counted_check() {
+    fn stats_absorb_and_counted_check() {
         let mut a = EvalStats { nodes_touched: 3, qualifier_checks: 1, ..EvalStats::default() };
         let b = EvalStats { nodes_touched: 2, index_lookups: 5, ..EvalStats::default() };
         a.absorb(b);
@@ -322,8 +317,6 @@ mod tests {
         });
         assert!(hit);
         assert_eq!((a.qualifier_checks, a.index_lookups), (2, 6));
-        a.reset();
-        assert_eq!(a, EvalStats::default());
     }
 
     #[test]
