@@ -1,7 +1,8 @@
 //! Golden-file snapshots of `sxv explain` over the paper's Table 1
 //! queries (§6) under the Adex policy of `assets/adex_section6.spec`,
-//! the recursive BOM contractor view, and the hospital nurse view, and
-//! of the `sxv rewrite` translations of the five shipped policies.
+//! the recursive BOM contractor view, and the hospital nurse view, of
+//! the `sxv rewrite` translations of the five shipped policies, and of
+//! the plan executor's work counters.
 //!
 //! Explain prints the engine's cached `auto` plan, the one every serving
 //! surface runs. It is costed from DTD-derived expected cardinalities,
@@ -15,10 +16,16 @@
 //! ```
 
 use secure_xml_views::core::{
-    certify_traced, derive_view, AccessSpec, Approach, PlanPolicy, SecureEngine,
+    certify_traced, derive_view, dtd_cost_model, AccessSpec, Approach, NaiveBaseline, PlanPolicy,
+    SecureEngine,
 };
 use secure_xml_views::dtd::parse_dtd;
-use secure_xml_views::xpath::parse as parse_xpath;
+use secure_xml_views::gen::{GenConfig, Generator};
+use secure_xml_views::xml::DocIndex;
+use secure_xml_views::xpath::{
+    compile, compile_annotate, parse as parse_xpath, CostModel, EQUIVALENCE_QUERIES,
+};
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -360,4 +367,116 @@ fn explain_prints_the_plan_the_engine_serves() {
             }
         }
     }
+}
+
+/// The approaches the counters snapshot runs, by their CLI names.
+const APPROACHES: [&str; 4] = ["naive", "rewrite", "optimize", "annotate"];
+
+/// Append one counters line per cell for `queries` under one policy,
+/// over a document generated from `config`: each approach's translation
+/// compiled under every planner policy with the DTD and the index cost
+/// model, then executed with and without an index. Naive plans run over
+/// the annotated copy (and its own index), annotate plans filter the
+/// document through its access view.
+fn counter_lines(
+    policy: [&str; 3],
+    binds: &[(&str, &str)],
+    queries: &[&str],
+    config: GenConfig,
+    out: &mut String,
+) {
+    let [dtd_path, root, spec_path] = policy;
+    let dtd = parse_dtd(&std::fs::read_to_string(dtd_path).unwrap(), root).unwrap();
+    let spec =
+        AccessSpec::parse(&dtd, &std::fs::read_to_string(spec_path).unwrap(), binds).unwrap();
+    let view = derive_view(&spec).unwrap();
+    let engine = SecureEngine::new(&spec, &view);
+    let doc = Generator::for_dtd(&dtd, config).generate().expect("consistent DTD");
+    let annotated = NaiveBaseline::annotate(&spec, &doc);
+    let (index, annotated_index) =
+        (DocIndex::new(&doc).unwrap(), DocIndex::new(&annotated).unwrap());
+    let access = engine.access_view(&doc, Some(&index));
+    let dtd_cost = dtd_cost_model(spec.dtd(), true);
+    let _ = writeln!(out, "## {spec_path}: {} nodes", doc.len());
+    for query in queries {
+        let p = parse_xpath(query).unwrap();
+        for name in APPROACHES {
+            let approach: Approach = name.parse().unwrap();
+            let translated = match engine.translate(&p, approach) {
+                Ok(t) => t,
+                Err(e) => {
+                    let _ = writeln!(out, "{query} | {name}: error {e}");
+                    continue;
+                }
+            };
+            let (d, idx, av) = match approach {
+                Approach::Naive => (&annotated, &annotated_index, None),
+                Approach::Annotate => (&doc, &index, Some(&*access)),
+                Approach::Rewrite | Approach::Optimize => (&doc, &index, None),
+            };
+            let costs = [("dtd", &dtd_cost), ("index", &CostModel::from_index(idx))];
+            for plan_policy in PlanPolicy::ALL {
+                for (cost_name, cost) in costs {
+                    let plan = if approach == Approach::Annotate {
+                        compile_annotate(&translated, plan_policy, cost)
+                    } else {
+                        compile(&translated, plan_policy, cost)
+                    };
+                    for (run, with) in [("idx", Some(idx)), ("scan", None)] {
+                        let (answer, s) = plan.execute_with_access(d, with, av);
+                        let _ = writeln!(
+                            out,
+                            "{query} | {name} {plan_policy} {cost_name} {run}: answers={} \
+                             touched={} quals={} lookups={} merges={} probes={}",
+                            answer.len(),
+                            s.nodes_touched,
+                            s.qualifier_checks,
+                            s.index_lookups,
+                            s.merge_steps,
+                            s.interval_probes
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn executor_counters_match_snapshot() {
+    // The plan executor's answer counts and work counters, per cell:
+    // bench-smoke's counter gate sees only indexed Adex rows, so this
+    // pins the unindexed paths (every naive cell serves that way) and
+    // annotate plans over the view tree as well.
+    let mut transcript = String::new();
+    counter_lines(
+        NURSE_POLICY,
+        &[("wardNo", "6")],
+        EQUIVALENCE_QUERIES,
+        GenConfig::seeded(7)
+            .with_max_branch(4)
+            .with_max_depth(32)
+            .with_values("wardNo", ["6", "7"])
+            .with_values("name", ["Ann", "Bob", "Cat"]),
+        &mut transcript,
+    );
+    counter_lines(
+        ["assets/adex.dtd", "adex", "assets/adex_section6.spec"],
+        &[],
+        &TABLE1.map(|(_, q)| q),
+        GenConfig::seeded(11).with_max_branch(6).with_min_branch(3).with_max_depth(64),
+        &mut transcript,
+    );
+    counter_lines(
+        ["assets/bom.dtd", "bom", "assets/bom_contractor.spec"],
+        &[],
+        &BOM.map(|(_, q)| q),
+        GenConfig::seeded(13)
+            .with_max_branch(2)
+            .with_min_branch(1)
+            .with_max_depth(12)
+            .with_values("partno", ["p-100", "p-200"]),
+        &mut transcript,
+    );
+    check_snapshot("counters.txt", &transcript);
 }
