@@ -1055,16 +1055,14 @@ fn run_op(ex: Exec, op: &PlanOp, ctx: &ExecSet, stats: &mut EvalStats) -> ExecSe
         },
         PlanOp::DocSeed => ExecSet::document(),
         PlanOp::EmptySet => ExecSet::empty(),
-        PlanOp::ChildWalk(axis) => child_walk(doc, ctx, axis, stats),
-        PlanOp::ChildMergeJoin(axis) => match idx {
-            Some(idx) => child_merge(doc, idx, ctx, axis, stats),
-            None => child_walk(doc, ctx, axis, stats),
+        PlanOp::ChildWalk(axis) | PlanOp::ChildMergeJoin(axis) => match idx {
+            Some(idx) if matches!(op, PlanOp::ChildMergeJoin(_)) => {
+                child_merge(doc, idx, ctx, axis, stats)
+            }
+            _ => child_step(doc, ctx, |v| doc.children(v), |c| axis.matches(doc, c), stats),
         },
-        PlanOp::DescendantSlice(axis) => match idx {
-            Some(idx) => descendant_slice(doc, idx, ctx, axis, stats),
-            None => descendant_scan(doc, ctx, axis, stats),
-        },
-        PlanOp::Fused(f) => fused_scan(ex, ctx, f, stats),
+        PlanOp::DescendantSlice(axis) => fused_scan(ex, ctx, axis, None, None, stats),
+        PlanOp::Fused(f) => fused_scan(ex, ctx, &f.axis, f.filter, f.qual.as_deref(), stats),
         PlanOp::DescendantExpand { or_self } => descendant_expand(doc, idx, ctx, *or_self, stats),
         PlanOp::UnionMerge(arms) => {
             let mut out = ExecSet::empty();
@@ -1075,15 +1073,16 @@ fn run_op(ex: Exec, op: &PlanOp, ctx: &ExecSet, stats: &mut EvalStats) -> ExecSe
         }
         PlanOp::ClosureExpand { body } => closure_expand(ex, body, ctx, stats),
         PlanOp::QualifierProbe(q) => qual_filter(ex, q, ctx, stats),
-        PlanOp::SchemaSlice(s) => {
-            if ex.slice_ok(s) {
-                fused_scan(ex, ctx, &s.scan, stats)
-            } else {
-                schema_chain(ex, s, ctx, stats)
-            }
+        PlanOp::SchemaSlice(s) if ex.slice_ok(s) => {
+            let f = &s.scan;
+            fused_scan(ex, ctx, &f.axis, f.filter, f.qual.as_deref(), stats)
         }
+        PlanOp::SchemaSlice(s) => schema_chain(ex, s, ctx, stats),
         PlanOp::BitmapFilter(f) => bitmap_filter(ex.access(), ctx, *f, stats),
-        PlanOp::ViewChild(axis) => view_child_step(doc, ex.access(), ctx, axis, stats),
+        PlanOp::ViewChild(axis) => {
+            let av = ex.access();
+            child_step(doc, ctx, |v| av.view_children(v), |c| av.test_matches(doc, c, axis), stats)
+        }
         PlanOp::ViewDescendant(axis) => view_descendant(ex, ex.access(), ctx, axis, stats),
         PlanOp::ViewExpand { or_self } => view_expand(ex.access(), ctx, *or_self, stats),
     }
@@ -1136,37 +1135,6 @@ fn bitmap_filter(
             ExecSet::from_sorted(rows.iter().copied().filter(|&v| bm.contains(v)).collect())
         }
     }
-}
-
-/// One child step over the view tree: CSR children lists plus the axis
-/// test on *view* labels. The document node's only view child is the
-/// root.
-fn view_child_step(
-    doc: &Document,
-    av: &AccessView,
-    ctx: &ExecSet,
-    axis: &AxisTest,
-    stats: &mut EvalStats,
-) -> ExecSet {
-    let mut out = ExecSet::empty();
-    if ctx.doc {
-        if let Some(root) = doc.root_opt() {
-            if av.test_matches(doc, root, axis) {
-                out.push(root);
-            }
-        }
-    }
-    stats.nodes_touched += ctx.ids().len() as u64;
-    for &v in ctx.ids() {
-        for &c in av.view_children(v) {
-            if av.test_matches(doc, c, axis) {
-                out.push(c);
-            }
-        }
-    }
-    // View children of nested context nodes can interleave in id order.
-    out.normalize();
-    out
 }
 
 /// Does some context node view-dominate `c`? Walks `c`'s view-parent
@@ -1265,36 +1233,41 @@ fn view_expand(av: &AccessView, ctx: &ExecSet, or_self: bool, stats: &mut EvalSt
     out
 }
 
-/// Candidate admission test of a [`FusedScan`]: the bitmap probe, then
+/// Candidate admission test of [`fused_scan`]: the bitmap probe, then
 /// the (counted) qualifier probe, each short-circuiting.
 fn fused_keep(
     ex: Exec,
-    f: &FusedScan,
     bm: Option<&NodeBitmap>,
+    qual: Option<&QualPlan>,
     v: NodeId,
     stats: &mut EvalStats,
 ) -> bool {
-    if let Some(bm) = bm {
-        if !bm.contains(v) {
-            return false;
-        }
-    }
-    match &f.qual {
-        Some(q) => stats.counted_check(|s| qual_probe(ex, q, &ExecSet::single(v), s)),
-        None => true,
-    }
+    bm.is_none_or(|bm| bm.contains(v))
+        && qual.is_none_or(|q| stats.counted_check(|s| qual_probe(ex, q, &ExecSet::single(v), s)))
 }
 
-/// The fused streaming scan: per pruned context root, candidates stream
-/// from the occurrence-list interval (or the degraded subtree scan)
-/// straight through the bitmap test and the qualifier probe —
-/// non-qualifying nodes never enter any intermediate set.
-fn fused_scan(ex: Exec, ctx: &ExecSet, f: &FusedScan, stats: &mut EvalStats) -> ExecSet {
+/// The descendant scan every `//axis` operator runs: `descendant-slice`
+/// (no bitmap, no qualifier), `fused-scan` and a `schema-slice`'s scan.
+/// Per pruned context root, candidates stream from the occurrence-list
+/// interval (or, without an index, the subtree scan) straight through
+/// the bitmap test and the qualifier probe — non-qualifying nodes never
+/// enter any intermediate set.
+fn fused_scan(
+    ex: Exec,
+    ctx: &ExecSet,
+    axis: &AxisTest,
+    filter: Option<AccessFilter>,
+    qual: Option<&QualPlan>,
+    stats: &mut EvalStats,
+) -> ExecSet {
     let doc = ex.doc;
-    let bm = f.filter.map(|flt| flt.bitmap(ex.access()));
+    let bm = filter.map(|flt| flt.bitmap(ex.access()));
     let mut out = ExecSet::empty();
     match ex.idx {
         Some(idx) => {
+            // The document node's descendant-or-self set is the whole
+            // tree plus itself; a child step from that reaches the root
+            // element too, which no tree interval covers — flag it.
             let (roots, include_root_match) = if ctx.doc {
                 match doc.root_opt() {
                     Some(r) => (vec![r], true),
@@ -1303,21 +1276,23 @@ fn fused_scan(ex: Exec, ctx: &ExecSet, f: &FusedScan, stats: &mut EvalStats) -> 
             } else {
                 (staircase(idx, ctx.ids(), stats), false)
             };
+            // Roots have disjoint, ascending intervals and `r` precedes
+            // its slice, so pushes stay sorted.
             for &r in &roots {
-                if include_root_match && f.axis.matches(doc, r) && fused_keep(ex, f, bm, r, stats) {
+                if include_root_match && axis.matches(doc, r) && fused_keep(ex, bm, qual, r, stats)
+                {
                     out.push(r);
                 }
-                let hits = f.axis.slice(idx, r);
+                let hits = axis.slice(idx, r);
                 stats.interval_probes += 1;
                 stats.nodes_touched += hits.len() as u64;
-                if bm.is_none() && f.qual.is_none() {
-                    // Nothing to test per candidate (a bare schema
-                    // slice): copy the interval.
+                if bm.is_none() && qual.is_none() {
+                    // Nothing to test per candidate: copy the interval.
                     out.extend_slice(hits);
                     continue;
                 }
                 for &h in hits {
-                    if fused_keep(ex, f, bm, h, stats) {
+                    if fused_keep(ex, bm, qual, h, stats) {
                         out.push(h);
                     }
                 }
@@ -1330,7 +1305,7 @@ fn fused_scan(ex: Exec, ctx: &ExecSet, f: &FusedScan, stats: &mut EvalStats) -> 
                 if let Some(root) = doc.root_opt() {
                     for v in doc.descendants_or_self(root) {
                         touched += 1;
-                        if f.axis.matches(doc, v) && fused_keep(ex, f, bm, v, stats) {
+                        if axis.matches(doc, v) && fused_keep(ex, bm, qual, v, stats) {
                             out.push(v);
                         }
                     }
@@ -1339,7 +1314,7 @@ fn fused_scan(ex: Exec, ctx: &ExecSet, f: &FusedScan, stats: &mut EvalStats) -> 
             for &v in ctx.ids() {
                 for d in doc.descendants(v) {
                     touched += 1;
-                    if f.axis.matches(doc, d) && fused_keep(ex, f, bm, d, stats) {
+                    if axis.matches(doc, d) && fused_keep(ex, bm, qual, d, stats) {
                         out.push(d);
                     }
                 }
@@ -1351,24 +1326,31 @@ fn fused_scan(ex: Exec, ctx: &ExecSet, f: &FusedScan, stats: &mut EvalStats) -> 
     }
 }
 
-/// Existence probe of a [`FusedScan`]: stream candidates per context
-/// node and exit at the first survivor — the short-circuit per-context
-/// exit fused qualifier pipelines get for free.
-fn fused_scan_any(ex: Exec, ctx: &ExecSet, f: &FusedScan, stats: &mut EvalStats) -> bool {
+/// Existence probe of [`fused_scan`]: stream candidates per context
+/// node and exit at the first survivor.
+fn fused_scan_any(
+    ex: Exec,
+    ctx: &ExecSet,
+    axis: &AxisTest,
+    filter: Option<AccessFilter>,
+    qual: Option<&QualPlan>,
+    stats: &mut EvalStats,
+) -> bool {
     let doc = ex.doc;
-    let bm = f.filter.map(|flt| flt.bitmap(ex.access()));
+    let bm = filter.map(|flt| flt.bitmap(ex.access()));
     match ex.idx {
         Some(idx) => {
             if ctx.doc {
-                // Same interval subsumption as the unfused probe: the
-                // root slice covers every context id's slice, so decide
-                // on the document probe alone (one interval_probes
-                // count, no per-id re-entry).
+                // The root's interval contains every element context's,
+                // so the document probe alone decides (one
+                // interval_probes count, no per-id re-entry).
                 return match doc.root_opt() {
                     Some(root) => {
-                        (f.axis.matches(doc, root) && fused_keep(ex, f, bm, root, stats)) || {
+                        (axis.matches(doc, root) && fused_keep(ex, bm, qual, root, stats)) || {
                             stats.interval_probes += 1;
-                            f.axis.slice(idx, root).iter().any(|&h| fused_keep(ex, f, bm, h, stats))
+                            axis.slice(idx, root)
+                                .iter()
+                                .any(|&h| fused_keep(ex, bm, qual, h, stats))
                         }
                     }
                     None => false,
@@ -1376,14 +1358,14 @@ fn fused_scan_any(ex: Exec, ctx: &ExecSet, f: &FusedScan, stats: &mut EvalStats)
             }
             ctx.ids().iter().any(|&v| {
                 stats.interval_probes += 1;
-                f.axis.slice(idx, v).iter().any(|&h| fused_keep(ex, f, bm, h, stats))
+                axis.slice(idx, v).iter().any(|&h| fused_keep(ex, bm, qual, h, stats))
             })
         }
         None => {
             if ctx.doc {
                 if let Some(root) = doc.root_opt() {
                     for v in doc.descendants_or_self(root) {
-                        if f.axis.matches(doc, v) && fused_keep(ex, f, bm, v, stats) {
+                        if axis.matches(doc, v) && fused_keep(ex, bm, qual, v, stats) {
                             return true;
                         }
                     }
@@ -1391,8 +1373,8 @@ fn fused_scan_any(ex: Exec, ctx: &ExecSet, f: &FusedScan, stats: &mut EvalStats)
             }
             ctx.ids().iter().any(|&v| {
                 doc.descendants(v)
-                    .filter(|&d| f.axis.matches(doc, d))
-                    .any(|d| fused_keep(ex, f, bm, d, stats))
+                    .filter(|&d| axis.matches(doc, d))
+                    .any(|d| fused_keep(ex, bm, qual, d, stats))
             })
         }
     }
@@ -1429,28 +1411,49 @@ fn closure_expand(ex: Exec, body: &[PlanNode], ctx: &ExecSet, stats: &mut EvalSt
     ExecSet { doc: acc_doc, rows: Rows::Sorted(visited.to_ids()) }
 }
 
-/// Child step by walking children lists (the document node's only child
-/// is the root element).
-fn child_walk(doc: &Document, ctx: &ExecSet, axis: &AxisTest, stats: &mut EvalStats) -> ExecSet {
+/// One child step by walking children lists: `kids` gives a node's
+/// children (the document's, or the view's CSR lists) and `test` keeps
+/// them (on document or view labels). The document node's only child is
+/// the root element. `child-walk`, a `child-merge-join` without an index
+/// and `view-child` all run it.
+fn child_step<'k>(
+    doc: &Document,
+    ctx: &ExecSet,
+    kids: impl Fn(NodeId) -> &'k [NodeId],
+    test: impl Fn(NodeId) -> bool,
+    stats: &mut EvalStats,
+) -> ExecSet {
     let mut out = ExecSet::empty();
-    if ctx.doc {
-        if let Some(root) = doc.root_opt() {
-            if axis.matches(doc, root) {
-                out.push(root);
-            }
-        }
+    if let Some(root) = doc.root_opt().filter(|&r| ctx.doc && test(r)) {
+        out.push(root);
     }
     stats.nodes_touched += ctx.ids().len() as u64;
     for &v in ctx.ids() {
-        for &c in doc.children(v) {
-            if axis.matches(doc, c) {
+        for &c in kids(v) {
+            if test(c) {
                 out.push(c);
             }
         }
     }
-    // Children of nested context nodes can interleave in document order.
+    // Children of nested context nodes can interleave in id order.
     out.normalize();
     out
+}
+
+/// Existence probe of [`child_step`]: exit at the first kept child.
+fn child_any<'k>(
+    doc: &Document,
+    ctx: &ExecSet,
+    kids: impl Fn(NodeId) -> &'k [NodeId],
+    test: impl Fn(NodeId) -> bool,
+    stats: &mut EvalStats,
+) -> bool {
+    (ctx.doc && doc.root_opt().is_some_and(&test))
+        || ctx.ids().iter().any(|&v| {
+            let kids = kids(v);
+            stats.merge_steps += kids.len() as u64;
+            kids.iter().any(|&c| test(c))
+        })
 }
 
 /// Child step by merging the occurrence list against the context: every
@@ -1507,73 +1510,6 @@ fn staircase(idx: &DocIndex, nodes: &[NodeId], stats: &mut EvalStats) -> Vec<Nod
         }
     }
     roots
-}
-
-/// `//axis` with an index: slice the occurrence list per pruned root.
-fn descendant_slice(
-    doc: &Document,
-    idx: &DocIndex,
-    ctx: &ExecSet,
-    axis: &AxisTest,
-    stats: &mut EvalStats,
-) -> ExecSet {
-    // The document node's descendant-or-self set is the whole tree plus
-    // itself; a child step from that reaches the root element too, which
-    // no tree interval covers — flag it separately.
-    let (roots, include_root_match) = if ctx.doc {
-        match doc.root_opt() {
-            Some(r) => (vec![r], true),
-            None => return ExecSet::empty(),
-        }
-    } else {
-        (staircase(idx, ctx.ids(), stats), false)
-    };
-    let mut out = ExecSet::empty();
-    for &r in &roots {
-        // Roots have disjoint, ascending intervals and `r` precedes its
-        // slice, so pushes stay sorted.
-        if include_root_match && axis.matches(doc, r) {
-            out.push(r);
-        }
-        let hits = axis.slice(idx, r);
-        stats.interval_probes += 1;
-        stats.nodes_touched += hits.len() as u64;
-        out.extend_slice(hits);
-    }
-    out
-}
-
-/// `//axis` without an index: scan subtrees (the degraded twin of
-/// [`descendant_slice`] — same result, linear work).
-fn descendant_scan(
-    doc: &Document,
-    ctx: &ExecSet,
-    axis: &AxisTest,
-    stats: &mut EvalStats,
-) -> ExecSet {
-    let mut out = ExecSet::empty();
-    let mut touched = 0u64;
-    if ctx.doc {
-        if let Some(root) = doc.root_opt() {
-            for v in doc.descendants_or_self(root) {
-                touched += 1;
-                if axis.matches(doc, v) {
-                    out.push(v);
-                }
-            }
-        }
-    }
-    for &v in ctx.ids() {
-        for d in doc.descendants(v) {
-            touched += 1;
-            if axis.matches(doc, d) {
-                out.push(d);
-            }
-        }
-    }
-    stats.nodes_touched += touched;
-    out.normalize();
-    out
 }
 
 /// Sparse-to-dense switch point: expansions covering at least this
@@ -1708,7 +1644,7 @@ fn attr_in_view(access: Option<&AccessView>, doc: &Document, v: NodeId, name: &s
 /// answered by emptiness probes (interval slices, bounded children
 /// scans) instead of building its result set.
 fn exists_ops(ex: Exec, ops: &[PlanNode], ctx: &ExecSet, stats: &mut EvalStats) -> bool {
-    let (doc, idx) = (ex.doc, ex.idx);
+    let doc = ex.doc;
     if ctx.is_empty() {
         return false;
     }
@@ -1724,51 +1660,21 @@ fn exists_ops(ex: Exec, ops: &[PlanNode], ctx: &ExecSet, stats: &mut EvalStats) 
         PlanOp::RootSeed => doc.root_opt().is_some(),
         PlanOp::DocSeed => true,
         PlanOp::EmptySet => false,
-        PlanOp::DescendantSlice(axis) => {
-            if let Some(idx) = idx {
-                if mid.doc {
-                    // The root's interval contains every element
-                    // context's, so the document probe alone decides:
-                    // re-entering the slice path per context id would
-                    // re-count interval_probes for sub-slices that
-                    // cannot hit anything the root slice missed.
-                    return match doc.root_opt() {
-                        Some(root) => {
-                            axis.matches(doc, root) || {
-                                stats.interval_probes += 1;
-                                !axis.slice(idx, root).is_empty()
-                            }
-                        }
-                        None => false,
-                    };
-                }
-                mid.ids().iter().any(|&v| {
-                    stats.interval_probes += 1;
-                    !axis.slice(idx, v).is_empty()
-                })
-            } else {
-                !descendant_scan(doc, &mid, axis, stats).is_empty()
-            }
+        // Without an index a bare slice is probed by its full scan,
+        // which counts every node it touches.
+        PlanOp::DescendantSlice(axis) if ex.idx.is_none() => {
+            !fused_scan(ex, &mid, axis, None, None, stats).is_empty()
         }
+        PlanOp::DescendantSlice(axis) => fused_scan_any(ex, &mid, axis, None, None, stats),
         PlanOp::ChildWalk(axis) | PlanOp::ChildMergeJoin(axis) => {
-            if mid.doc {
-                if let Some(root) = doc.root_opt() {
-                    if axis.matches(doc, root) {
-                        return true;
-                    }
-                }
-            }
-            mid.ids().iter().any(|&v| {
-                let kids = doc.children(v);
-                stats.merge_steps += kids.len() as u64;
-                kids.iter().any(|&c| axis.matches(doc, c))
-            })
+            child_any(doc, &mid, |v| doc.children(v), |c| axis.matches(doc, c), stats)
         }
-        PlanOp::Fused(f) => fused_scan_any(ex, &mid, f, stats),
+        PlanOp::Fused(f) => fused_scan_any(ex, &mid, &f.axis, f.filter, f.qual.as_deref(), stats),
         PlanOp::SchemaSlice(s) => {
+            let f = &s.scan;
             if ex.slice_ok(s) {
-                fused_scan_any(ex, &mid, &s.scan, stats)
-            } else if s.scan.qual.is_none() {
+                fused_scan_any(ex, &mid, &f.axis, f.filter, f.qual.as_deref(), stats)
+            } else if f.qual.is_none() {
                 exists_ops(ex, &s.chain, &mid, stats)
             } else {
                 !schema_chain(ex, s, &mid, stats).is_empty()
@@ -1799,18 +1705,7 @@ fn exists_ops(ex: Exec, ops: &[PlanNode], ctx: &ExecSet, stats: &mut EvalStats) 
         }
         PlanOp::ViewChild(axis) => {
             let av = ex.access();
-            if mid.doc {
-                if let Some(root) = doc.root_opt() {
-                    if av.test_matches(doc, root, axis) {
-                        return true;
-                    }
-                }
-            }
-            mid.ids().iter().any(|&v| {
-                let kids = av.view_children(v);
-                stats.merge_steps += kids.len() as u64;
-                kids.iter().any(|&c| av.test_matches(doc, c, axis))
-            })
+            child_any(doc, &mid, |v| av.view_children(v), |c| av.test_matches(doc, c, axis), stats)
         }
         PlanOp::ViewDescendant(axis) => {
             !view_descendant(ex, ex.access(), &mid, axis, stats).is_empty()
