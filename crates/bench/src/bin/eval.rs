@@ -1,8 +1,8 @@
 //! Closed-loop evaluation-backend benchmark: compiled plans under the
 //! walk / join / auto policies evaluating the translated Table-1 queries,
-//! plus warm plan-cache repeat latency and `answer_batch` throughput
-//! scaling, emitting a machine-readable `BENCH_eval.json` and a plan-dump
-//! artifact `PLANS_eval.json`.
+//! plus warm plan-cache repeat latency and the recursive-view
+//! unfold-vs-direct comparison, emitting a machine-readable
+//! `BENCH_eval.json` and a plan-dump artifact `PLANS_eval.json`.
 //!
 //! ```text
 //! cargo run -p sxv-bench --bin eval --release [-- --smoke] [--json FILE] [--plans FILE]
@@ -187,11 +187,11 @@ fn main() {
     // serving must hit the cache — `plans_compiled` stays flat while the
     // timer runs, so the medians measure pure plan execution.
     let engine = SecureEngine::new(&workload.spec, &workload.view);
-    let (_, batch_doc, _, batch_index, _, _) = &docs[docs.len() - 1];
+    let (_, warm_doc, _, warm_index, _, _) = &docs[docs.len() - 1];
     let serve = |q: &Path| {
         engine.answer_report_policy(
-            batch_doc,
-            Some(batch_index),
+            warm_doc,
+            Some(warm_index),
             q,
             Approach::Rewrite,
             PlanPolicy::ForceWalk,
@@ -220,41 +220,6 @@ fn main() {
         100.0 * cache.hit_rate(),
         cache.plans_compiled
     );
-    println!();
-
-    // Batch throughput: fan the four view queries (x32 round-robin copies)
-    // across worker threads sharing one immutable document + index. On a
-    // single-core host the thread counts measure overhead, not speedup;
-    // the JSON records whatever the hardware gives us.
-    let queries: Vec<Path> =
-        (0..32).flat_map(|_| workload.queries.iter().map(|q| q.view_query.clone())).collect();
-    let mut batch: Vec<(usize, Timing, f64)> = Vec::new();
-    let mut single_us = 0.0f64;
-    println!("answer_batch throughput ({} queries, rewrite approach, join policy):", queries.len());
-    for threads in [1usize, 2, 4] {
-        let timing = time_us(|| {
-            let results = engine.answer_batch(
-                batch_doc,
-                Some(batch_index),
-                &queries,
-                Approach::Rewrite,
-                PlanPolicy::ForceJoin,
-                threads,
-            );
-            assert!(results.iter().all(|r| r.is_ok()), "batch worker failed");
-            results
-        });
-        if threads == 1 {
-            single_us = timing.median_us;
-        }
-        let speedup = single_us / timing.median_us.max(1e-9);
-        let qps = queries.len() as f64 / (timing.median_us / 1e6);
-        println!(
-            "  threads={threads}: {:>10.1} us/batch ({} reps), {:>9.0} queries/s, {:.2}x vs 1 thread",
-            timing.median_us, timing.reps, qps, speedup
-        );
-        batch.push((threads, timing, speedup));
-    }
     println!();
 
     // Recursive views, unfold vs direct: the BOM family's part cycle
@@ -346,16 +311,7 @@ fn main() {
     }
     println!();
 
-    let json = render_json(
-        &rows,
-        &rec_rows,
-        &access_rows,
-        &warm,
-        &cache_tuple(&engine),
-        &batch,
-        queries.len(),
-        smoke,
-    );
+    let json = render_json(&rows, &rec_rows, &access_rows, &warm, &cache_tuple(&engine), smoke);
     std::fs::write(&json_path, json).expect("write JSON artifact");
     println!("wrote {json_path}");
 
@@ -369,15 +325,12 @@ fn cache_tuple(engine: &SecureEngine) -> (u64, u64, u64) {
     (c.hits, c.misses, c.plans_compiled)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn render_json(
     rows: &[Row],
     rec: &[RecRow],
     access: &[(&str, usize, u64, usize)],
     warm: &[(&str, Timing)],
     cache: &(u64, u64, u64),
-    batch: &[(usize, Timing, f64)],
-    batch_queries: usize,
     smoke: bool,
 ) -> String {
     let mut out = String::new();
@@ -445,18 +398,6 @@ fn render_json(
     }
     let _ = writeln!(out, "    ]");
     let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"batch\": [");
-    for (i, (threads, timing, speedup)) in batch.iter().enumerate() {
-        let comma = if i + 1 < batch.len() { "," } else { "" };
-        let qps = batch_queries as f64 / (timing.median_us / 1e6);
-        let _ = writeln!(
-            out,
-            "    {{\"threads\": {threads}, \"queries\": {batch_queries}, \"median_us\": {:.3}, \
-             \"reps\": {}, \"queries_per_sec\": {qps:.1}, \"speedup_vs_1\": {speedup:.3}}}{comma}",
-            timing.median_us, timing.reps
-        );
-    }
-    let _ = writeln!(out, "  ],");
     let _ = writeln!(out, "  \"recursive\": [");
     for (i, r) in rec.iter().enumerate() {
         let comma = if i + 1 < rec.len() { "," } else { "" };

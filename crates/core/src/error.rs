@@ -50,9 +50,6 @@ pub enum Error {
         /// The height bound that admitted no instance.
         height: usize,
     },
-    /// A batch worker thread died before reporting its queries' answers
-    /// (the surviving workers' answers are unaffected).
-    WorkerLost,
     /// Strict verification mode refused to execute a plan whose static
     /// certificate (see [`sxv_xpath::certify()`]) reported errors.
     Uncertified {
@@ -89,9 +86,6 @@ impl fmt::Display for Error {
             }
             Error::UnfoldImpossible { height } => {
                 write!(f, "view DTD has no instance of height ≤ {height}; cannot unfold")
-            }
-            Error::WorkerLost => {
-                write!(f, "a batch worker thread panicked before answering its queries")
             }
             Error::Uncertified { query, findings } => {
                 write!(f, "plan for `{query}` failed static certification: {findings}")

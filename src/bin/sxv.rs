@@ -5,9 +5,9 @@
 //! sxv materialize --dtd … --root … --spec … --doc data.xml
 //! sxv rewrite     --dtd … --root … --spec … --query '//patient//bill' [--no-optimize]
 //! sxv query       --dtd … --root … --spec … --doc data.xml --query '…' [--approach naive|rewrite|optimize|annotate]
-//!                 [--bind k=v]… [--stats] [--repeat N] [--threads N] [--verify]
+//!                 [--bind k=v]… [--stats] [--repeat N] [--verify]
 //! sxv query       --package pkg.sxvpkg --query '…' [--role NAME] [--approach …]
-//!                 [--stats] [--repeat N] [--threads N] [--verify]
+//!                 [--stats] [--repeat N] [--verify]
 //! sxv pack        --dtd … --root … --doc data.xml --out pkg.sxvpkg (--spec FILE | --role NAME=SPECFILE …)
 //!                 [--bind k=v]…
 //! sxv explain     --dtd … --root … --spec … --query '…' [--approach …] [--bind k=v]…
@@ -168,7 +168,7 @@ fn subcommand_usage(command: &str) -> Option<&'static str> {
             "sxv query (--dtd FILE --root NAME --spec FILE --doc FILE | --package PKGFILE \
              [--role NAME]) --query PATH \
              [--approach naive|rewrite|optimize|annotate] [--bind k=v]… \
-             [--stats] [--repeat N] [--threads N] [--verify]"
+             [--stats] [--repeat N] [--verify]"
         }
         "pack" => {
             "sxv pack --dtd FILE --root NAME --doc FILE --out PKGFILE \
@@ -390,13 +390,6 @@ fn cmd_query(opts: &Options) -> Result<(), String> {
     if repeat == 0 {
         return Err("--repeat must be at least 1".into());
     }
-    let threads: usize = match opts.get("threads") {
-        None => 1,
-        Some(v) => v.parse().map_err(|e| format!("--threads: {e}"))?,
-    };
-    if threads == 0 {
-        return Err("--threads must be at least 1".into());
-    }
     // Queries run the engine's `Auto` plan over an index, as the daemon
     // does. A package ships its index pre-built.
     let index = setup
@@ -413,35 +406,18 @@ fn cmd_query(opts: &Options) -> Result<(), String> {
     }
     let setup_us = setup_started.elapsed().as_micros();
     let query_started = Instant::now();
-    let (answer, last_report) = if threads > 1 {
-        // Fan the repeat copies across worker threads sharing the one
-        // immutable document + index.
-        let queries: Vec<_> = (0..repeat).map(|_| query.clone()).collect();
-        let mut results =
-            engine.answer_batch(&doc, Some(&index), &queries, approach, PlanPolicy::Auto, threads);
-        let (ans, report) = results.pop().expect("repeat >= 1").map_err(|e| e.to_string())?;
-        for r in results {
-            let (other, _) = r.map_err(|e| e.to_string())?;
-            if other != ans {
-                return Err("batch workers disagree on the answer".into());
-            }
-        }
-        (ans, report)
-    } else {
-        let mut answer = Vec::new();
-        let mut last_report = None;
-        for _ in 0..repeat {
-            let (ans, report) = engine
-                .answer_report_policy(&doc, Some(&index), &query, approach, PlanPolicy::Auto)
-                .map_err(|e| e.to_string())?;
-            answer = ans;
-            last_report = Some(report);
-        }
-        (answer, last_report.expect("repeat >= 1"))
-    };
+    let mut answer = Vec::new();
+    let mut last_report = None;
+    for _ in 0..repeat {
+        let (ans, report) = engine
+            .answer_report_policy(&doc, Some(&index), &query, approach, PlanPolicy::Auto)
+            .map_err(|e| e.to_string())?;
+        answer = ans;
+        last_report = Some(report);
+    }
     let query_us = query_started.elapsed().as_micros();
     if opts.has("stats") {
-        let report = last_report;
+        let report = last_report.expect("repeat >= 1");
         let cache = engine.cache_stats();
         // Phase timings: setup is everything done once per invocation
         // (load/parse/index/derive); the query phase covers all --repeat

@@ -184,8 +184,8 @@ fn query_stats_reports_cache_and_eval_counters() {
 }
 
 #[test]
-fn threaded_batch_agrees_and_retired_flags_are_refused() {
-    let dir = std::env::temp_dir().join(format!("sxv-cli-batch-{}", std::process::id()));
+fn repeats_agree_and_retired_flags_are_refused() {
+    let dir = std::env::temp_dir().join(format!("sxv-cli-repeat-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let doc_path = dir.join("h.xml");
     std::fs::write(
@@ -215,30 +215,30 @@ fn threaded_batch_agrees_and_retired_flags_are_refused() {
     let (one_out, one_err, ok) = run(&one_args);
     assert!(ok, "{one_err}");
 
-    // Threaded batch over repeat copies: same answer, all workers agree.
-    let mut batch_args = one_args.clone();
-    batch_args.extend(["--repeat", "6", "--threads", "3"]);
-    let (batch_out, batch_err, ok) = run(&batch_args);
-    assert!(ok, "{batch_err}");
-    assert_eq!(one_out, batch_out, "threaded batch answer differs from one run");
+    // Repeat copies answer from the cached plan: same answer.
+    let mut repeat_args = one_args.clone();
+    repeat_args.extend(["--repeat", "6"]);
+    let (repeat_out, repeat_err, ok) = run(&repeat_args);
+    assert!(ok, "{repeat_err}");
+    assert_eq!(one_out, repeat_out, "repeated answer differs from one run");
     // The ward qualifier guards the dept edge, so both patients in the
     // qualifying dept are visible.
-    assert!(batch_err.contains("2 result(s)"), "{batch_err}");
+    assert!(repeat_err.contains("2 result(s)"), "{repeat_err}");
 
-    // Zero worker/repeat counts are usage errors, not silent clamps: the
+    // A zero repeat count is a usage error, not a silent clamp: the
     // message must name the flag and the minimum.
-    for (flag, value) in [("--threads", "0"), ("--repeat", "0")] {
-        let mut zero = one_args.clone();
-        zero.extend([flag, value]);
-        let (_, zero_err, ok) = run(&zero);
-        assert!(!ok);
-        assert!(zero_err.contains(flag), "{zero_err}");
-        assert!(zero_err.contains("at least 1"), "{zero_err}");
-    }
+    let mut zero = one_args.clone();
+    zero.extend(["--repeat", "0"]);
+    let (_, zero_err, ok) = run(&zero);
+    assert!(!ok);
+    assert!(zero_err.contains("--repeat"), "{zero_err}");
+    assert!(zero_err.contains("at least 1"), "{zero_err}");
 
-    // Every plan is the engine's indexed `auto` plan: the flags that
-    // used to pick another are refused with exit 1, the flag named and
-    // the usage printed, rather than ignored or eating the next flag.
+    // Every plan is the engine's indexed `auto` plan, run on the
+    // calling thread: the flags that used to pick another plan or fan
+    // repeats across worker threads are refused with exit 1, the flag
+    // named and the usage printed, rather than ignored or eating the
+    // next flag.
     let mut explain_args = vec!["explain"];
     explain_args.extend(DTD_ARGS);
     explain_args.extend([
@@ -249,9 +249,10 @@ fn threaded_batch_agrees_and_retired_flags_are_refused() {
         "--query",
         "//patient/name",
     ]);
-    let retired: [(&Vec<&str>, &[&str], &str); 5] = [
+    let retired: [(&Vec<&str>, &[&str], &str); 6] = [
         (&one_args, &["--backend", "join"], "--backend"),
         (&one_args, &["--indexed", "--stats"], "--indexed"),
+        (&one_args, &["--threads", "3"], "--threads"),
         (&explain_args, &["--policy", "walk"], "--policy"),
         (&explain_args, &["--doc", doc_str], "--doc"),
         (&explain_args, &["--height", "3"], "--height"),
