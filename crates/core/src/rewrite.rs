@@ -58,8 +58,7 @@ use sxv_xpath::{factored_union, simplify, Path, Qualifier};
 /// handled directly: cycles in the view DTD graph translate to Kleene
 /// closures (`(…)*`) instead of requiring height-bounded unfolding.
 pub fn rewrite(view: &SecurityView, p: &Path) -> Result<Path> {
-    let graph = ViewGraph::from_view(view)?;
-    graph.rewrite(p)
+    Ok(ViewGraph::from_view(view)?.rewrite(p))
 }
 
 /// Rewrite over a (possibly recursive) view by unfolding to `height` —
@@ -67,8 +66,7 @@ pub fn rewrite(view: &SecurityView, p: &Path) -> Result<Path> {
 /// for the direct closure-based translation; also valid for
 /// non-recursive views (where it simply bounds the DAG).
 pub fn rewrite_with_height(view: &SecurityView, p: &Path, height: usize) -> Result<Path> {
-    let graph = ViewGraph::unfolded(view, height)?;
-    graph.rewrite(p)
+    Ok(ViewGraph::unfolded(view, height)?.rewrite(p))
 }
 
 /// `recProc(A)`: every node `B` reachable from `A` (descendant-or-self),
@@ -354,8 +352,8 @@ impl ViewGraph {
     }
 
     /// Rewrite a query evaluated at the view root (per-target tables).
-    pub fn rewrite(&self, p: &Path) -> Result<Path> {
-        Ok(self.translate(p, &Fig6(self)))
+    pub fn rewrite(&self, p: &Path) -> Path {
+        self.translate(p, &Fig6(self))
     }
 
     /// Translate `p`, evaluated at the root, by the per-target dynamic
@@ -1099,7 +1097,7 @@ mod tests {
         let spec = AccessSpec::builder(&dtd).build().unwrap();
         let view = derive_view(&spec).unwrap();
         let graph = ViewGraph::from_view(&view).unwrap();
-        let pt = graph.rewrite(&parse("//g").unwrap()).unwrap();
+        let pt = graph.rewrite(&parse("//g").unwrap());
         let s = pt.to_string();
         // Sharing: `g` and `c` appear once, not once per enumerated path.
         assert_eq!(s.matches('g').count(), 1, "g translated once: {s}");
@@ -1267,7 +1265,7 @@ mod tests {
     fn wildcard_at_document_node_reaches_root_only() {
         let view = derive_view(&nurse_spec()).unwrap();
         let graph = ViewGraph::from_view(&view).unwrap();
-        let pt = graph.rewrite(&parse("/*").unwrap()).unwrap();
+        let pt = graph.rewrite(&parse("/*").unwrap());
         let doc = hospital_doc();
         use sxv_xpath::eval_at_document;
         let r = eval_at_document(&doc, &pt);
