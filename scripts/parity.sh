@@ -8,11 +8,15 @@
 #   * `explain --verify`, text and JSON, for every shipped policy × its
 #     queries × the four approaches;
 #   * `lint --plans --format json` once per policy, over its queries;
-#   * `query` over the generated documents × the same queries × the four
-#     approaches (the nurse policy under three `wardNo` bindings).
+#   * `query --stats` over the generated documents × the same queries ×
+#     the four approaches (the nurse policy under three `wardNo`
+#     bindings), so the translation, the plan and the executor's work
+#     counters are compared along with the answers.
 # Each call's stdout, stderr and exit code go into one transcript per
-# binary. Exits 0 when the transcripts are identical, 1 on any byte
-# difference (printing the first differing lines), 2 on bad usage.
+# binary; `query` stderr lines that carry wall-clock timings (setup,
+# query, certifier, accessibility bitmaps) are left out. Exits 0 when
+# the transcripts are identical, 1 on any byte difference (printing the
+# first differing lines), 2 on bad usage.
 #
 # Build the old binary from a clean copy of the old commit (`git
 # archive`), and rebuild both from their sources before comparing.
@@ -72,6 +76,10 @@ bin=
 run() {
   "$bin" "$@" >"$work/out" 2>"$work/err"
   local code=$?
+  if [ "$1" = query ]; then
+    grep -v -E '^(setup|query|certifier|accessibility bitmaps): ' "$work/err" >"$work/kept"
+    mv "$work/kept" "$work/err"
+  fi
   {
     printf '## %s\n' "$*"
     cat "$work/out"
@@ -104,7 +112,7 @@ answers() {
   local q a
   for q in "${queries[@]}"; do
     for a in "${APPROACHES[@]}"; do
-      run query "${policy[@]}" "$@" --doc "$doc" --query "$q" --approach "$a"
+      run query "${policy[@]}" "$@" --doc "$doc" --query "$q" --approach "$a" --stats
     done
   done
 }
