@@ -12,7 +12,7 @@ cargo test --workspace --release
 echo "== 3. Table 1 (naive / rewrite / optimize over D1–D4) =="
 cargo run -p sxv-bench --bin table1 --release -- --json BENCH_table1.json
 
-echo "== 3b. walk vs structural-join backends + batch throughput =="
+echo "== 3b. walk vs structural-join backends, warm cache, recursive views =="
 cargo run -p sxv-bench --bin eval --release -- --json BENCH_eval.json
 
 echo "== 4. maintenance ablation (virtual vs materialized views) =="
