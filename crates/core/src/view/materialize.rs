@@ -17,7 +17,7 @@ use crate::accessibility::{self, Accessibility};
 use crate::error::{Error, Result};
 use crate::spec::AccessSpec;
 use crate::view::def::{SecurityView, ViewContent, ViewItem};
-use sxv_xml::{Document, NodeId};
+use sxv_xml::{Document, DocumentBuilder, NodeId};
 use sxv_xpath::eval;
 
 /// A materialized view tree plus the mapping back to source nodes.
@@ -49,19 +49,19 @@ pub fn materialize(spec: &AccessSpec, view: &SecurityView, doc: &Document) -> Re
         node: "<document>".into(),
         message: "document is empty".into(),
     })?;
-    let mut out = Document::new();
+    let mut out = DocumentBuilder::new();
     let view_root = out.create_root(view.root()).expect("fresh document has no root");
     let mut m = Materializer { view, doc, access, out, source: vec![source_root] };
     m.copy_attributes(view_root, view.root(), source_root);
     m.expand(view_root, view.root(), source_root)?;
-    Ok(Materialized { doc: m.out, source: m.source })
+    Ok(Materialized { doc: m.out.finish(), source: m.source })
 }
 
 struct Materializer<'a> {
     view: &'a SecurityView,
     doc: &'a Document,
     access: Accessibility,
-    out: Document,
+    out: DocumentBuilder,
     source: Vec<NodeId>,
 }
 
@@ -278,7 +278,7 @@ mod tests {
         let root = v.root().unwrap();
         assert_eq!(v.label(root).unwrap(), "hospital");
         // Only the ward-6 dept survives the qualifier.
-        let depts: Vec<_> = v.iter_children(root).collect();
+        let depts = v.children(root);
         assert_eq!(depts.len(), 1);
         // dept has two patientInfo children (direct + ex-clinicalTrial) and
         // one staffInfo.

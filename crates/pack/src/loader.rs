@@ -65,7 +65,7 @@ pub struct Package {
     pub dtd_text: String,
     /// DTD root element-type name.
     pub root_name: String,
-    /// The arena document (columns borrowed from the package buffer).
+    /// The document (columns borrowed from the package buffer).
     pub doc: Document,
     /// The structural index (columns borrowed from the package buffer).
     pub index: DocIndex,
@@ -414,7 +414,7 @@ fn load_package(buf: Bytes) -> Result<Package> {
             attr_values.len()
         )));
     }
-    let attr_entries: Vec<(String, String)> = attr_names.into_iter().zip(attr_values).collect();
+    let attr_entries = attr_names.into_iter().zip(attr_values).collect();
 
     // The viewed columns ARE the document's storage: `from_packed`
     // checks arities in O(1) and trusts the (checksummed) contents.

@@ -2,27 +2,6 @@
 
 use crate::node::{Document, NodeId};
 
-/// Iterator over the children of a node, in document order.
-pub struct Children<'d> {
-    doc: &'d Document,
-    ids: std::slice::Iter<'d, NodeId>,
-}
-
-impl<'d> Iterator for Children<'d> {
-    type Item = NodeId;
-    fn next(&mut self) -> Option<NodeId> {
-        self.ids.next().copied()
-    }
-}
-
-impl<'d> Children<'d> {
-    /// Restrict to element children only.
-    pub fn elements(self) -> impl Iterator<Item = NodeId> + 'd {
-        let doc = self.doc;
-        self.filter(move |&id| doc.is_element(id))
-    }
-}
-
 /// Pre-order iterator over the subtree rooted at a node
 /// (includes the node itself as the first item).
 pub struct Descendants<'d> {
@@ -41,28 +20,7 @@ impl<'d> Iterator for Descendants<'d> {
     }
 }
 
-/// Iterator from a node up to the root through `parent` links
-/// (excludes the start node).
-pub struct Ancestors<'d> {
-    doc: &'d Document,
-    cur: Option<NodeId>,
-}
-
-impl<'d> Iterator for Ancestors<'d> {
-    type Item = NodeId;
-    fn next(&mut self) -> Option<NodeId> {
-        let next = self.cur.and_then(|id| self.doc.parent(id));
-        self.cur = next;
-        next
-    }
-}
-
 impl Document {
-    /// Iterate the children of `id` in document order.
-    pub fn iter_children(&self, id: NodeId) -> Children<'_> {
-        Children { doc: self, ids: self.children(id).iter() }
-    }
-
     /// Pre-order traversal of the subtree rooted at `id` (self first).
     pub fn descendants_or_self(&self, id: NodeId) -> Descendants<'_> {
         Descendants { doc: self, stack: vec![id] }
@@ -72,26 +30,21 @@ impl Document {
     pub fn descendants(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         self.descendants_or_self(id).skip(1)
     }
-
-    /// Proper ancestors of `id`, nearest first.
-    pub fn ancestors(&self, id: NodeId) -> Ancestors<'_> {
-        Ancestors { doc: self, cur: Some(id) }
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::node::Document;
+    use crate::node::{Document, DocumentBuilder};
 
     fn doc() -> Document {
         // <a><b><d/>t</b><c/></a>
-        let mut d = Document::new();
+        let mut d = DocumentBuilder::new();
         let a = d.create_root("a").unwrap();
         let b = d.append_element(a, "b");
         d.append_element(b, "d");
         d.append_text(b, "t");
         d.append_element(a, "c");
-        d
+        d.finish()
     }
 
     #[test]
@@ -110,27 +63,6 @@ mod tests {
         let n: Vec<_> = d.descendants(d.root().unwrap()).collect();
         assert_eq!(n.len(), 4);
         assert!(!n.contains(&d.root().unwrap()));
-    }
-
-    #[test]
-    fn ancestors_nearest_first() {
-        let d = doc();
-        let a = d.root().unwrap();
-        let b = d.children(a)[0];
-        let dd = d.children(b)[0];
-        let anc: Vec<_> = d.ancestors(dd).collect();
-        assert_eq!(anc, vec![b, a]);
-        assert!(d.ancestors(a).next().is_none());
-    }
-
-    #[test]
-    fn element_children_filter_skips_text() {
-        let d = doc();
-        let a = d.root().unwrap();
-        let b = d.children(a)[0];
-        let elems: Vec<_> = d.iter_children(b).elements().collect();
-        assert_eq!(elems.len(), 1);
-        assert_eq!(d.label(elems[0]).unwrap(), "d");
     }
 
     #[test]

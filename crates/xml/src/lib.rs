@@ -1,7 +1,7 @@
 #![warn(missing_docs)]
 //! # sxv-xml — XML tree substrate
 //!
-//! An arena-based XML document model with a hand-written parser and
+//! A column-stored XML document model with a hand-written parser and
 //! serializer, built for the `secure-xml-views` reproduction of
 //! *Secure XML Querying with Security Views* (SIGMOD 2004).
 //!
@@ -13,14 +13,15 @@
 //!
 //! ## Design notes
 //!
-//! * Nodes live in a flat arena ([`Document`]) and are addressed by
+//! * A [`Document`] stores its nodes as flat columns addressed by
 //!   [`NodeId`] indices, so node sets can be kept as sorted `Vec<NodeId>` /
 //!   `BTreeSet<NodeId>` where ordering coincides with *document order*
-//!   (pre-order), because the parser and all construction APIs allocate
+//!   (pre-order), because the parser and every builder caller append
 //!   nodes in pre-order. [`Document::in_document_order`] verifies this
 //!   invariant and is exercised by tests.
-//! * No reference counting, no interior mutability: mutation goes through
-//!   `&mut Document`.
+//! * Documents are immutable: [`DocumentBuilder`] records appended nodes
+//!   and derives the same columns a package load borrows, so every
+//!   document has one layout.
 
 pub mod bitmap;
 pub mod column;
@@ -37,10 +38,10 @@ pub use bitmap::NodeBitmap;
 pub use column::{Bytes, Str, U32s};
 pub use error::{Error, Result};
 pub use index::{DocIndex, PackedDocIndexParts};
-pub use iter::{Ancestors, Children, Descendants};
+pub use iter::Descendants;
 pub use json::json_escape;
 pub use label_graph::LabelGraph;
-pub use node::{DocId, Document, LabelId, NodeId, PackedDocumentParts};
+pub use node::{DocId, Document, DocumentBuilder, LabelId, NodeId, PackedDocumentParts};
 pub use parser::parse;
 pub use serializer::{
     to_string, to_string_pretty, write_document, write_escaped_attr, write_escaped_text,

@@ -1,28 +1,28 @@
 //! Serialize a [`Document`] back to XML text.
 
 use crate::node::{Document, NodeId};
-use std::fmt::Write;
 use std::io;
 
 /// Serialize compactly (no added whitespace). Round-trips through
 /// [`crate::parse`] for documents without mixed whitespace content.
 pub fn to_string(doc: &Document) -> String {
-    let mut out = String::new();
-    if let Some(root) = doc.root_opt() {
-        write_node(doc, root, &mut out, None, 0);
-    }
-    out
+    render(doc, false)
 }
 
-/// Serialize with two-space indentation. Elements whose only child is a
-/// single text node are kept on one line so the output re-parses to an
-/// identical tree (indentation never introduces significant text).
+/// Serialize with one element per line (no indentation). Elements whose
+/// only child is a single text node are kept on one line so the output
+/// re-parses to an identical tree (line breaks never introduce
+/// significant text).
 pub fn to_string_pretty(doc: &Document) -> String {
-    let mut out = String::new();
+    render(doc, true)
+}
+
+fn render(doc: &Document, pretty: bool) -> String {
+    let mut out = Vec::new();
     if let Some(root) = doc.root_opt() {
-        write_node(doc, root, &mut out, Some(0), 0);
+        write_node(doc, root, &mut out, pretty, false).expect("writing to a Vec cannot fail");
     }
-    out
+    String::from_utf8(out).expect("the serializer writes only UTF-8")
 }
 
 /// Serialize compactly straight to an [`io::Write`] — the path for
@@ -30,16 +30,28 @@ pub fn to_string_pretty(doc: &Document) -> String {
 /// in a `BufWriter`; this emits many small writes).
 pub fn write_document<W: io::Write>(doc: &Document, w: &mut W) -> io::Result<()> {
     match doc.root_opt() {
-        Some(root) => write_node_io(doc, root, w),
+        Some(root) => write_node(doc, root, w, false, false),
         None => Ok(()),
     }
 }
 
-fn write_node_io<W: io::Write>(doc: &Document, id: NodeId, w: &mut W) -> io::Result<()> {
+/// Write the subtree of `id`. `pretty` starts each element below the
+/// root (`nested`) on a new line, and closing tags of elements with
+/// element content too.
+fn write_node<W: io::Write>(
+    doc: &Document,
+    id: NodeId,
+    w: &mut W,
+    pretty: bool,
+    nested: bool,
+) -> io::Result<()> {
     if let Some(t) = doc.text_opt(id) {
         return write_escaped_text(t, w);
     }
     let label = doc.label_opt(id).expect("non-text node is an element");
+    if pretty && nested {
+        w.write_all(b"\n")?;
+    }
     w.write_all(b"<")?;
     w.write_all(label.as_bytes())?;
     for (name, value) in doc.attributes(id) {
@@ -54,8 +66,12 @@ fn write_node_io<W: io::Write>(doc: &Document, id: NodeId, w: &mut W) -> io::Res
         return w.write_all(b"/>");
     }
     w.write_all(b">")?;
+    let pretty = pretty && !(children.len() == 1 && doc.is_text(children[0]));
     for &c in children {
-        write_node_io(doc, c, w)?;
+        write_node(doc, c, w, pretty, true)?;
+    }
+    if pretty {
+        w.write_all(b"\n")?;
     }
     w.write_all(b"</")?;
     w.write_all(label.as_bytes())?;
@@ -99,74 +115,10 @@ fn write_escaped<W: io::Write>(
     w.write_all(rest.as_bytes())
 }
 
-fn write_node(doc: &Document, id: NodeId, out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(t) = doc.text_opt(id) {
-        escape_text(t, out);
-        return;
-    }
-    let label = doc.label_opt(id).expect("non-text node is an element");
-    if let Some(width) = indent {
-        if depth > 0 {
-            out.push('\n');
-        }
-        for _ in 0..width * depth {
-            out.push(' ');
-        }
-    }
-    out.push('<');
-    out.push_str(label);
-    for (name, value) in doc.attributes(id) {
-        let _ = write!(out, " {name}=\"");
-        escape_attr(value, out);
-        out.push('"');
-    }
-    let children = doc.children(id);
-    if children.is_empty() {
-        out.push_str("/>");
-        return;
-    }
-    out.push('>');
-    let only_text = children.len() == 1 && doc.is_text(children[0]);
-    for &c in children {
-        let child_indent = if only_text { None } else { indent };
-        write_node(doc, c, out, child_indent, depth + 1);
-    }
-    if indent.is_some() && !only_text {
-        out.push('\n');
-        for _ in 0..indent.unwrap_or(0) * depth {
-            out.push(' ');
-        }
-    }
-    out.push_str("</");
-    out.push_str(label);
-    out.push('>');
-}
-
-fn escape_text(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '&' => out.push_str("&amp;"),
-            _ => out.push(c),
-        }
-    }
-}
-
-fn escape_attr(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '<' => out.push_str("&lt;"),
-            '&' => out.push_str("&amp;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(c),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::DocumentBuilder;
     use crate::parser::parse;
 
     #[test]
@@ -178,11 +130,11 @@ mod tests {
 
     #[test]
     fn escaping_roundtrip() {
-        let mut d = Document::new();
+        let mut d = DocumentBuilder::new();
         let a = d.create_root("a").unwrap();
         d.set_attribute(a, "k", "a\"<&").unwrap();
         d.append_text(a, "x<&>y");
-        let s = to_string(&d);
+        let s = to_string(&d.finish());
         let d2 = parse(&s).unwrap();
         assert_eq!(d2.attribute(d2.root().unwrap(), "k"), Some("a\"<&"));
         assert_eq!(d2.string_value(d2.root().unwrap()), "x<&>y");
@@ -205,12 +157,13 @@ mod tests {
 
     #[test]
     fn streamed_output_matches_to_string() {
-        let mut d = Document::new();
+        let mut d = DocumentBuilder::new();
         let a = d.create_root("a").unwrap();
         d.set_attribute(a, "k", "a\"<&").unwrap();
         let b = d.append_element(a, "b");
         d.append_text(b, "x<&>y");
         d.append_element(a, "c");
+        let d = d.finish();
         let mut buf = Vec::new();
         write_document(&d, &mut buf).unwrap();
         assert_eq!(String::from_utf8(buf).unwrap(), to_string(&d));

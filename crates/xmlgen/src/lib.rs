@@ -21,7 +21,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::io;
 use sxv_dtd::{Content, Dtd, GeneralDtd};
-use sxv_xml::{write_escaped_attr, write_escaped_text, Document, NodeId};
+use sxv_xml::{write_escaped_attr, write_escaped_text, Document, DocumentBuilder, NodeId};
 
 /// Generation parameters.
 #[derive(Debug, Clone)]
@@ -124,11 +124,11 @@ impl Generator {
         }
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         self.config.seed = self.config.seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut doc = Document::new();
+        let mut doc = DocumentBuilder::new();
         let root_label = self.dtd.root().to_string();
         let root = doc.create_root(&root_label).expect("fresh document");
         self.fill(&mut doc, root, &root_label, self.config.max_depth, &mut rng);
-        Some(doc)
+        Some(doc.finish())
     }
 
     /// Generate one conforming document straight to a writer without ever
@@ -269,7 +269,7 @@ impl Generator {
     /// levels available below it.
     fn fill(
         &mut self,
-        doc: &mut Document,
+        doc: &mut DocumentBuilder,
         node: NodeId,
         label: &str,
         budget: usize,
@@ -277,13 +277,19 @@ impl Generator {
     ) {
         self.emit_attributes(doc, node, label, rng);
         let content = self.dtd.content(label).expect("validated at construction").clone();
-        self.emit(doc, node, &content, budget, rng);
+        self.emit(doc, node, label, &content, budget, rng);
     }
 
     /// Emit declared attributes: required always, optional with the
     /// configured probability; values come from a `"label@attr"` pool,
     /// the declared default, the enumerated set, or a synthetic value.
-    fn emit_attributes(&mut self, doc: &mut Document, node: NodeId, label: &str, rng: &mut StdRng) {
+    fn emit_attributes(
+        &mut self,
+        doc: &mut DocumentBuilder,
+        node: NodeId,
+        label: &str,
+        rng: &mut StdRng,
+    ) {
         for (name, value) in self.sample_attributes(label, rng) {
             doc.set_attribute(node, &name, value).expect("element node");
         }
@@ -319,8 +325,9 @@ impl Generator {
 
     fn emit(
         &mut self,
-        doc: &mut Document,
+        doc: &mut DocumentBuilder,
         parent: NodeId,
+        parent_label: &str,
         content: &Content,
         budget: usize,
         rng: &mut StdRng,
@@ -328,8 +335,7 @@ impl Generator {
         match content {
             Content::Empty => {}
             Content::PcData => {
-                let label = doc.label(parent).expect("parent is an element").to_string();
-                let value = self.sample_text(&label, rng);
+                let value = self.sample_text(parent_label, rng);
                 doc.append_text(parent, value);
             }
             Content::Name(name) => {
@@ -339,14 +345,14 @@ impl Generator {
             }
             Content::Seq(items) => {
                 for item in items {
-                    self.emit(doc, parent, item, budget, rng);
+                    self.emit(doc, parent, parent_label, item, budget, rng);
                 }
             }
             Content::Choice(items) => {
                 let viable: Vec<&Content> =
                     items.iter().filter(|item| self.content_min(item) <= budget).collect();
                 let pick = viable[rng.gen_range(0..viable.len())].clone();
-                self.emit(doc, parent, &pick, budget, rng);
+                self.emit(doc, parent, parent_label, &pick, budget, rng);
             }
             Content::Star(inner) => {
                 let count = if self.content_min(inner) <= budget {
@@ -356,7 +362,7 @@ impl Generator {
                     0
                 };
                 for _ in 0..count {
-                    self.emit(doc, parent, inner, budget, rng);
+                    self.emit(doc, parent, parent_label, inner, budget, rng);
                 }
             }
             Content::Plus(inner) => {
@@ -364,12 +370,12 @@ impl Generator {
                 let lo = self.config.min_branch.clamp(1, self.config.max_branch.max(1));
                 let count = rng.gen_range(lo..=self.config.max_branch.max(1));
                 for _ in 0..count {
-                    self.emit(doc, parent, inner, budget, rng);
+                    self.emit(doc, parent, parent_label, inner, budget, rng);
                 }
             }
             Content::Opt(inner) => {
                 if self.content_min(inner) <= budget && rng.gen_bool(self.config.opt_probability) {
-                    self.emit(doc, parent, inner, budget, rng);
+                    self.emit(doc, parent, parent_label, inner, budget, rng);
                 }
             }
         }

@@ -402,9 +402,8 @@ mod tests {
 
     #[test]
     fn attribute_qualifiers() {
-        let mut d = parse_xml("<r><a/><a/></r>").unwrap();
+        let d = parse_xml(r#"<r><a accessibility="1"/><a/></r>"#).unwrap();
         let first = d.children(d.root().unwrap())[0];
-        d.set_attribute(first, "accessibility", "1").unwrap();
         let r = eval_at_root(&d, &parse("a[@accessibility='1']").unwrap());
         assert_eq!(r, vec![first]);
         let has = eval_at_root(&d, &parse("a[@accessibility]").unwrap());

@@ -11,7 +11,7 @@ use secure_xml_views::dtd::{parse_dtd, Dtd};
 use secure_xml_views::serve::http::Client;
 use secure_xml_views::serve::json::MAX_NESTING;
 use secure_xml_views::serve::{parse_answers, query_body, run, ArtifactMismatch, ServeConfig};
-use secure_xml_views::xml::{parse as parse_xml, DocIndex, Document};
+use secure_xml_views::xml::{parse as parse_xml, DocIndex, Document, DocumentBuilder};
 use secure_xml_views::xpath::parse as parse_xpath;
 use secure_xml_views::xpath::parser::MAX_DEPTH;
 use std::net::SocketAddr;
@@ -347,13 +347,13 @@ fn boot_rejects_empty_or_invalid_configs() {
     // Every served document is indexed at boot, so one whose ids are not
     // in document order (node 3 sits under node 1 but after node 2)
     // fails the boot instead of being served unindexed.
-    let mut scrambled = Document::new();
+    let mut scrambled = DocumentBuilder::new();
     let root = scrambled.create_root("r").unwrap();
     let first = scrambled.append_element(root, "pub");
     scrambled.append_element(root, "sec");
     scrambled.append_element(first, "pub");
     let mut docs = docs();
-    docs.push(("scrambled".into(), scrambled));
+    docs.push(("scrambled".into(), scrambled.finish()));
     let (tx, _rx) = mpsc::channel();
     let err = run(ServeConfig::new(roles(&dtd), docs), tx).unwrap_err();
     assert!(err.contains("doc \"scrambled\"") && err.contains("cannot index"), "{err}");
