@@ -6,9 +6,9 @@
 //! fixed-width little-endian `u32` arrays laid out 8-aligned, so on a
 //! little-endian target they can be *viewed* in place as `&[u32]`
 //! without decoding or copying. [`U32s`] and [`Str`] make that borrow
-//! explicit: each column is either `Owned` (a normal vector/string, the
-//! builder and parser path) or `Packed` (a range of a shared buffer, the
-//! load path). Accessors return plain slices either way, so the rest of
+//! explicit: each column is either `Owned` (a shared slice or string,
+//! the builder and parser path) or `Packed` (a range of a shared buffer,
+//! the load path). Accessors return plain slices either way, so the rest of
 //! the crate is agnostic to where a document's bytes live.
 //!
 //! Invariants are established at construction, not per access:
@@ -100,12 +100,16 @@ impl fmt::Debug for Bytes {
     }
 }
 
-/// A `u32` column: an owned vector or a zero-copy view of packed
+/// A `u32` column: an owned slice or a zero-copy view of packed
 /// little-endian words. Cloning is cheap on both paths (`Arc` bump).
 #[derive(Clone)]
 pub enum U32s {
-    /// Built in memory (parser, builders, tests).
-    Owned(Arc<Vec<u32>>),
+    /// Built in memory (`DocumentBuilder::finish`, index and
+    /// access-view builds, tests). An `Arc<[u32]>` rather than an
+    /// `Arc<Vec<u32>>`, so that, as for `Packed`, the data pointer sits in
+    /// the column itself: a scan does not reload it through the `Arc` on
+    /// every access.
+    Owned(Arc<[u32]>),
     /// Borrowed from a package buffer; 4-aligned, little-endian words.
     Packed(Bytes),
 }
@@ -113,12 +117,12 @@ pub enum U32s {
 impl U32s {
     /// An owned column.
     pub fn from_vec(v: Vec<u32>) -> U32s {
-        U32s::Owned(Arc::new(v))
+        U32s::Owned(v.into())
     }
 
     /// An empty column.
     pub fn empty() -> U32s {
-        U32s::Owned(Arc::new(Vec::new()))
+        U32s::Owned(Arc::new([]))
     }
 
     /// View packed little-endian words in place. Returns `None` when the
@@ -178,7 +182,7 @@ impl U32s {
     /// Panics for packed columns and for owned columns whose `Arc` has
     /// been shared — builders own their columns exclusively, so either
     /// case is a caller bug, not a data condition.
-    pub fn make_mut(&mut self) -> &mut Vec<u32> {
+    pub fn make_mut(&mut self) -> &mut [u32] {
         match self {
             U32s::Owned(v) => Arc::get_mut(v).expect("U32s::make_mut on a shared column"),
             U32s::Packed(_) => panic!("U32s::make_mut on a packed column"),
@@ -224,8 +228,9 @@ impl PartialEq for U32s {
 /// A text column: an owned string or a zero-copy view of packed UTF-8.
 #[derive(Clone)]
 pub enum Str {
-    /// Built in memory.
-    Owned(Arc<String>),
+    /// Built in memory (an `Arc<str>`, for the reason `U32s::Owned` is
+    /// an `Arc<[u32]>`).
+    Owned(Arc<str>),
     /// Borrowed from a package buffer; validated UTF-8.
     Packed(Bytes),
 }
@@ -233,12 +238,12 @@ pub enum Str {
 impl Str {
     /// An owned text column.
     pub fn from_string(s: String) -> Str {
-        Str::Owned(Arc::new(s))
+        Str::Owned(s.into())
     }
 
     /// An empty text column.
     pub fn empty() -> Str {
-        Str::Owned(Arc::new(String::new()))
+        Str::Owned(Arc::from(""))
     }
 
     /// View packed text in place, validating UTF-8 once here so
