@@ -740,7 +740,7 @@ mod tests {
             let optimize_ans = answer(&engine, &doc, &p, Approach::Optimize);
             let naive_ans = answer(&engine, &doc, &p, Approach::Naive);
             assert_eq!(rewrite_ans, optimize_ans, "{q}");
-            // Naive evaluates on an annotated *copy*: same arena layout, so
+            // Naive evaluates on an annotated *copy*: same node columns, so
             // NodeIds are directly comparable.
             assert_eq!(rewrite_ans, naive_ans, "{q}");
         }

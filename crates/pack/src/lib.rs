@@ -1,8 +1,8 @@
 //! `.sxvpkg` — on-disk packages for instant cold start.
 //!
 //! A package captures everything `sxv` derives from a DTD + document +
-//! access specs before it can answer its first query: the arena
-//! [`Document`](sxv_xml::Document), the structural
+//! access specs before it can answer its first query: the columns of
+//! the [`Document`](sxv_xml::Document), the structural
 //! [`DocIndex`](sxv_xml::DocIndex) (pre/post ranks, depths, label
 //! occurrence lists, text buffer), and one
 //! [`AccessView`](sxv_xpath::AccessView) per role (accessibility /

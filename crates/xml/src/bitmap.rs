@@ -1,6 +1,6 @@
 //! # Dense node bitmaps
 //!
-//! A [`NodeBitmap`] is a dense bitset over a document's arena, keyed by
+//! A [`NodeBitmap`] is a dense bitset over a document's nodes, keyed by
 //! [`NodeId::index`]. One bit per node makes per-node predicates (such
 //! as §3.2 accessibility) a word-parallel AND against candidate sets:
 //! 64 nodes are filtered per machine instruction instead of one
@@ -55,7 +55,7 @@ impl NodeBitmap {
         &self.words
     }
 
-    /// Number of node ids the bitmap covers (the arena length).
+    /// Number of node ids the bitmap covers (the document length).
     pub fn len(&self) -> usize {
         self.len
     }

@@ -44,7 +44,7 @@
 //! 1 when uncertified).
 //!
 //! `sxv pack` serializes everything derived from one DTD + document +
-//! role specs — the parsed arena document, its structural index, and
+//! role specs — the parsed document's columns, its structural index, and
 //! one accessibility artifact per role — into a single `.sxvpkg` file;
 //! `sxv query --package` and `sxv serve --package NAME=PKG` then skip
 //! XML parsing, indexing and σ expansion at startup entirely, loading

@@ -6,7 +6,7 @@
 //!
 //! This umbrella crate re-exports the workspace's public API:
 //!
-//! * [`xml`] — arena-based XML tree, parser, serializer (substrate);
+//! * [`xml`] — column-stored XML tree, parser, serializer (substrate);
 //! * [`dtd`] — DTD model, parser, validator, DTD graph (substrate);
 //! * [`xpath`] — the paper's XPath fragment `C`: AST, parser, evaluator;
 //! * [`gen`] — DTD-driven random document generator (IBM XML Generator
