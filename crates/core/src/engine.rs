@@ -15,8 +15,9 @@ use crate::plancost::dtd_cost_model;
 use crate::rewrite::ViewGraph;
 use crate::spec::AccessSpec;
 use crate::view::def::SecurityView;
+use std::borrow::Cow;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use sxv_xml::{DocId, DocIndex, Document, NodeId};
@@ -70,16 +71,17 @@ pub fn answer_line(doc: &Document, node: NodeId) -> String {
 /// Default number of translated queries kept by the engine's cache.
 pub const DEFAULT_TRANSLATION_CACHE_CAPACITY: usize = 64;
 
-/// Key of one plan-cache entry: the *normalized* view query (so `a | a`
-/// and `a` share an entry), the strategy, and the planner policy.
-/// Deliberately document-free: recursive views translate to closure
-/// plans (`(…)*`) instead of height-bounded unfoldings, so one entry
-/// serves documents of every height.
+/// Key of one plan-cache entry: the strategy, the planner policy and the
+/// view query *as written* — a lookup borrows the caller's query and
+/// builds nothing, so `a | a` and `a` get separate entries with equal
+/// plans. Deliberately document-free: recursive views translate to
+/// closure plans (`(…)*`) instead of height-bounded unfoldings, so one
+/// entry serves documents of every height.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct CacheKey {
-    query: Path,
+struct CacheKey<'q> {
     approach: Approach,
     policy: PlanPolicy,
+    query: Cow<'q, Path>,
 }
 
 /// Most shards a translation cache will split into; small capacities use
@@ -113,23 +115,29 @@ pub struct Planned {
     pub cert: Arc<PlanCertificate>,
 }
 
-/// One cache shard entry: planning outcome plus its atomic LRU tick.
-type CacheEntry = (Result<Planned>, AtomicU64);
+/// One cache slot. Its stored hash only short-cuts the key compare: a
+/// naive plan must never answer an optimize request that hashes alike.
+#[derive(Debug)]
+struct Slot {
+    hash: u64,
+    key: CacheKey<'static>,
+    planned: Result<Planned>,
+    used: AtomicU64,
+}
 
-/// One cache shard, per key. The value is the whole compiled artifact —
-/// a hit skips parse normalization, rewriting, optimization, planning
-/// *and* certification. Keys are `Arc`-shared so an eviction takes its
-/// victim's key out with a refcount bump instead of a `Path` clone.
-type CacheShard = HashMap<Arc<CacheKey>, CacheEntry>;
+/// One cache shard: at most `shard_cap` slots, scanned linearly (8 at
+/// the default capacity). A slot holds the whole compiled artifact — a
+/// hit skips normalization, rewriting, optimization, planning *and*
+/// certification.
+type CacheShard = Vec<Slot>;
 
-/// Sharded, read-mostly map of compiled query plans. Keys hash to one of
-/// a few independently locked shards, so concurrent [`SecureEngine`]
-/// readers (the daemon's connection threads) do not serialize on one mutex:
-/// a cache *hit* takes only a shard read lock — the LRU tick lives in an
-/// `AtomicU64` per entry — and only misses take a shard write lock.
-/// Eviction is per-shard LRU via a linear minimum scan (capacities are
-/// small and lookups dominate); the evicted plan is freed after the
-/// write lock is released.
+/// Sharded, read-mostly cache of compiled query plans. The key's one
+/// hash picks one of a few independently locked shards, so concurrent
+/// [`SecureEngine`] readers (the daemon's connection threads) do not
+/// serialize on one mutex: a cache *hit* takes only a shard read lock —
+/// the LRU tick lives in an `AtomicU64` per slot — and only misses take
+/// a shard write lock. Eviction is per-shard LRU via a linear minimum
+/// scan; the evicted plan is freed after the write lock is released.
 #[derive(Debug)]
 struct PlanCache {
     shards: Vec<RwLock<CacheShard>>,
@@ -162,7 +170,7 @@ impl PlanCache {
             (capacity / MAX_CACHE_SHARDS).clamp(1, MAX_CACHE_SHARDS)
         };
         PlanCache {
-            shards: (0..shard_count).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..shard_count).map(|_| RwLock::new(Vec::new())).collect(),
             shard_cap: capacity.div_ceil(shard_count),
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -174,19 +182,17 @@ impl PlanCache {
         }
     }
 
-    fn shard(&self, key: &CacheKey) -> &RwLock<CacheShard> {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[hasher.finish() as usize % self.shards.len()]
+    fn shard(&self, hash: u64) -> &RwLock<CacheShard> {
+        &self.shards[hash as usize % self.shards.len()]
     }
 
-    fn lookup(&self, key: &CacheKey) -> Option<Result<Planned>> {
-        let shard = read_recover(self.shard(key));
-        match shard.get(key) {
-            Some((p, used)) => {
-                used.store(self.tick.fetch_add(1, Ordering::Relaxed) + 1, Ordering::Relaxed);
+    fn lookup(&self, hash: u64, key: &CacheKey<'_>) -> Option<Result<Planned>> {
+        let shard = read_recover(self.shard(hash));
+        match shard.iter().find(|slot| slot.hash == hash && slot.key == *key) {
+            Some(slot) => {
+                slot.used.store(self.tick.fetch_add(1, Ordering::Relaxed) + 1, Ordering::Relaxed);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(p.clone())
+                Some(slot.planned.clone())
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -195,33 +201,29 @@ impl PlanCache {
         }
     }
 
-    fn insert(&self, key: CacheKey, planned: Result<Planned>) {
+    fn insert(&self, hash: u64, key: CacheKey<'_>, planned: Result<Planned>) {
         if self.shard_cap == 0 {
             return;
         }
-        let key = Arc::new(key);
-        let mut shard = write_recover(self.shard(&key));
-        let now = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let entry = (planned, AtomicU64::new(now));
-        // What leaves the cache: the entry of a racing thread that
-        // missed the same key and inserted first, or the least recently
-        // used one of a full shard.
-        let removed = if let Some(slot) = shard.get_mut(&key) {
-            Some((key, std::mem::replace(slot, entry)))
-        } else {
-            let evicted = if shard.len() >= self.shard_cap {
-                shard
-                    .iter()
-                    .min_by_key(|(_, (_, t))| t.load(Ordering::Relaxed))
-                    .map(|(k, _)| Arc::clone(k))
-                    .and_then(|oldest| shard.remove_entry(&oldest))
-            } else {
+        let CacheKey { approach, policy, query } = key;
+        let key = CacheKey { approach, policy, query: Cow::Owned(query.into_owned()) };
+        let used = AtomicU64::new(self.tick.fetch_add(1, Ordering::Relaxed) + 1);
+        let mut shard = write_recover(self.shard(hash));
+        // What leaves the cache: the slot of a racing thread that missed
+        // the same key and inserted first, or the least recently used
+        // one of a full shard.
+        let racing = shard.iter().position(|s| s.hash == hash && s.key == key);
+        let full = shard.len() >= self.shard_cap;
+        let lru = (0..shard.len()).min_by_key(|&i| shard[i].used.load(Ordering::Relaxed));
+        let slot = Slot { hash, key, planned, used };
+        let removed = match racing.or(lru.filter(|_| full)) {
+            Some(i) => Some(std::mem::replace(&mut shard[i], slot)),
+            None => {
+                shard.push(slot);
                 None
-            };
-            shard.insert(key, entry);
-            evicted
+            }
         };
-        // Free its plan, certificate and key after the write lock is
+        // Free its plan, certificate and query after the write lock is
         // released.
         drop(shard);
         drop(removed);
@@ -415,12 +417,8 @@ impl<'a> SecureEngine<'a> {
         Self::with_cache_capacity(spec, view, DEFAULT_TRANSLATION_CACHE_CAPACITY)
     }
 
-    /// Bind with an explicit translation-cache capacity (0 disables).
-    pub fn with_cache_capacity(
-        spec: &'a AccessSpec,
-        view: &'a SecurityView,
-        capacity: usize,
-    ) -> Self {
+    /// Bind with an explicit plan-cache capacity (0 disables).
+    fn with_cache_capacity(spec: &'a AccessSpec, view: &'a SecurityView, capacity: usize) -> Self {
         SecureEngine {
             spec,
             view,
@@ -529,21 +527,22 @@ impl<'a> SecureEngine<'a> {
             .map(|planned| planned.plan.translated.clone())
     }
 
-    /// Plan a view query end to end (translate → optimize → compile →
-    /// certify), memoized: the bool says whether the plan came from the
-    /// cache, in which case *none* of those phases ran. The plan comes
-    /// with its cached static certificate.
+    /// Plan a view query end to end (normalize → translate → optimize →
+    /// compile → certify), memoized under the query as written: the bool
+    /// says whether the plan came from the cache, in which case *none* of
+    /// those phases ran. The plan comes with its cached certificate.
     pub fn plan_certified(
         &self,
         p: &Path,
         approach: Approach,
         policy: PlanPolicy,
     ) -> (Result<Planned>, bool) {
-        let key = CacheKey { query: simplify(p), approach, policy };
-        if let Some(cached) = self.cache.lookup(&key) {
+        let key = CacheKey { approach, policy, query: Cow::Borrowed(p) };
+        let hash = BuildHasherDefault::<DefaultHasher>::default().hash_one(&key);
+        if let Some(cached) = self.cache.lookup(hash, &key) {
             return (cached, true);
         }
-        let planned = self.translate_uncached(&key.query, approach).map(|translated| {
+        let planned = self.translate_uncached(&simplify(p), approach).map(|translated| {
             self.cache.plans_compiled.fetch_add(1, Ordering::Relaxed);
             // Annotate plans filter the untranslated view query through
             // the accessibility artifact; every other approach runs its
@@ -558,7 +557,7 @@ impl<'a> SecureEngine<'a> {
             let cert = self.certify_counted(&plan);
             Planned { plan, cert }
         });
-        self.cache.insert(key, planned.clone());
+        self.cache.insert(hash, key, planned.clone());
         (planned, false)
     }
 
@@ -596,10 +595,11 @@ impl<'a> SecureEngine<'a> {
     }
 
     /// Answer by compiled plan: fetch (or compile-and-cache) the plan for
-    /// `(query, approach, policy)` and execute it. A cache hit skips
-    /// parse-normalize, rewrite, optimize *and* planning — only the
-    /// executor runs. The index is a pure accelerator: plans are compiled
-    /// for indexed serving and degrade to subtree scans without one.
+    /// `(query, approach, policy)` and execute it. A cache hit hashes the
+    /// query as written and skips normalization, rewrite, optimize *and*
+    /// planning — only the executor runs. The index is a pure
+    /// accelerator: plans are compiled for indexed serving and degrade
+    /// to subtree scans without one.
     /// [`Approach::Naive`] executes its plan over a per-document cached
     /// annotated copy, so the given index (built for `doc`, not the
     /// copy) is ignored on that path. [`Approach::Annotate`] filters
@@ -1012,7 +1012,7 @@ mod tests {
     }
 
     #[test]
-    fn translation_cache_hits_on_repeat_and_normalized_queries() {
+    fn translation_cache_keys_the_query_as_written() {
         let (spec, view, doc) = setup();
         let engine = SecureEngine::new(&spec, &view);
         let p = parse("//patient/name").unwrap();
@@ -1025,17 +1025,55 @@ mod tests {
         let stats = engine.cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
 
-        // Normalization: an equivalent-after-simplification query shares
-        // the entry instead of retranslating.
+        // A spelling that only `simplify` makes equal gets its own entry
+        // (normalization runs on the miss path), with the same plan.
         let p2 = parse("//patient/name | //patient/name").unwrap();
-        answer(&engine, &doc, &p2, Approach::Optimize);
+        assert_eq!(answer(&engine, &doc, &p2, Approach::Optimize), first);
         let stats = engine.cache_stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 1, 1));
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 2));
 
         // Different approach = different entry.
         answer(&engine, &doc, &p, Approach::Rewrite);
         let stats = engine.cache_stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 2, 2));
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 3, 3));
+
+        assert_eq!(
+            engine.translate(&p2, Approach::Optimize).unwrap(),
+            engine.translate(&p, Approach::Optimize).unwrap()
+        );
+    }
+
+    #[test]
+    fn the_stored_hash_only_short_cuts_the_key_compare() {
+        // Keys that differ in one field each, all filed under one forged
+        // hash in one shard: each lookup must return its own plan. A
+        // naive plan served to an optimize request would leak data.
+        let (spec, view, _) = setup();
+        let engine = SecureEngine::new(&spec, &view);
+        let (bill, name) = (parse("//bill").unwrap(), parse("//name").unwrap());
+        let key =
+            |approach, policy, query| CacheKey { approach, policy, query: Cow::Borrowed(query) };
+        let keys = [
+            key(Approach::Optimize, PlanPolicy::Auto, &bill),
+            key(Approach::Optimize, PlanPolicy::Auto, &name),
+            key(Approach::Naive, PlanPolicy::Auto, &bill),
+            key(Approach::Optimize, PlanPolicy::ForceWalk, &bill),
+        ];
+        let cache = PlanCache::new(keys.len());
+        assert_eq!(cache.shards.len(), 1);
+        const FORGED: u64 = 42;
+        let plans: Vec<Planned> = keys
+            .iter()
+            .map(|k| engine.plan_certified(&k.query, k.approach, k.policy).0.unwrap())
+            .collect();
+        for (key, planned) in keys.iter().zip(&plans) {
+            cache.insert(FORGED, key.clone(), Ok(planned.clone()));
+        }
+        assert_eq!(cache.stats().entries, keys.len());
+        for (key, planned) in keys.iter().zip(&plans) {
+            let served = cache.lookup(FORGED, key).expect("every key was inserted").unwrap();
+            assert!(Arc::ptr_eq(&served.plan, &planned.plan), "{key:?} got another key's plan");
+        }
     }
 
     #[test]
