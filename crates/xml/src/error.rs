@@ -26,6 +26,10 @@ pub enum Error {
     /// handed inconsistent arrays: lengths that disagree, a duplicate
     /// label or an out-of-bounds root.
     MalformedParts(String),
+    /// A [`DocumentBuilder`](crate::DocumentBuilder) call the builder
+    /// cannot honour: a second root, or an attribute set on a node other
+    /// than the last one appended.
+    Misuse(String),
 }
 
 impl fmt::Display for Error {
@@ -39,6 +43,7 @@ impl fmt::Display for Error {
             }
             Error::NoRoot => write!(f, "document has no root element"),
             Error::MalformedParts(msg) => write!(f, "malformed document parts: {msg}"),
+            Error::Misuse(msg) => write!(f, "document builder misuse: {msg}"),
         }
     }
 }

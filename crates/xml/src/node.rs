@@ -499,7 +499,7 @@ impl DocumentBuilder {
     /// exists.
     pub fn create_root(&mut self, label: impl AsRef<str>) -> Result<NodeId> {
         if !self.node_labels.is_empty() {
-            return Err(Error::Parse { offset: 0, message: "document already has a root".into() });
+            return Err(Error::Misuse("document already has a root".into()));
         }
         let label = self.intern(label.as_ref());
         Ok(self.push(label.0, Document::NO_PARENT))
@@ -554,10 +554,9 @@ impl DocumentBuilder {
             return Err(Error::WrongNodeKind { expected: "element", found: "text" });
         }
         if id.index() + 1 != self.node_labels.len() {
-            return Err(Error::Parse {
-                offset: 0,
-                message: format!("attribute set on {id} after a later node was appended"),
-            });
+            return Err(Error::Misuse(format!(
+                "attribute set on {id} after a later node was appended"
+            )));
         }
         let name = name.into();
         let own = self.attr_nodes.partition_point(|&o| o < id.0);
@@ -646,7 +645,9 @@ mod tests {
     fn double_root_rejected() {
         let mut d = DocumentBuilder::new();
         d.create_root("a").unwrap();
-        assert!(d.create_root("b").is_err());
+        let err = d.create_root("b").unwrap_err();
+        assert!(matches!(err, Error::Misuse(_)), "{err:?}");
+        assert_eq!(err.to_string(), "document builder misuse: document already has a root");
     }
 
     #[test]
@@ -717,7 +718,8 @@ mod tests {
         let mut d = DocumentBuilder::new();
         let a = d.create_root("a").unwrap();
         let b = d.append_element(a, "b");
-        assert!(d.set_attribute(a, "x", "1").is_err());
+        let err = d.set_attribute(a, "x", "1").unwrap_err();
+        assert!(matches!(err, Error::Misuse(_)), "{err:?}");
         d.set_attribute(b, "y", "2").unwrap();
         let d = d.finish();
         assert!(d.attributes(a).is_empty());
