@@ -9,10 +9,13 @@
 # sets (`run_seconds`). Pair i uses seed FIRST_SEED + i (default
 # FIRST_SEED 1); even pairs run the parent first, odd pairs the change.
 #
-# Prints one line per run (side, seed, wall time, every end-to-end
-# metric), then one row per end-to-end metric: both sides' medians and
-# quartiles, the median ratio change/parent, and the pairs the change
-# won (by the metric's `better` direction; ties count for neither side).
+# Prints one line per run (side, seed, wall time, timed rounds, every
+# end-to-end metric), then one row per end-to-end metric: both sides'
+# medians and quartiles, the median ratio change/parent, and the pairs
+# the change won (by the metric's `better` direction; ties count for
+# neither side); a last row gives the same medians for the timed rounds
+# (from the `# sequence=… timed rounds=R …` note a run prints before
+# its JSON line), which shows how much set-up a run pays between rounds.
 # Exits 1 if any run failed or reported anything but `"correct": true,
 # "failed": 0`, 2 on bad usage. Killed by INT or TERM, it stops its
 # running build or benchmark run, together with the processes that one
@@ -78,17 +81,20 @@ for tree in "$parent" "$change"; do
   wait_child $! || exit 1
 done
 
-# args: side tree seed; appends "side<TAB>seed<TAB>wall-ns<TAB>result-line".
+# args: side tree seed; appends
+# "side<TAB>seed<TAB>wall-ns<TAB>rounds<TAB>result-line".
 # A run's stderr is shown only when it prints no result line.
 run_one() {
-  local side=$1 tree=$2 seed=$3 start line
+  local side=$1 tree=$2 seed=$3 start line rounds
   start=$(date +%s%N)
   cd "$tree" || exit 1
   setsid perfbench/target/release/sxv-perfbench --workload "$workload" \
     --seed "$seed" --seconds "$seconds" --trace 0 >"$out" 2>"$stderr" &
   wait_child $!
   line=$(tail -n 1 "$out")
-  printf '%s\t%s\t%s\t%s\n' "$side" "$seed" "$(($(date +%s%N) - start))" "$line" >>"$results"
+  rounds=$(sed -n 's/^# sequence=.* timed rounds=\([0-9.]*\) .*/\1/p' "$out" | head -n 1)
+  printf '%s\t%s\t%s\t%s\t%s\n' "$side" "$seed" "$(($(date +%s%N) - start))" \
+    "${rounds:-none}" "$line" >>"$results"
   case $line in
     '{'*) ;;
     *) tail -n 5 "$stderr" | sed "s/^/# $side seed $seed: /" >&2 ;;
@@ -114,7 +120,7 @@ bench, results, workload = sys.argv[1:]
 metrics = json.load(open(bench))["end_to_end"]
 runs, ok = {"parent": {}, "change": {}}, True
 for row in open(results):
-    side, seed, wall, line = row.rstrip("\n").split("\t", 3)
+    side, seed, wall, rounds, line = row.rstrip("\n").split("\t", 4)
     try:
         out = json.loads(line)
     except ValueError:
@@ -122,9 +128,10 @@ for row in open(results):
     good = out.get("correct") is True and out.get("failed") == 0
     ok &= good
     values = {k: v["value"] for k, v in out.get("metrics", {}).items()}
+    values["rounds"] = None if rounds == "none" else float(rounds)
     runs[side][seed] = values if good else None
     shown = " ".join(f"{m['name']}={values.get(m['name'])}" for m in metrics)
-    print(f"run {workload} {side} seed={seed} wall_s={int(wall) / 1e9:.1f} "
+    print(f"run {workload} {side} seed={seed} wall_s={int(wall) / 1e9:.1f} rounds={rounds} "
           f"{'ok' if good else 'FAILED'} {shown}")
 
 seeds = sorted(set(runs["parent"]) & set(runs["change"]), key=int)
@@ -139,7 +146,8 @@ def quartiles(xs):
 print(f"{workload}: {len(pairs)} complete pairs")
 print(f"{'metric':<16} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30} "
       f"{'ratio':>7} {'won':>6}")
-for m in metrics:
+# The timed rounds have no better direction: their row counts no wins.
+for m in metrics + [{"name": "rounds", "better": None}]:
     name, lower = m["name"], m["better"] == "lower"
     a = [runs["parent"][s].get(name) for s in pairs]
     b = [runs["change"][s].get(name) for s in pairs]
@@ -149,7 +157,8 @@ for m in metrics:
     won = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
     (a1, am, a3), (b1, bm, b3) = quartiles(a), quartiles(b)
     ratio = bm / am if am else float("nan")
+    won = f"{won:>3}/{len(a)}" if m["better"] else ""
     print(f"{name:<16} {f'{am:.5g} [{a1:.5g}, {a3:.5g}]':>30} "
-          f"{f'{bm:.5g} [{b1:.5g}, {b3:.5g}]':>30} {ratio:>6.3f}x {won:>3}/{len(a)}")
+          f"{f'{bm:.5g} [{b1:.5g}, {b3:.5g}]':>30} {ratio:>6.3f}x {won:>6}")
 sys.exit(0 if ok else 1)
 EOF
