@@ -43,13 +43,12 @@ pub enum ReadError {
 
 /// Read one request from a buffered connection.
 pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ReadError> {
-    let mut head = String::new();
-    // Request line.
-    let mut line = String::new();
-    match reader.read_line(&mut line) {
-        Ok(0) => return Err(ReadError::Eof),
-        Ok(_) => {}
-        Err(e) => return Err(ReadError::Io(e)),
+    // Bytes of the head read so far; every line is read through what is
+    // left of `MAX_HEAD_BYTES`, so a line that never ends costs no more.
+    let mut head = 0usize;
+    let line = read_head_line(reader, &mut head)?;
+    if line.is_empty() {
+        return Err(ReadError::Eof);
     }
     let mut parts = line.split_whitespace();
     let method = parts.next().unwrap_or("").to_ascii_uppercase();
@@ -62,15 +61,9 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ReadEr
     let mut content_length = 0usize;
     let mut close = version == "HTTP/1.0";
     loop {
-        let mut h = String::new();
-        match reader.read_line(&mut h) {
-            Ok(0) => return Err(ReadError::Malformed("eof inside headers".into())),
-            Ok(_) => {}
-            Err(e) => return Err(ReadError::Io(e)),
-        }
-        head.push_str(&h);
-        if head.len() > MAX_HEAD_BYTES {
-            return Err(ReadError::TooLarge("header block"));
+        let h = read_head_line(reader, &mut head)?;
+        if h.is_empty() {
+            return Err(ReadError::Malformed("eof inside headers".into()));
         }
         let h = h.trim_end();
         if h.is_empty() {
@@ -108,6 +101,23 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ReadEr
         reader.read_exact(&mut body).map_err(ReadError::Io)?;
     }
     Ok(Request { method, path, body, close })
+}
+
+/// One line of the request head, newline included, read through the
+/// `MAX_HEAD_BYTES - *head` bytes the head has left. Empty at end of
+/// stream; a line the bound cuts off is [`ReadError::TooLarge`].
+fn read_head_line(
+    reader: &mut BufReader<TcpStream>,
+    head: &mut usize,
+) -> Result<String, ReadError> {
+    let mut line = Vec::new();
+    let left = (MAX_HEAD_BYTES - *head) as u64;
+    reader.take(left).read_until(b'\n', &mut line).map_err(ReadError::Io)?;
+    *head += line.len();
+    if *head == MAX_HEAD_BYTES && !line.ends_with(b"\n") {
+        return Err(ReadError::TooLarge("request head"));
+    }
+    String::from_utf8(line).map_err(|_| ReadError::Malformed("request head is not UTF-8".into()))
 }
 
 /// Reason phrase for the status codes this daemon emits.

@@ -8,13 +8,14 @@ use secure_xml_views::core::{
     answer_line, build_access_view, derive_view, AccessSpec, Approach, PlanPolicy, SecureEngine,
 };
 use secure_xml_views::dtd::{parse_dtd, Dtd};
-use secure_xml_views::serve::http::Client;
+use secure_xml_views::serve::http::{Client, MAX_BODY_BYTES};
 use secure_xml_views::serve::json::MAX_NESTING;
 use secure_xml_views::serve::{parse_answers, query_body, run, ArtifactMismatch, ServeConfig};
 use secure_xml_views::xml::{parse as parse_xml, DocIndex, Document, DocumentBuilder};
 use secure_xml_views::xpath::parse as parse_xpath;
 use secure_xml_views::xpath::parser::MAX_DEPTH;
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -206,6 +207,59 @@ fn keep_alive_connection_serves_many_requests() {
     let (status, _) = c.get("/healthz").unwrap();
     assert_eq!(status, 200);
     shutdown(addr, handle);
+}
+
+/// Send `raw` on a fresh connection and return the reply's status and
+/// body, or `None` if none comes within five seconds.
+fn raw_reply(addr: SocketAddr, raw: &[u8]) -> Option<(u16, String)> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    // The server may answer and close before it has read all of `raw`.
+    let _ = stream.write_all(raw);
+    let mut reply = Vec::new();
+    let _ = stream.read_to_end(&mut reply);
+    let reply = String::from_utf8_lossy(&reply);
+    let status = reply.split_whitespace().nth(1)?.parse().ok()?;
+    Some((status, reply.split_once("\r\n\r\n")?.1.to_string()))
+}
+
+/// `raw` gets a 413, and the server answers afterwards.
+fn assert_too_large(raw: &[u8]) {
+    let dtd = dtd();
+    let mut config = ServeConfig::new(roles(&dtd), docs());
+    config.stats_interval_secs = 0;
+    let (addr, handle) = boot(config);
+    let reply = raw_reply(addr, raw);
+    assert!(matches!(&reply, Some((413, body)) if body.contains("too large")), "{reply:?}");
+    let (status, _) = client(addr).get("/healthz").unwrap();
+    assert_eq!(status, 200);
+    shutdown(addr, handle);
+}
+
+#[test]
+fn unterminated_request_line_gets_413() {
+    // 64 KiB with no newline: the head is bounded while a line is read,
+    // not only once a whole line has arrived.
+    let mut raw = b"GET /".to_vec();
+    raw.resize(64 * 1024, b'a');
+    assert_too_large(&raw);
+}
+
+#[test]
+fn header_block_over_16_kib_gets_413() {
+    let mut raw = String::from("GET /healthz HTTP/1.1\r\n");
+    for i in 0..200 {
+        raw += &format!("X-Pad-{i}: {}\r\n", "p".repeat(100));
+    }
+    raw += "\r\n";
+    assert!(raw.len() > 16 * 1024);
+    assert_too_large(raw.as_bytes());
+}
+
+#[test]
+fn content_length_over_the_body_bound_gets_413() {
+    let raw = format!("POST /query HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY_BYTES + 1);
+    assert_too_large(raw.as_bytes());
 }
 
 #[test]
