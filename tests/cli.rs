@@ -68,6 +68,43 @@ fn derive_refuses_deeply_nested_dtd_groups() {
 }
 
 #[test]
+fn diamond_chain_query_explains_to_one_schema_slice() {
+    // Over 16 DTD diamonds (`s_i → (a_i | b_i)`, both to `s_{i+1}`)
+    // `//s17` reaches `s17` along 2^16 label paths. The optimized
+    // translation shares them, so the plan is one schema slice, not an
+    // op per path.
+    let dir = std::env::temp_dir().join(format!("sxv-cli-diamonds-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut dtd = String::from("<!ELEMENT r (s1)>\n<!ELEMENT s17 EMPTY>\n");
+    for i in 1..=16 {
+        let j = i + 1;
+        dtd += &format!(
+            "<!ELEMENT s{i} (a{i} | b{i})>\n<!ELEMENT a{i} (s{j})>\n<!ELEMENT b{i} (s{j})>\n"
+        );
+    }
+    let (dtd_path, spec_path) = (dir.join("chain.dtd"), dir.join("empty.spec"));
+    std::fs::write(&dtd_path, dtd).unwrap();
+    std::fs::write(&spec_path, "").unwrap();
+    let (dtd_str, spec_str) = (dtd_path.to_str().unwrap(), spec_path.to_str().unwrap());
+    let (stdout, stderr, ok) = run(&[
+        "explain",
+        "--dtd",
+        dtd_str,
+        "--root",
+        "r",
+        "--spec",
+        spec_str,
+        "--approach",
+        "optimize",
+        "--query",
+        "//s17",
+    ]);
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("plan (policy=auto, ops[schema:1] "), "{stdout}");
+}
+
+#[test]
 fn rewrite_translates_and_optimizes() {
     let mut args = vec!["rewrite"];
     args.extend(DTD_ARGS);
